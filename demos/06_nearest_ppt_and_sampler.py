@@ -1,7 +1,7 @@
-"""Nearest-PPT projection and the separable sampling oracle.
+"""Nearest-PPT projection and the separable-minimum probe.
 
 The alternating-projection solver reproduces the analytic nearest separable
-points of the gamma = 0 slice; the seeded product-state sampler provides a
+points of the gamma = 0 slice; the seesaw over seeded product states gives a
 one-sided floor for witness expectations.
 """
 
@@ -9,10 +9,10 @@ from entwit import (
     SamplerConfig,
     SimplexParams,
     hs_norm,
+    identity,
     min_separable_expectation,
     nearest_ppt,
     region_witnesses,
-    sample_product_state,
     simplex_state,
 )
 
@@ -23,15 +23,14 @@ for alpha, beta in [(0.5, 0.0), (0.0, 0.8), (0.7, 0.15)]:
           f"distance {hs_norm(result.state.op - rho.op):.6f}, "
           f"min PT eigenvalue {result.min_pt_eigenvalue:+.2e}")
 
-# every sampled state is separable by construction, hence PPT
-config = SamplerConfig(seed=12, count=3, mixing_degree=2)
-for index, state in enumerate(sample_product_state(3, config)):
-    print(f"sample {index}: trace={state.op.trace().real:.3f}, "
-          f"min eigenvalue={state.min_eigenvalue:+.2e}")
-
 witness_one, _ = region_witnesses()
-floor = min_separable_expectation(
-    witness_one, SamplerConfig(seed=0, count=50000), refine_steps=5)
-print(f"\nempirical separable floor of the region-I witness: {floor:.3e}")
+floor = min_separable_expectation(witness_one, SamplerConfig(seed=0, count=50000))
+print(f"\nseparable minimum probe of the region-I witness: {floor:.3e}")
 print("(an upper bound on the true separable minimum; certified witnesses "
-      "never go negative)")
+      "never go negative; this tangent one touches 0 up to rounding)")
+
+# a non-witness: product states reach overlap 1/3 with |phi+>
+phi_projector = simplex_state(SimplexParams(1.0, 0.0, 0.0)).op
+floor = min_separable_expectation(
+    0.3 * identity(3, 3) - phi_projector, SamplerConfig(seed=0, count=1000))
+print(f"probe of 0.3*1 - P00: {floor:.6f} (exact minimum -1/30)")

@@ -60,7 +60,6 @@ from .ppt import (
     classify_ppt,
     min_separable_expectation,
     nearest_ppt,
-    sample_product_state,
 )
 
 __all__ = [
@@ -111,6 +110,5 @@ __all__ = [
     "SamplerConfig",
     "classify_ppt",
     "nearest_ppt",
-    "sample_product_state",
     "min_separable_expectation",
 ]

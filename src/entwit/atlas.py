@@ -22,9 +22,9 @@ from .witness import (
     DetectionProfile,
     certify_witness,
     detection_profile,
-    hs_measure_gamma0,
     line_witness,
     region_witnesses,
+    _gamma0_measure,
 )
 
 __all__ = [
@@ -62,8 +62,15 @@ def format_float(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def _round_trip(x: float) -> float:
-    return float(format_float(x))
+def _round_floats(obj):
+    """Floats, also inside dicts and lists, as read back from format_float."""
+    if isinstance(obj, float):
+        return float(format_float(obj))
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,20 +85,18 @@ class RegionSample:
     measure: float | None = None
 
     def to_dict(self) -> dict:
-        return {
+        return _round_floats({
             "params": {
-                "alpha": _round_trip(self.params.alpha),
-                "beta": _round_trip(self.params.beta),
-                "gamma": _round_trip(self.params.gamma),
+                "alpha": self.params.alpha,
+                "beta": self.params.beta,
+                "gamma": self.params.gamma,
             },
             "valid": self.valid,
-            "min_pt_eigenvalue": _round_trip(self.min_pt_eigenvalue),
+            "min_pt_eigenvalue": self.min_pt_eigenvalue,
             "label": self.label,
-            "witness_values": {
-                k: _round_trip(v) for k, v in self.witness_values.items()
-            },
-            "measure": None if self.measure is None else _round_trip(self.measure),
-        }
+            "witness_values": self.witness_values,
+            "measure": self.measure,
+        })
 
     def to_csv_row(self) -> str:
         w_line = self.witness_values.get("line")
@@ -171,7 +176,8 @@ def classify_point(params, tol: float = PSD_TOL,
         label = (LABEL_NPT_I if values["region_I"] <= values["region_II"]
                  else LABEL_NPT_II)
         if params.gamma == 0.0:
-            measure, _ = hs_measure_gamma0(params.alpha, params.beta, psd_tol=tol)
+            # the PT test above is the one hs_measure_gamma0 would repeat
+            measure, _ = _gamma0_measure(params.alpha, params.beta)
     else:
         detected = any(v < -tol for v in certified_values.values())
         label = LABEL_BOUND if detected else LABEL_UNRESOLVED
@@ -207,7 +213,13 @@ def separability_note(sample: RegionSample, b: float | None = None) -> str | Non
 
 
 def positivity_vertices(gamma: float) -> list[tuple[float, float]]:
-    """Corners of the (alpha, beta) positivity triangle of a gamma slice."""
+    """Corners of the (alpha, beta) positivity triangle of a gamma slice.
+
+    Rejects gamma outside (-1/2, 1), where the slice holds at most one state.
+    """
+    if not -0.5 < gamma < 1.0:
+        raise ValueError(f"gamma={gamma} outside (-1/2, 1): no triangle of "
+                         f"states on this slice")
     c = min(1 + 2 * gamma, 1 - gamma)
     a_vertex = ((gamma - 1) / 6, (gamma - 1) / 3)
     b_vertex = ((c - 1 + gamma) / 9, c - (c - 1 + gamma) / 9)
@@ -255,14 +267,14 @@ def slice_sweep(gamma: float, grid_n: int, tol: float = PSD_TOL) -> SweepReport:
         for alpha in alphas
         for beta in betas
     ]
-    grid = {
-        "gamma": _round_trip(gamma),
-        "alpha_range": [_round_trip(alphas[0]), _round_trip(alphas[-1])],
-        "beta_range": [_round_trip(betas[0]), _round_trip(betas[-1])],
+    grid = _round_floats({
+        "gamma": gamma,
+        "alpha_range": [alphas[0], alphas[-1]],
+        "beta_range": [betas[0], betas[-1]],
         "grid_n": grid_n,
-    }
+    })
     provenance = {"tool": "entwit", "version": __version__,
-                  "tol": _round_trip(tol)}
+                  "tol": _round_floats(float(tol))}
     return SweepReport(grid=grid, provenance=provenance, rows=rows)
 
 
@@ -297,10 +309,10 @@ class LambdaScanReport:
             "grid": self.grid,
             "provenance": self.provenance,
             "rows": [profile.to_dict() for profile in self.rows],
-            "summary": {
-                "min_lambda_min": _round_trip(self.min_lambda),
-                "argmin_gamma": _round_trip(self.argmin_gamma),
-            },
+            "summary": _round_floats({
+                "min_lambda_min": self.min_lambda,
+                "argmin_gamma": self.argmin_gamma,
+            }),
         }
 
 
@@ -321,7 +333,7 @@ def lambda_scan(gamma_lo: float, gamma_hi: float, steps: int) -> LambdaScanRepor
             min_lambda = profile.lambda_min
             argmin_gamma = profile.gamma
     grid = {
-        "gamma_range": [_round_trip(gamma_lo), _round_trip(gamma_hi)],
+        "gamma_range": _round_floats([float(gamma_lo), float(gamma_hi)]),
         "steps": steps,
     }
     provenance = {"tool": "entwit", "version": __version__}

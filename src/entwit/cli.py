@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 
 from .operators import hs_norm, operator_from_dict
@@ -21,6 +23,7 @@ from .witness import certify_witness
 from .ppt import SamplerConfig, min_separable_expectation, nearest_ppt
 from .atlas import (
     SLICE_COLUMNS,
+    _round_floats,
     classify_point,
     format_float,
     lambda_scan,
@@ -33,21 +36,18 @@ __all__ = ["main", "entry_point"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # take "-1e-05" as a value, not an option; argparse's own pattern
+        # only knows "-1" and "-1.5"
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # usage errors exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(format_float(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
 
 
 def _emit(payload: str, out: str | None):
@@ -72,6 +72,11 @@ def _add_state_flags(parser: argparse.ArgumentParser):
 
 
 def _params_from_args(args) -> tuple[SimplexParams, float | None]:
+    for flag, dest in (("b", "b"), ("alpha", "alpha"), ("beta", "beta"),
+                       ("gamma", "gamma"), ("lambda", "lam")):
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{flag} must be a finite number, got {value}")
     if args.b is not None:
         if args.alpha is not None or args.beta is not None:
             raise ValueError("give either --b or --alpha/--beta, not both")

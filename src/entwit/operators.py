@@ -266,5 +266,13 @@ def operator_from_dict(obj: dict) -> BipartiteOperator:
         raise ValueError(
             f"entries has {len(pairs)} elements, expected {side * side}"
         )
-    flat = np.array([complex(re, im) for re, im in pairs])
+    try:
+        flat = np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"entries must be [re, im] number pairs: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(
+            f"entries[{bad[0]}] is not finite (NaN or Infinity): {pairs[bad[0]]}"
+        )
     return BipartiteOperator(dim_a, dim_b, flat.reshape(side, side))

@@ -34,6 +34,7 @@ from .witness import (
     line_witness_coefficients,
     nearest_separable_gamma0,
     region_witnesses,
+    _measure_values,
 )
 from .ppt import SamplerConfig, classify_ppt, min_separable_expectation, nearest_ppt
 
@@ -261,8 +262,7 @@ def _random_region_points(rng, region: str, count: int):
         state = simplex_state(SimplexParams(alpha, beta, 0.0))
         if not state.valid:
             continue
-        d_one = 2 * math.sqrt(2) / 3 * (alpha - 0.25 - beta / 8)
-        d_two = math.sqrt(2) / 3 * (-alpha - 0.5 + 1.25 * beta)
+        d_one, d_two = _measure_values(alpha, beta)
         if region == "I" and d_one > 1e-6 >= max(d_two, 0):
             points.append((alpha, beta))
         elif region == "II" and d_two > 1e-6 >= max(d_one, 0):
@@ -324,8 +324,7 @@ def check_certifications() -> list[CheckResult]:
     return results
 
 
-def check_sampler_floor(samples: int, seed: int,
-                        refine_steps: int = 4) -> CheckResult:
+def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     witnesses = list(region_witnesses())
     for gamma in _detection_gammas():
         lam_min = detection_profile(gamma).lambda_min
@@ -334,8 +333,7 @@ def check_sampler_floor(samples: int, seed: int,
     floor = math.inf
     for index, witness in enumerate(witnesses):
         config = SamplerConfig(seed=seed + index, count=samples)
-        floor = min(floor, min_separable_expectation(
-            witness, config, refine_steps=refine_steps))
+        floor = min(floor, min_separable_expectation(witness, config))
     deviation = max(0.0, -floor)
     return _check("sampler_floor", deviation, 1e-9,
                   ">= -1e-9", floor)

@@ -265,7 +265,8 @@ def _gamma0_pt_minimum(alpha: float, beta: float, psd_tol: float) -> float:
     return float(np.linalg.eigvalsh(partial_transpose(state.op, 2).entries)[0])
 
 
-def _gamma0_region(alpha: float, beta: float) -> str:
+def _gamma0_measure(alpha: float, beta: float) -> tuple[float, str]:
+    """(distance measure, region) of a valid NPT point of the gamma = 0 slice."""
     # the distance formulas are positive exactly on their own region; both
     # positive cannot happen for valid states, smaller distance would win
     d_one, d_two = _measure_values(alpha, beta)
@@ -273,7 +274,7 @@ def _gamma0_region(alpha: float, beta: float) -> str:
         raise ValueError(
             f"NPT state ({alpha}, {beta}) outside both region formulas"
         )
-    return "I" if d_one >= d_two else "II"
+    return (d_one, "I") if d_one >= d_two else (d_two, "II")
 
 
 def nearest_separable_gamma0(alpha: float, beta: float,
@@ -292,7 +293,7 @@ def nearest_separable_gamma0(alpha: float, beta: float,
         raise ValueError(
             "state is PPT, hence separable on this slice; distance 0"
         )
-    region = _gamma0_region(alpha, beta)
+    _, region = _gamma0_measure(alpha, beta)
     if region == "I":
         params = SimplexParams(0.25 + beta / 8, beta, 0.0)
     else:
@@ -313,9 +314,7 @@ def hs_measure_gamma0(alpha: float, beta: float,
     pt_min = _gamma0_pt_minimum(alpha, beta, psd_tol)
     if pt_min >= -psd_tol:
         return 0.0, "separable"
-    region = _gamma0_region(alpha, beta)
-    d_one, d_two = _measure_values(alpha, beta)
-    return (d_one, "I") if region == "I" else (d_two, "II")
+    return _gamma0_measure(alpha, beta)
 
 
 def line_witness_coefficients(gamma: float, lam: float) -> LineWitnessCoefficients:

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from entwit import SimplexParams, operator_to_dict, region_witnesses
+from entwit import (
+    SimplexParams,
+    hs_measure_gamma0,
+    operator_to_dict,
+    region_witnesses,
+)
 from entwit.atlas import (
     LABEL_BOUND,
     LABEL_INVALID,
@@ -175,6 +180,42 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_non_finite_state_flags(capsys):
+    for argv in (["classify", "--alpha", "nan", "--beta", "0"],
+                 ["classify", "--alpha", "0.2", "--beta", "inf"],
+                 ["classify", "--alpha", "0.2", "--beta", "0", "--gamma", "nan"],
+                 ["classify", "--b", "nan"],
+                 ["classify", "--b", "3.5", "--lambda", "inf"],
+                 ["nearest-ppt", "--alpha", "0.2", "--beta", "nan"]):
+        assert main(argv) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_negative_scientific_notation_as_separate_argument(capsys):
+    assert main(["classify", "--alpha", "-1e-05", "--beta", "0.5",
+                 "--gamma", "-2.5E-1", "--format", "csv"]) == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    assert cells[:3] == ["-1e-05", "0.5", "-0.25"]
+
+
+def test_slice_rejects_gamma_without_states(capsys):
+    for gamma in (-0.5, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            slice_sweep(gamma, 3)
+    assert main(["slice", "--gamma", "1.5", "--grid", "3"]) == 1
+    assert "outside (-1/2, 1)" in capsys.readouterr().err
+
+
+def test_classify_point_gamma0_measure_matches_hs_measure():
+    for alpha in np.linspace(-1 / 6, 1.0, 15):
+        for beta in np.linspace(-1 / 3, 1.0, 15):
+            sample = classify_point(SimplexParams(alpha, beta, 0.0))
+            if sample.label in (LABEL_NPT_I, LABEL_NPT_II):
+                measure, region = hs_measure_gamma0(alpha, beta)
+                assert sample.measure == measure
+                assert sample.label == f"NPT-{region}"
+
+
 def test_cli_classify_json_deterministic(capsys):
     assert main(["classify", "--b", "3.5", "--format", "json"]) == 0
     first = capsys.readouterr().out
@@ -251,6 +292,17 @@ def test_cli_witness_check_bad_file(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["witness-check", str(path)]) == 1
     capsys.readouterr()
+
+
+def test_cli_witness_check_non_finite_entries(tmp_path, capsys):
+    witness_one, _ = region_witnesses()
+    for bad in (math.nan, math.inf, -math.inf):
+        doc = operator_to_dict(witness_one.op)
+        doc["entries"][10] = [0.0, bad]
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc))
+        assert main(["witness-check", str(path)]) == 1
+        assert "entries[10] is not finite" in capsys.readouterr().err
 
 
 def test_cli_nearest_ppt(capsys):

@@ -215,3 +215,5 @@ def test_operator_json_rejects_malformed():
         operator_from_dict({"dim_a": 3, "dim_b": 3, "entries": [[0.0, 0.0]] * 5})
     with pytest.raises(ValueError):
         operator_from_dict({"dim_a": 3})
+    with pytest.raises(ValueError, match="number pairs"):
+        operator_from_dict({"dim_a": 1, "dim_b": 1, "entries": [["a", 0.0]]})

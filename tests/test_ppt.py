@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from entwit import (
     CROSSING_GAMMA,
-    BipartiteOperator,
-    DensityMatrix,
+    DETECTION_GAMMA,
     SamplerConfig,
     SimplexParams,
     certify_witness,
     classify_ppt,
+    detection_profile,
     horodecki_state,
     hs_norm,
     identity,
@@ -18,9 +20,9 @@ from entwit import (
     nearest_ppt,
     partial_transpose,
     region_witnesses,
-    sample_product_state,
     simplex_state,
 )
+from entwit.ppt import _product_expectations, _product_pool
 
 
 def test_classify_ppt_examples():
@@ -75,74 +77,60 @@ def test_nearest_ppt_reports_non_convergence():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, count=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, count=5, mixing_degree=0)
 
 
-def test_sampler_reproducible_and_ppt():
-    config = SamplerConfig(seed=42, count=30, mixing_degree=1)
-    first = [state.entries.copy() for state in sample_product_state(3, config)]
-    second = [state.entries.copy() for state in sample_product_state(3, config)]
-    assert len(first) == 30
-    for a, b in zip(first, second):
-        assert np.array_equal(a, b)
-    for entries in first[:10]:
-        verdict = classify_ppt(DensityMatrix(BipartiteOperator(3, 3, entries)))
-        assert verdict.label == "PPT"
+def _raw_pool_minimum(witness, config):
+    left, right = _product_pool(3, config)
+    return float(_product_expectations(witness.op.entries, left, right).min())
 
 
-def test_sampler_mixtures_are_ppt_states():
-    config = SamplerConfig(seed=7, count=20, mixing_degree=3)
-    for state in sample_product_state(3, config):
-        assert classify_ppt(state).label == "PPT"
-        assert state.op.trace().real == pytest.approx(1)
-
-
-def test_pure_product_sample_reduced_purity():
-    config = SamplerConfig(seed=3, count=5, mixing_degree=1)
-    for state in sample_product_state(3, config):
-        blocks = state.entries.reshape(3, 3, 3, 3)
-        reduced = np.einsum("ikjk->ij", blocks)
-        assert np.trace(reduced @ reduced).real == pytest.approx(1, abs=1e-12)
+def _tangent_line_witnesses():
+    # at lambda_min the line witness touches the separable set exactly when
+    # 1/sqrt(21) < |gamma| < sqrt(5)/7
+    witnesses = []
+    for magnitude in np.linspace(DETECTION_GAMMA + 1e-3, math.sqrt(5) / 7 - 1e-3, 4):
+        for gamma in (-magnitude, magnitude):
+            witness, _ = line_witness(gamma, detection_profile(gamma).lambda_min)
+            witnesses.append(witness)
+    return witnesses
 
 
 def test_min_separable_expectation_on_identity():
-    floor = min_separable_expectation(
-        identity(3, 3), SamplerConfig(seed=0, count=500), refine_steps=2)
-    assert floor == pytest.approx(1.0, abs=1e-12)
+    for seed in range(3):
+        floor = min_separable_expectation(
+            identity(3, 3), SamplerConfig(seed=seed, count=50))
+        assert floor == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_separable_expectation_certified_witness():
     witness_one, _ = region_witnesses()
     floor = min_separable_expectation(
-        witness_one, SamplerConfig(seed=1, count=20000), refine_steps=4)
+        witness_one, SamplerConfig(seed=1, count=20000))
     assert floor >= -1e-9
 
 
 def test_min_separable_expectation_monotone_in_count():
     witness_one, _ = region_witnesses()
     floors = [
-        min_separable_expectation(
-            witness_one, SamplerConfig(seed=9, count=count), refine_steps=0)
+        _raw_pool_minimum(witness_one, SamplerConfig(seed=9, count=count))
         for count in (200, 400, 800)
     ]
     assert floors[0] >= floors[1] >= floors[2]
 
 
 def test_refinement_never_raises_the_minimum():
-    witness_one, _ = region_witnesses()
-    raw = min_separable_expectation(
-        witness_one, SamplerConfig(seed=5, count=300), refine_steps=0)
-    refined = min_separable_expectation(
-        witness_one, SamplerConfig(seed=5, count=300), refine_steps=5)
-    assert refined <= raw + 1e-15
+    witnesses = list(region_witnesses()) + _tangent_line_witnesses()[:2]
+    for seed, witness in enumerate(witnesses):
+        config = SamplerConfig(seed=seed, count=300)
+        assert min_separable_expectation(witness, config) <= \
+            _raw_pool_minimum(witness, config) + 1e-15
 
 
 def test_min_separable_expectation_finds_violations():
     # -P00 is negative on product states overlapping |phi+>
     phi_projector = simplex_state(SimplexParams(1, 0, 0)).op
     floor = min_separable_expectation(
-        -1 * phi_projector, SamplerConfig(seed=2, count=2000), refine_steps=6)
+        -1 * phi_projector, SamplerConfig(seed=2, count=2000))
     assert floor < -1e-3
 
 
@@ -150,6 +138,42 @@ def test_uncertified_line_witness_probe_recorded():
     witness, _ = line_witness(CROSSING_GAMMA, 0.5)
     assert not certify_witness(witness).certified
     floor = min_separable_expectation(
-        witness, SamplerConfig(seed=11, count=5000), refine_steps=3)
+        witness, SamplerConfig(seed=11, count=5000))
     # sufficiency only: the probe value is recorded either way
     assert isinstance(floor, float)
+
+
+def test_seesaw_reaches_zero_on_tangent_witnesses():
+    # both region witnesses and the tangent line witnesses touch the
+    # separable set, so their separable minimum is exactly 0
+    witnesses = list(region_witnesses()) + _tangent_line_witnesses()
+    for seed in range(3):
+        for index, witness in enumerate(witnesses):
+            floor = min_separable_expectation(
+                witness, SamplerConfig(seed=10 * seed + index, count=50))
+            assert abs(floor) <= 1e-9
+
+
+def test_seesaw_exact_minimum_on_bell_projector_offsets():
+    # the largest overlap of a product state with a maximally entangled
+    # two-qutrit state is 1/3
+    phi_projector = simplex_state(SimplexParams(1, 0, 0)).op
+    for seed in range(4):
+        config = SamplerConfig(seed=seed, count=50)
+        shifted = min_separable_expectation(
+            0.3 * identity(3, 3) - phi_projector, config)
+        negated = min_separable_expectation(-1 * phi_projector, config)
+        assert shifted == pytest.approx(-1 / 30, abs=1e-12)
+        assert negated == pytest.approx(-1 / 3, abs=1e-12)
+
+
+def test_seesaw_keeps_slack_line_witnesses_positive():
+    # past sqrt(5)/7, lambda_min is set by |c2| = 1 while |c1| < 1: the
+    # witness stays strictly above the separable set
+    for magnitude in (0.34, 0.38, 3 / 7):
+        for gamma in (-magnitude, magnitude):
+            witness, _ = line_witness(gamma, detection_profile(gamma).lambda_min)
+            for seed in range(2):
+                floor = min_separable_expectation(
+                    witness, SamplerConfig(seed=seed, count=50))
+                assert floor > 1e-6
