@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .operators import PSD_TOL, hs_inner, partial_transpose
-from .families import SimplexParams, horodecki_to_simplex, simplex_state
+from .operators import PSD_TOL, _pt_array
+from .families import SimplexParams, horodecki_to_simplex, _family_matrices
 from .witness import (
     DETECTION_GAMMA,
     DetectionProfile,
@@ -137,6 +137,43 @@ def _line_witness_for_slice(gamma: float, lam: float | None = None):
     return witness, certify_witness(witness).certified
 
 
+def _classify_slice(alphas: np.ndarray, betas: np.ndarray, gamma: float,
+                    tol: float, line_lambda: float | None) -> list[RegionSample]:
+    """Classify the points (alphas[k], betas[k], gamma) of a slice at once."""
+    mats, min_eigs = _family_matrices(alphas, betas, gamma)
+    pt_mins = np.linalg.eigvalsh(_pt_array(mats, 3, 3, 2))[:, 0]
+    witnesses = dict(zip(("region_I", "region_II"), region_witnesses()))
+    line = _line_witness_for_slice(gamma, line_lambda)
+    if line is not None:
+        witnesses["line"] = line[0]
+    certified = [name for name in witnesses if name != "line" or line[1]]
+    # vecdot conjugates the states as hs_inner's vdot does, to the same bits
+    flat = mats.reshape(-1, 81)
+    columns = {name: np.vecdot(flat, witness.op.entries.ravel()).real.tolist()
+               for name, witness in witnesses.items()}
+    rows = []
+    for k, (alpha, beta, min_eig, pt_min) in enumerate(zip(
+            alphas.tolist(), betas.tolist(), min_eigs.tolist(),
+            pt_mins.tolist())):
+        values = {name: column[k] for name, column in columns.items()}
+        valid = min_eig >= -tol
+        measure = None
+        if not valid:
+            label = LABEL_INVALID
+        elif pt_min < -tol:
+            label = (LABEL_NPT_I if values["region_I"] <= values["region_II"]
+                     else LABEL_NPT_II)
+            if gamma == 0.0:
+                # the PT test above is the one hs_measure_gamma0 would repeat
+                measure, _ = _gamma0_measure(alpha, beta)
+        else:
+            detected = any(values[name] < -tol for name in certified)
+            label = LABEL_BOUND if detected else LABEL_UNRESOLVED
+        rows.append(RegionSample(SimplexParams(alpha, beta, gamma), valid,
+                                 pt_min, label, values, measure))
+    return rows
+
+
 def classify_point(params, tol: float = PSD_TOL,
                    line_lambda: float | None = None) -> RegionSample:
     """Classify one (alpha, beta, gamma) point.
@@ -152,43 +189,9 @@ def classify_point(params, tol: float = PSD_TOL,
     (default: lambda_min of the slice); an uncertified override is still
     reported but never counts toward detection.
     """
-    params = SimplexParams(*map(float, params))
-    state = simplex_state(params, psd_tol=tol)
-    pt_min = float(np.linalg.eigvalsh(partial_transpose(state.op, 2).entries)[0])
-
-    witness_one, witness_two = region_witnesses()
-    values = {
-        "region_I": hs_inner(state.op, witness_one.op).real,
-        "region_II": hs_inner(state.op, witness_two.op).real,
-    }
-    certified_values = dict(values)
-    line = _line_witness_for_slice(params.gamma, line_lambda)
-    if line is not None:
-        line_value = hs_inner(state.op, line[0].op).real
-        values["line"] = line_value
-        if line[1]:
-            certified_values["line"] = line_value
-
-    measure = None
-    if not state.valid:
-        label = LABEL_INVALID
-    elif pt_min < -tol:
-        label = (LABEL_NPT_I if values["region_I"] <= values["region_II"]
-                 else LABEL_NPT_II)
-        if params.gamma == 0.0:
-            # the PT test above is the one hs_measure_gamma0 would repeat
-            measure, _ = _gamma0_measure(params.alpha, params.beta)
-    else:
-        detected = any(v < -tol for v in certified_values.values())
-        label = LABEL_BOUND if detected else LABEL_UNRESOLVED
-    return RegionSample(
-        params=params,
-        valid=state.valid,
-        min_pt_eigenvalue=pt_min,
-        label=label,
-        witness_values=values,
-        measure=measure,
-    )
+    weights = np.array(params, dtype=float)
+    return _classify_slice(weights[:1], weights[1:2], float(weights[2]), tol,
+                           line_lambda)[0]
 
 
 def classify_b(b: float, tol: float = PSD_TOL) -> RegionSample:
@@ -252,21 +255,21 @@ def slice_sweep(gamma: float, grid_n: int, tol: float = PSD_TOL) -> SweepReport:
     """Classify a grid over the positivity bounding box of a gamma slice.
 
     The grid covers the bounding box of the positivity triangle with
-    `grid_n` points per axis, row-major in (alpha, beta).
+    `grid_n` points per axis, row-major in (alpha, beta), and is classified
+    one alpha row at a time.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     gamma = float(gamma)
     vertices = positivity_vertices(gamma)
-    alphas = np.linspace(min(v[0] for v in vertices),
-                         max(v[0] for v in vertices), grid_n)
-    betas = np.linspace(min(v[1] for v in vertices),
-                        max(v[1] for v in vertices), grid_n)
-    rows = [
-        classify_point(SimplexParams(alpha, beta, gamma), tol=tol)
-        for alpha in alphas
-        for beta in betas
-    ]
+    low, high = np.min(vertices, axis=0), np.max(vertices, axis=0)
+    alphas = np.linspace(low[0], high[0], grid_n)
+    betas = np.linspace(low[1], high[1], grid_n)
+    # one grid row per batch keeps the stacked matrices O(grid_n) in memory
+    rows = []
+    for alpha in alphas:
+        rows.extend(_classify_slice(np.full(grid_n, alpha), betas, gamma,
+                                    tol, None))
     grid = _round_floats({
         "gamma": gamma,
         "alpha_range": [alphas[0], alphas[-1]],

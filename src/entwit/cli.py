@@ -50,6 +50,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(payload: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -64,19 +81,14 @@ def _json_payload(obj) -> str:
 
 
 def _add_state_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--b", type=float, default=None,
+    parser.add_argument("--b", type=_finite, default=None,
                         help="Horodecki parameter b in [0, 5]")
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=0.0)
+    parser.add_argument("--alpha", type=_finite, default=None)
+    parser.add_argument("--beta", type=_finite, default=None)
+    parser.add_argument("--gamma", type=_finite, default=0.0)
 
 
 def _params_from_args(args) -> tuple[SimplexParams, float | None]:
-    for flag, dest in (("b", "b"), ("alpha", "alpha"), ("beta", "beta"),
-                       ("gamma", "gamma"), ("lambda", "lam")):
-        value = getattr(args, dest, None)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{flag} must be a finite number, got {value}")
     if args.b is not None:
         if args.alpha is not None or args.beta is not None:
             raise ValueError("give either --b or --alpha/--beta, not both")
@@ -203,6 +215,8 @@ def _cmd_witness_check(args) -> int:
 
 
 def _cmd_nearest_ppt(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     params, _ = _params_from_args(args)
     rho = simplex_state(params, psd_tol=args.tol).density(psd_tol=args.tol)
     result = nearest_ppt(rho, tol=args.tol, max_iter=args.steps)
@@ -246,10 +260,10 @@ def _build_parser() -> _Parser:
         "classify",
         help="classify one state (validity, PPT/NPT, witness values, label)")
     _add_state_flags(classify)
-    classify.add_argument("--lambda", dest="lam", type=float, default=None,
+    classify.add_argument("--lambda", dest="lam", type=_finite, default=None,
                           help="segment parameter of the line witness "
                                "(default: lambda_min of the slice)")
-    classify.add_argument("--tol", type=float, default=1e-10)
+    classify.add_argument("--tol", type=_tolerance, default=1e-10)
     classify.add_argument("--format", choices=("text", "csv", "json"),
                           default="text")
     classify.add_argument("--out", default=None)
@@ -259,10 +273,10 @@ def _build_parser() -> _Parser:
         "slice",
         help="sweep one gamma slice over its positivity bounding box; "
              "CSV columns: " + ",".join(SLICE_COLUMNS))
-    slice_cmd.add_argument("--gamma", type=float, required=True)
+    slice_cmd.add_argument("--gamma", type=_finite, required=True)
     slice_cmd.add_argument("--grid", type=int, default=60,
                            help="points per axis (default 60)")
-    slice_cmd.add_argument("--tol", type=float, default=1e-10)
+    slice_cmd.add_argument("--tol", type=_tolerance, default=1e-10)
     slice_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     slice_cmd.add_argument("--out", default=None)
     slice_cmd.set_defaults(func=_cmd_slice)
@@ -271,7 +285,7 @@ def _build_parser() -> _Parser:
         "lambda-scan",
         help="detection thresholds lambda_1, lambda_2, lambda_min over a "
              "gamma range")
-    scan.add_argument("--gamma-range", type=float, nargs=2,
+    scan.add_argument("--gamma-range", type=_finite, nargs=2,
                       default=(0.15, 3 / 7), metavar=("LO", "HI"))
     scan.add_argument("--steps", type=int, default=200)
     scan.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -306,7 +320,7 @@ def _build_parser() -> _Parser:
         help="project a state onto the PPT set (alternating projections "
              "with corrections)")
     _add_state_flags(nearest)
-    nearest.add_argument("--tol", type=float, default=1e-10)
+    nearest.add_argument("--tol", type=_tolerance, default=1e-10)
     nearest.add_argument("--steps", type=int, default=10000,
                          help="iteration cap (default 10000)")
     nearest.add_argument("--format", choices=("text", "json"), default="text")

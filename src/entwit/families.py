@@ -68,6 +68,20 @@ def _family_blocks():
     return ident, p00, pair, triple
 
 
+def _family_matrices(alpha, beta, gamma):
+    """Family matrices, stacked over the weights' broadcast shape, and their
+    closed-form minimum eigenvalues; scalar weights give one 9x9 matrix."""
+    ident, p00, pair, triple = _family_blocks()
+    outer = np.multiply.outer
+    base = (1.0 - alpha - beta - gamma) / 9.0
+    half_beta, third_gamma = beta / 2.0, gamma / 3.0
+    mats = (outer(base, ident) + outer(alpha, p00) + outer(half_beta, pair)
+            + outer(third_gamma, triple))
+    min_eigs = base + np.minimum(np.minimum(alpha, half_beta),
+                                 np.minimum(third_gamma, 0.0))
+    return mats, min_eigs
+
+
 def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:
     """Two-qutrit state (1-a-b-g)/9 * 1 + a P00 + b/2 (P10+P20) + g/3 (P01+P11+P21).
 
@@ -75,12 +89,8 @@ def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:
     nonnegative within `psd_tol`; the minimum eigenvalue comes along either
     way.
     """
-    alpha, beta, gamma = params
-    params = SimplexParams(float(alpha), float(beta), float(gamma))
-    ident, p00, pair, triple = _family_blocks()
-    base = (1.0 - alpha - beta - gamma) / 9.0
-    mat = base * ident + alpha * p00 + (beta / 2.0) * pair + (gamma / 3.0) * triple
-    min_eig = base + min(alpha, beta / 2.0, gamma / 3.0, 0.0)
+    params = SimplexParams(*map(float, params))
+    mat, min_eig = _family_matrices(*params)
     return SimplexState(
         params=params,
         op=BipartiteOperator(3, 3, mat),

@@ -199,11 +199,12 @@ def tensor(a, b) -> BipartiteOperator:
 
 
 def _pt_array(mat: np.ndarray, dim_a: int, dim_b: int, subsystem: int) -> np.ndarray:
-    blocks = mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    """Partial transpose of one matrix, or of a stack along leading axes."""
+    blocks = mat.reshape(mat.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if subsystem == 1:
-        blocks = blocks.transpose(2, 1, 0, 3)
+        blocks = blocks.swapaxes(-4, -2)
     elif subsystem == 2:
-        blocks = blocks.transpose(0, 3, 2, 1)
+        blocks = blocks.swapaxes(-3, -1)
     else:
         raise ValueError("subsystem must be 1 or 2")
     return blocks.reshape(mat.shape)

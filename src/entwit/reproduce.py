@@ -18,6 +18,7 @@ from .operators import hs_inner, hs_norm, identity
 from .weyl import bell_projector
 from .families import (
     SimplexParams,
+    _family_matrices,
     horodecki_state,
     horodecki_to_simplex,
     simplex_spectrum,
@@ -88,20 +89,23 @@ def _coeff_moduli(gammas: np.ndarray, lams: np.ndarray):
     return f1, f2
 
 
-def _bisect_lambda_roots(gammas: np.ndarray, which: str = "max",
-                         iters: int = 80) -> np.ndarray:
-    """Per-gamma root of |coefficient| = 1 in lambda, by bisection."""
-    pick = {"max": lambda f1, f2: np.maximum(f1, f2),
-            "f1": lambda f1, f2: f1,
-            "f2": lambda f1, f2: f2}[which]
-    lo = np.full_like(gammas, 0.05)
-    hi = np.full_like(gammas, 2.0)
+def _bisect(f, lo, hi, iters: int):
+    """Sign change of f in [lo, hi] after `iters` halvings; elementwise."""
+    positive_lo = f(lo) > 0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        high_side = pick(*_coeff_moduli(gammas, mid)) > 1.0
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
+        same_side = (f(mid) > 0) == positive_lo
+        lo = np.where(same_side, mid, lo)
+        hi = np.where(same_side, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _bisect_lambda_roots(gammas, which: str = "max", iters: int = 80):
+    """Per-gamma root of |coefficient| = 1 in lambda, by bisection."""
+    pick = {"max": np.maximum, "f1": lambda f1, f2: f1,
+            "f2": lambda f1, f2: f2}[which]
+    return _bisect(lambda lams: pick(*_coeff_moduli(gammas, lams)) - 1.0,
+                   np.full_like(gammas, 0.05), np.full_like(gammas, 2.0), iters)
 
 
 def check_total_minimum_closed_form() -> CheckResult:
@@ -123,24 +127,15 @@ def check_total_minimum_scan(points: int = 10000) -> CheckResult:
     best = int(np.argmin(roots))
     scan_min = float(roots[best])
 
-    def root_gap(gamma: float) -> float:
-        grid = np.array([gamma])
-        return float(_bisect_lambda_roots(grid, "f1")[0]
-                     - _bisect_lambda_roots(grid, "f2")[0])
+    def root_gap(gamma):
+        return (_bisect_lambda_roots(gamma, "f1")
+                - _bisect_lambda_roots(gamma, "f2"))
 
     lo = gammas[max(best - 1, 0)]
     hi = gammas[min(best + 1, points - 1)]
-    gap_lo = root_gap(lo)
-    if root_gap(hi) * gap_lo < 0:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if (root_gap(mid) > 0) == (gap_lo > 0):
-                lo = mid
-            else:
-                hi = mid
-        crossing = 0.5 * (lo + hi)
-        scan_min = min(scan_min,
-                       float(_bisect_lambda_roots(np.array([crossing]))[0]))
+    if root_gap(hi) * root_gap(lo) < 0:
+        crossing = _bisect(root_gap, lo, hi, 60)
+        scan_min = min(scan_min, float(_bisect_lambda_roots(crossing)))
     dev = abs(scan_min - LAMBDA_MIN_TOTAL)
     return _check("total_minimum_scan", dev, 1e-6, LAMBDA_MIN_TOTAL, scan_min)
 
@@ -171,27 +166,17 @@ def check_detection_boundary(eps: float = 1e-6) -> CheckResult:
                        f"at +eps: {inside}, at -eps: {outside}")
 
 
-def _bisect_b_boundary(lo: float, hi: float, iters: int = 80) -> float:
-    # root of max-coefficient-modulus(gamma(b), lambda=1) = 1 in b
-    def excess(b):
-        gamma = (5.0 - 2.0 * b) / 7.0
-        coeff = line_witness_coefficients(gamma, 1.0)
-        return max(abs(coeff.c1), abs(coeff.c2)) - 1.0
-
-    flo = excess(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (excess(mid) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _b_excess(b: float) -> float:
+    # max coefficient modulus of the line witness at lambda = 1, minus 1
+    coeff = line_witness_coefficients((5.0 - 2.0 * b) / 7.0, 1.0)
+    return max(abs(coeff.c1), abs(coeff.c2)) - 1.0
 
 
 def check_detection_endpoints() -> CheckResult:
     root = math.sqrt(21.0)
     targets = ((15.0 - root) / 6.0, (15.0 + root) / 6.0)
-    bisected = (_bisect_b_boundary(1.0, 2.5), _bisect_b_boundary(2.5, 4.0))
+    bisected = (_bisect(_b_excess, 1.0, 2.5, 80),
+                _bisect(_b_excess, 2.5, 4.0, 80))
     (low_iv, high_iv) = horodecki_detection_range()
     dev = max(
         abs(bisected[0] - targets[0]),
@@ -221,29 +206,18 @@ def _min_pt_eig_b(b: float) -> float:
     return classify_ppt(horodecki_state(b)).min_pt_eigenvalue
 
 
-def _bisect_pt_sign_change(lo: float, hi: float, width: float = 1e-9) -> float:
-    flo = _min_pt_eig_b(lo)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if (_min_pt_eig_b(mid) < 0) == (flo < 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def check_pt_sign_changes() -> CheckResult:
     signs_ok = (_min_pt_eig_b(0.99) < 0 < _min_pt_eig_b(1.01)
                 and _min_pt_eig_b(4.01) < 0 < _min_pt_eig_b(3.99))
-    root_low = _bisect_pt_sign_change(0.99, 1.01)
-    root_high = _bisect_pt_sign_change(3.99, 4.01)
-    dev = max(abs(root_low - 1.0), abs(root_high - 4.0))
-    result = _check("pt_sign_changes", dev, 1e-8, "(1, 4)",
-                    f"({root_low:.10f}, {root_high:.10f})")
     if not signs_ok:
         return _check_flag("pt_sign_changes", False, "(1, 4)",
                            "no sign change inside brackets")
-    return result
+    # 25 halvings take the 0.02 brackets below a width of 1e-9
+    root_low = _bisect(lambda b: -_min_pt_eig_b(b), 0.99, 1.01, 25)
+    root_high = _bisect(lambda b: -_min_pt_eig_b(b), 3.99, 4.01, 25)
+    dev = max(abs(root_low - 1.0), abs(root_high - 4.0))
+    return _check("pt_sign_changes", dev, 1e-8, "(1, 4)",
+                  f"({root_low:.10f}, {root_high:.10f})")
 
 
 def check_embedding(points: int = 51) -> CheckResult:
@@ -383,13 +357,10 @@ def check_nearest_ppt(seed: int, count: int = 20) -> CheckResult:
 
 
 def check_spectrum_closed_form(seed: int, count: int = 1000) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        params = SimplexParams(*rng.uniform(-1.0, 1.0, 3))
-        closed = simplex_spectrum(params)
-        numeric = np.linalg.eigvalsh(simplex_state(params).op.entries)
-        worst = max(worst, float(np.abs(closed - numeric).max()))
+    weights = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 3))
+    numeric = np.linalg.eigvalsh(_family_matrices(*weights.T)[0])
+    worst = max(float(np.abs(simplex_spectrum(w) - spectrum).max())
+                for w, spectrum in zip(weights, numeric))
     return _check("spectrum_closed_form", worst, 1e-12, 0.0, worst)
 
 

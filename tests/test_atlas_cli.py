@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from entwit import (
+    DETECTION_GAMMA,
     SimplexParams,
+    certify_witness,
+    detection_profile,
+    hs_inner,
     hs_measure_gamma0,
+    line_witness,
     operator_to_dict,
+    partial_transpose,
     region_witnesses,
 )
 from entwit.atlas import (
@@ -16,6 +22,7 @@ from entwit.atlas import (
     LABEL_NPT_I,
     LABEL_NPT_II,
     LABEL_UNRESOLVED,
+    _classify_slice,
     classify_b,
     classify_point,
     lambda_scan,
@@ -191,6 +198,30 @@ def test_cli_rejects_non_finite_state_flags(capsys):
         assert "must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "0.5", "--beta", "0", "--tol", "nan"],
+    ["classify", "--alpha", "0.5", "--beta", "0", "--tol", "-1"],
+    ["slice", "--gamma", "0", "--grid", "3", "--tol", "inf"],
+    ["nearest-ppt", "--alpha", "0.5", "--beta", "0", "--tol", "nan"],
+])
+def test_cli_rejects_bad_tol(argv, capsys):
+    assert main(argv) == 1
+    assert "argument --tol: must be" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_gamma_range(capsys):
+    for bounds in (["nan", "0.4"], ["0.2", "inf"]):
+        assert main(["lambda-scan", "--gamma-range", *bounds]) == 1
+        assert "--gamma-range: must be a finite number" in \
+            capsys.readouterr().err
+
+
+def test_cli_nearest_ppt_rejects_steps_below_one(capsys):
+    assert main(["nearest-ppt", "--alpha", "0.5", "--beta", "0",
+                 "--steps", "0"]) == 1
+    assert "--steps must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_negative_scientific_notation_as_separate_argument(capsys):
     assert main(["classify", "--alpha", "-1e-05", "--beta", "0.5",
                  "--gamma", "-2.5E-1", "--format", "csv"]) == 0
@@ -214,6 +245,63 @@ def test_classify_point_gamma0_measure_matches_hs_measure():
                 measure, region = hs_measure_gamma0(alpha, beta)
                 assert sample.measure == measure
                 assert sample.label == f"NPT-{region}"
+
+
+def _reference_sample(alpha, beta, gamma, tol=1e-10):
+    """(valid, PT minimum, label, witness values, measure), point by point."""
+    state = simplex_state(SimplexParams(alpha, beta, gamma), psd_tol=tol)
+    pt_min = np.linalg.eigvalsh(partial_transpose(state.op, 2).entries)[0]
+    witness_one, witness_two = region_witnesses()
+    witnesses = {"region_I": witness_one.op, "region_II": witness_two.op}
+    certified = ["region_I", "region_II"]
+    if DETECTION_GAMMA < abs(gamma) <= 3 / 7 + 1e-12:
+        profile = detection_profile(gamma)
+        if profile.detects:
+            line, _ = line_witness(gamma, profile.lambda_min)
+            witnesses["line"] = line.op
+            if certify_witness(line).certified:
+                certified.append("line")
+    values = {name: hs_inner(state.op, op).real
+              for name, op in witnesses.items()}
+    measure = None
+    if not state.valid:
+        label = LABEL_INVALID
+    elif pt_min < -tol:
+        label = (LABEL_NPT_I if values["region_I"] <= values["region_II"]
+                 else LABEL_NPT_II)
+        if gamma == 0.0:
+            measure, _ = hs_measure_gamma0(alpha, beta)
+    else:
+        detected = any(values[name] < -tol for name in certified)
+        label = LABEL_BOUND if detected else LABEL_UNRESOLVED
+    return state.valid, pt_min, label, values, measure
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, -0.3, 0.18, 0.05, -3 / 7])
+def test_slice_sweep_matches_per_point_reference(gamma):
+    for row in slice_sweep(gamma, 9).rows:
+        valid, pt_min, label, values, measure = _reference_sample(*row.params)
+        assert (row.valid, row.label, row.measure) == (valid, label, measure)
+        assert row.min_pt_eigenvalue == pytest.approx(pt_min, abs=1e-12)
+        assert row.witness_values.keys() == values.keys()
+        for name, value in values.items():
+            assert row.witness_values[name] == pytest.approx(value, abs=1e-12)
+
+
+def _fields(sample):
+    return (sample.params, sample.valid, sample.min_pt_eigenvalue,
+            sample.label, sample.witness_values, sample.measure)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.3])
+def test_classify_slice_is_point_order_invariant(gamma):
+    rows = slice_sweep(gamma, 9).rows
+    alphas = np.array([row.params.alpha for row in rows])
+    betas = np.array([row.params.beta for row in rows])
+    perm = np.random.default_rng(7).permutation(len(rows))
+    shuffled = _classify_slice(alphas[perm], betas[perm], gamma, 1e-10, None)
+    assert [_fields(row) for row in shuffled] == \
+        [_fields(rows[k]) for k in perm]
 
 
 def test_cli_classify_json_deterministic(capsys):

@@ -18,6 +18,7 @@ from entwit import (
     tensor,
     weyl,
 )
+from entwit.operators import _pt_array
 
 
 def random_operator(rng, d1=3, d2=3):
@@ -131,6 +132,20 @@ def test_partial_transpose_asymmetric_dims():
         assert np.array_equal(back.entries, x.entries)
     with pytest.raises(ValueError):
         partial_transpose(x, 3)
+
+
+def test_pt_array_stacked_matches_per_matrix():
+    rng = np.random.default_rng(17)
+    for d1, d2 in ((3, 3), (2, 3), (3, 2)):
+        side = d1 * d2
+        stack = (rng.standard_normal((2, 4, side, side))
+                 + 1j * rng.standard_normal((2, 4, side, side)))
+        for subsystem in (1, 2):
+            batched = _pt_array(stack, d1, d2, subsystem)
+            for index in np.ndindex(2, 4):
+                single = partial_transpose(
+                    BipartiteOperator(d1, d2, stack[index]), subsystem)
+                assert np.array_equal(batched[index], single.entries)
 
 
 def test_partial_transpose_flip_spectrum():
