@@ -12,6 +12,7 @@ failure (non-convergence), 3 reproduction-battery failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -247,7 +248,9 @@ def _cmd_nearest_ppt(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI parser, built on the first call: parsing never changes it."""
     parser = _Parser(
         prog="entwit",
         description=(
@@ -297,7 +300,8 @@ def _build_parser() -> _Parser:
         help="run the full threshold-reproduction battery (exit 3 on any "
              "failure)")
     reproduce.add_argument("--samples", type=int, default=100000,
-                           help="product samples per witness (default 1e5)")
+                           help="product states in the one pool that probes "
+                                "every witness (default 1e5)")
     reproduce.add_argument("--seed", type=int, default=20240901)
     reproduce.add_argument("--format", choices=("text", "csv", "json"),
                            default="text")

@@ -7,6 +7,7 @@ and fixing it keeps results bit-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,10 @@ class NearestPptResult:
 _SEESAW_STARTS = 8
 _SEESAW_SWEEPS = 100
 _SEESAW_TOL = 1e-15
+
+#: Product states drawn and evaluated at a time: bounds the probe's memory
+#: whatever `SamplerConfig.count` is.
+_POOL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -174,78 +179,135 @@ def nearest_ppt(rho: DensityMatrix, tol: float = 1e-10,
     )
 
 
-def _product_pool(d: int, config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded Haar-random factors (left, right), one row per product state.
+def _pool_blocks(d: int, config: SamplerConfig):
+    """Seeded Haar-random factors (left, right), `_POOL_BLOCK` states at a time.
 
-    Normalized complex-normal draws; a longer run extends a shorter one with
-    the same seed.
+    Normalized complex-normal draws; the blocks concatenate to the pool of
+    one draw of `config.count` states, so a longer run extends a shorter one
+    with the same seed.
     """
     rng = np.random.default_rng(config.seed)
-    z = rng.standard_normal((config.count, 2, d, 2))
-    left = z[:, 0, :, 0] + 1j * z[:, 0, :, 1]
-    right = z[:, 1, :, 0] + 1j * z[:, 1, :, 1]
-    left /= np.linalg.norm(left, axis=1, keepdims=True)
-    right /= np.linalg.norm(right, axis=1, keepdims=True)
-    return left, right
+    for start in range(0, config.count, _POOL_BLOCK):
+        size = min(_POOL_BLOCK, config.count - start)
+        z = rng.standard_normal((size, 2, d, 2)).view(np.complex128)[..., 0]
+        z /= np.linalg.norm(z, axis=2, keepdims=True)
+        yield z[:, 0], z[:, 1]
 
 
-def _product_expectations(w_mat: np.ndarray, left: np.ndarray,
+def _product_expectations(columns: np.ndarray, left: np.ndarray,
                           right: np.ndarray) -> np.ndarray:
-    vecs = np.einsum("ni,nj->nij", left, right).reshape(left.shape[0], -1)
-    return np.einsum("na,ab,nb->n", vecs.conj(), w_mat, vecs,
-                     optimize=True).real
+    """<v|W|v> of the product vectors v = left (x) right, one row per witness.
+
+    One real matrix product: the real view of conj(v) (x) v against the
+    witnesses' columns (Re W, -Im W), since <v|W|v> = sum_ab W_ab conj(v_a)
+    v_b is real.  Its temporaries die on return, so a pool's blocks never
+    hold two of them at once.
+    """
+    vecs = (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
+    features = (vecs.conj()[:, :, None] * vecs[:, None, :]).view(np.float64)
+    return columns @ features.reshape(len(vecs), -1).T
 
 
-def _seesaw(w_mat: np.ndarray, left: np.ndarray, right: np.ndarray,
+def _pool_starts(mats: np.ndarray, d: int, config: SamplerConfig):
+    """The `_SEESAW_STARTS` lowest pool states of each of the K Hermitian `mats`.
+
+    Returns the values (K, s) and the right factors (K, s, d) of the
+    s = min(_SEESAW_STARTS, count) lowest states per witness; the seesaw's
+    first half-step replaces the left factors.
+    """
+    k = len(mats)
+    columns = np.stack([mats.real, -mats.imag], axis=-1).reshape(k, -1)
+    best = np.empty((k, 0))
+    best_right = np.empty((k, 0, d), dtype=complex)
+    for left, right in _pool_blocks(d, config):
+        values = _product_expectations(columns, left, right)
+        top = _lowest(values, _SEESAW_STARTS)
+        best = np.concatenate([best, np.take_along_axis(values, top, 1)], 1)
+        best_right = np.concatenate([best_right, right[top]], 1)
+        keep = _lowest(best, _SEESAW_STARTS)
+        best = np.take_along_axis(best, keep, 1)
+        best_right = np.take_along_axis(best_right, keep[..., None], 1)
+    return best, best_right
+
+
+def _lowest(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the `count` lowest entries of each row, in no order."""
+    count = min(count, values.shape[1])
+    return np.argpartition(values, count - 1, axis=1)[:, :count]
+
+
+def _seesaw(forms: np.ndarray, right: np.ndarray,
             values: np.ndarray) -> np.ndarray:
     """Alternating exact minimization over the two factors, batched over starts.
 
-    With one factor fixed the expectation is a Hermitian form in the other,
-    minimized by the lowest eigenvector of the reduced d x d matrix, so no
-    half-step raises any start's value.  Stops once no start drops by more
-    than _SEESAW_TOL in a sweep, or after _SEESAW_SWEEPS sweeps.
+    Start n minimizes the form of forms[n], a Hermitian operator as a
+    (d, d, d, d) array, from the right factor right[n] and its value
+    values[n].  With one factor fixed the expectation is a Hermitian form in
+    the other, minimized by the lowest eigenvector of the reduced d x d
+    matrix, so no half-step raises a start's value.  A start stops once a
+    sweep lowers it by no more than _SEESAW_TOL, and every start after
+    _SEESAW_SWEEPS sweeps; each start's path depends on no other start.
     """
-    d = left.shape[1]
-    w4 = w_mat.reshape(d, d, d, d)
+    values, right = values.copy(), right.copy()
+    active = np.arange(len(values))
     for _ in range(_SEESAW_SWEEPS):
+        w4, rights = forms[active], right[active]
         _, vecs = np.linalg.eigh(
-            np.einsum("nj,ijkm,nm->nik", right.conj(), w4, right))
-        left = vecs[:, :, 0]
+            np.einsum("nj,nijkm,nm->nik", rights.conj(), w4, rights))
+        lefts = vecs[:, :, 0]
         vals, vecs = np.linalg.eigh(
-            np.einsum("ni,ijkm,nk->njm", left.conj(), w4, left))
-        right = vecs[:, :, 0]
-        converged = np.all(values - vals[:, 0] <= _SEESAW_TOL)
-        values = vals[:, 0]
-        if converged:
+            np.einsum("ni,nijkm,nk->njm", lefts.conj(), w4, lefts))
+        right[active] = vecs[:, :, 0]
+        moving = values[active] - vals[:, 0] > _SEESAW_TOL
+        values[active] = vals[:, 0]
+        active = active[moving]
+        if not active.size:
             break
     return values
 
 
-def min_separable_expectation(w, config: SamplerConfig) -> float:
+def _operator_matrix(w) -> tuple[np.ndarray, int]:
+    op = getattr(w, "op", w)
+    if isinstance(op, DensityMatrix):
+        op = op.op
+    if op.dim_b != op.dim_a:
+        raise ValueError("sampler requires equal subsystem dimensions")
+    return np.asarray(op.entries), op.dim_a
+
+
+def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     """Empirical minimum of Tr(sigma W) over seeded pure product states.
 
+    `w` is one operator, or a sequence of K operators on the same C^d (x) C^d,
+    which all share one pool and one seesaw; the result is a float for one
+    operator and an array of the K minima for a sequence.
+
     Probes the extreme points of the separable set (pure products); mixtures
-    cannot fall below them.  The eight lowest of `config.count` Haar samples
-    are run to convergence by the seesaw: alternating lowest eigenvectors of
-    W reduced to one factor (Lewenstein et al., PRA 62, 052310 (2000)).
+    cannot fall below them.  The pool of `config.count` Haar samples is drawn
+    and evaluated `_POOL_BLOCK` states at a time; the eight lowest samples of
+    each operator are run to convergence by the seesaw: alternating lowest
+    eigenvectors of W reduced to one factor (Lewenstein et al., PRA 62,
+    052310 (2000)).
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting
     evidence only.  For a fixed seed the raw sampled minimum is nonincreasing
     in `count` (longer runs extend shorter ones).
     """
-    op = getattr(w, "op", w)
-    if isinstance(op, DensityMatrix):
-        op = op.op
-    w_mat = np.asarray(op.entries)
+    single = not isinstance(w, Sequence)
+    parsed = [_operator_matrix(op) for op in ([w] if single else w)]
+    if not parsed:
+        raise ValueError("no operator to probe")
+    d = parsed[0][1]
+    if any(dim != d for _, dim in parsed):
+        raise ValueError("sampler requires operators of one dimension")
+    mats = np.stack([mat for mat, _ in parsed])
     # Re <v|W|v> is the form of the Hermitian part, which eigh needs
-    w_mat = (w_mat + w_mat.conj().T) / 2
-    d = op.dim_a
-    if op.dim_b != d:
-        raise ValueError("sampler requires equal subsystem dimensions")
+    mats = (mats + mats.conj().swapaxes(1, 2)) / 2
 
-    left, right = _product_pool(d, config)
-    values = _product_expectations(w_mat, left, right)
-    top = np.argsort(values)[:_SEESAW_STARTS]
-    refined = _seesaw(w_mat, left[top], right[top], values[top])
-    return float(min(values.min(), refined.min()))
+    pooled, right = _pool_starts(mats, d, config)
+    k, starts = pooled.shape
+    forms = np.repeat(mats.reshape(k, d, d, d, d), starts, axis=0)
+    refined = _seesaw(forms, right.reshape(k * starts, d), pooled.ravel())
+    floors = np.minimum(pooled.min(axis=1), refined.reshape(k, starts).min(axis=1))
+    return float(floors[0]) if single else floors

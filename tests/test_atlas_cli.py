@@ -30,7 +30,7 @@ from entwit.atlas import (
     separability_note,
     slice_sweep,
 )
-from entwit.cli import main
+from entwit.cli import _build_parser, main
 from entwit.families import horodecki_to_simplex, simplex_state
 from entwit.reproduce import run_battery
 
@@ -185,6 +185,32 @@ def test_cli_usage_errors(capsys):
     assert main(["classify", "--b", "1", "--alpha", "0.2"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+def test_cli_reused_parser_matches_fresh_parser(capsys):
+    # main() builds its parser once per process; a usage error or an earlier
+    # command must leave nothing behind in it
+    commands = [
+        ["classify", "--alpha", "0.2", "--format", "xml"],
+        ["classify", "--alpha", "0.119", "--beta", "-0.333",
+         "--gamma=-0.2857", "--format", "json"],
+        ["nearest-ppt", "--alpha", "0.5", "--beta", "0"],
+        ["classify", "--b", "3.5"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    _build_parser.cache_clear()
+    reused = [run(argv) for argv in commands]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
 
 
 def test_cli_rejects_non_finite_state_flags(capsys):

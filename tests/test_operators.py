@@ -18,6 +18,7 @@ from entwit import (
     tensor,
     weyl,
 )
+from entwit.families import _family_matrices
 from entwit.operators import _pt_array
 
 
@@ -146,6 +147,27 @@ def test_pt_array_stacked_matches_per_matrix():
                 single = partial_transpose(
                     BipartiteOperator(d1, d2, stack[index]), subsystem)
                 assert np.array_equal(batched[index], single.entries)
+
+
+def test_pt_spectrum_independent_of_subsystem():
+    # PT over subsystem 1 is the full transpose of PT over subsystem 2, so
+    # for Hermitian input both have one spectrum
+    rng = np.random.default_rng(29)
+    family, min_eigs = _family_matrices(*rng.uniform(-0.5, 1.0, (3, 400)))
+    family = family[min_eigs >= 0][:20]
+    raw = (rng.standard_normal((20, 9, 9))
+           + 1j * rng.standard_normal((20, 9, 9)))
+    hermitian = raw + raw.conj().swapaxes(1, 2)
+    for stack in (family, hermitian):
+        assert len(stack) == 20
+        spectra = [np.linalg.eigvalsh(_pt_array(stack, 3, 3, subsystem))
+                   for subsystem in (1, 2)]
+        assert np.abs(spectra[0] - spectra[1]).max() <= 1e-12
+        for mat in stack[:5]:
+            one, two = (hermitian_spectrum(partial_transpose(
+                BipartiteOperator(3, 3, mat), subsystem))
+                for subsystem in (1, 2))
+            assert np.abs(one - two).max() <= 1e-12
 
 
 def test_partial_transpose_flip_spectrum():

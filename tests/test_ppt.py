@@ -22,7 +22,8 @@ from entwit import (
     region_witnesses,
     simplex_state,
 )
-from entwit.ppt import _product_expectations, _product_pool
+from entwit import ppt
+from entwit.ppt import _pool_blocks, _pool_starts
 
 
 def test_classify_ppt_examples():
@@ -80,8 +81,8 @@ def test_sampler_config_validation():
 
 
 def _raw_pool_minimum(witness, config):
-    left, right = _product_pool(3, config)
-    return float(_product_expectations(witness.op.entries, left, right).min())
+    values, _ = _pool_starts(np.asarray(witness.op.entries)[None], 3, config)
+    return float(values.min())
 
 
 def _tangent_line_witnesses():
@@ -177,3 +178,39 @@ def test_seesaw_keeps_slack_line_witnesses_positive():
                 floor = min_separable_expectation(
                     witness, SamplerConfig(seed=seed, count=50))
                 assert floor > 1e-6
+
+
+def test_batched_probe_matches_single_calls():
+    phi_projector = simplex_state(SimplexParams(1, 0, 0)).op
+    witnesses = (list(region_witnesses()) + _tangent_line_witnesses()
+                 + [line_witness(0.38, detection_profile(0.38).lambda_min)[0],
+                    0.3 * identity(3, 3) - phi_projector,
+                    line_witness(CROSSING_GAMMA, 0.5)[0]])
+    config = SamplerConfig(seed=4, count=ppt._POOL_BLOCK + 100)
+    batched = min_separable_expectation(witnesses, config)
+    assert batched.shape == (len(witnesses),)
+    singles = [min_separable_expectation(w, config) for w in witnesses]
+    assert np.abs(batched - singles).max() <= 1e-12
+    with pytest.raises(ValueError):
+        min_separable_expectation([], config)
+
+
+def test_pool_blocks_extend_one_draw():
+    block = ppt._POOL_BLOCK
+    witness = np.asarray(region_witnesses()[0].op.entries)
+    for count in (block - 1, block, block + 1, 2 * block + 1):
+        config = SamplerConfig(seed=6, count=count)
+        blocks = list(_pool_blocks(3, config))
+        assert all(len(left) == block for left, _ in blocks[:-1])
+        z = np.random.default_rng(6).standard_normal((count, 2, 3, 2))
+        pool = z[..., 0] + 1j * z[..., 1]
+        pool /= np.linalg.norm(pool, axis=2, keepdims=True)
+        assert np.array_equal(np.concatenate([left for left, _ in blocks]),
+                              pool[:, 0])
+        assert np.array_equal(np.concatenate([right for _, right in blocks]),
+                              pool[:, 1])
+        # the running eight lowest over the blocks are those of the whole pool
+        vecs = np.einsum("ni,nj->nij", pool[:, 0], pool[:, 1]).reshape(count, 9)
+        values = np.einsum("na,ab,nb->n", vecs.conj(), witness, vecs).real
+        lowest, _ = _pool_starts(witness[None], 3, config)
+        assert np.abs(np.sort(lowest[0]) - np.sort(values)[:8]).max() <= 1e-12
