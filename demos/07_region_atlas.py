@@ -12,7 +12,7 @@ from entwit.families import SimplexParams, horodecki_to_simplex
 
 for gamma in (0.0, -3 / 7):
     report = slice_sweep(gamma, 61)
-    tally = Counter(row.label for row in report.rows)
+    tally = Counter(report.columns.label.tolist())
     print(f"gamma = {gamma:+.4f}: ", dict(sorted(tally.items())))
 
 # the bound entangled Horodecki point b = 4 lives in the gamma = -3/7 slice

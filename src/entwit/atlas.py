@@ -1,8 +1,9 @@
 """Point classification and parameter sweeps over the three-parameter family.
 
-Every grid cell gets a `RegionSample`: validity, the minimum eigenvalue of
-the partial transpose, the expectations of the certified witnesses, and a
-label.  Labels never claim separability; PPT cells that no certified witness
+Every family state is Bell-diagonal, rho = sum_k w_k P_k, so each point is
+classified from its 9 Bell weights: validity, the minimum eigenvalue of the
+partial transpose, the expectations of the certified witnesses, and a label.
+Labels never claim separability; PPT cells that no certified witness
 catches stay "PPT-unresolved".
 """
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .operators import PSD_TOL, _pt_array
-from .families import SimplexParams, horodecki_to_simplex, _family_matrices
+from .weyl import bell_projector
+from .families import SimplexParams, horodecki_to_simplex, _family_weights
 from .witness import (
     DETECTION_GAMMA,
     DetectionProfile,
@@ -24,7 +26,7 @@ from .witness import (
     detection_profile,
     line_witness,
     region_witnesses,
-    _gamma0_measure,
+    _measure_values,
 )
 
 __all__ = [
@@ -34,8 +36,10 @@ __all__ = [
     "LABEL_BOUND",
     "LABEL_UNRESOLVED",
     "RegionSample",
+    "SliceColumns",
     "SweepReport",
     "LambdaScanReport",
+    "classify_weights",
     "classify_point",
     "classify_b",
     "separability_note",
@@ -56,68 +60,71 @@ SLICE_COLUMNS = (
     "w_region_I", "w_region_II", "w_line", "measure",
 )
 
+# an object array of the five label strings: a label column costs one
+# pointer per point, not 28 UCS-4 characters
+_LABELS = np.array([LABEL_INVALID, LABEL_NPT_I, LABEL_NPT_II, LABEL_BOUND,
+                    LABEL_UNRESOLVED], dtype=object)
+
+# points per `_classify_slice` call in a sweep.  In `perfbench` slice-atlas
+# runs (2-vCPU x86 host) blocks of 512 kept the peak RSS at that of the
+# earlier per-row classifier, while one call per 80 x 80 grid, with its
+# 0.9 MB stack of complex PT blocks, raised it by about 1.2 MB.
+_SWEEP_BLOCK = 512
+
+# |00>, |12>, |21>: the product states with (i + j) mod 3 = 0
+_PT_BLOCK = np.array([0, 5, 7])
+
 
 def format_float(x: float) -> str:
     """Fixed 15-significant-digit rendering used in all CSV/JSON output."""
     return format(float(x), ".15g")
 
 
-def _round_floats(obj):
-    """Floats, also inside dicts and lists, as read back from format_float."""
-    if isinstance(obj, float):
-        return float(format_float(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+@lru_cache(maxsize=None)
+def _bell_stack() -> np.ndarray:
+    """The 9 two-qutrit Bell projectors, P_{n,m} at index 3n + m."""
+    stack = np.array([bell_projector(3, (n, m)).entries
+                      for n in range(3) for m in range(3)])
+    stack.setflags(write=False)
+    return stack
 
 
-@dataclass(frozen=True, eq=False)
-class RegionSample:
-    """One classified point of the parameter space."""
+@lru_cache(maxsize=None)
+def _pt_block_table() -> np.ndarray:
+    """B[k] = block of P_k^Gamma on |00>, |12>, |21>, flattened to (9, 9).
 
-    params: SimplexParams
-    valid: bool
-    min_pt_eigenvalue: float
-    label: str
-    witness_values: dict = field(default_factory=dict)
-    measure: float | None = None
+    For rho = sum_k w_k P_k the block of rho^Gamma is (w @ B).reshape(3, 3),
+    and its spectrum is that of the whole 9x9 rho^Gamma, three times over.
+    Each P_k is invariant under U (x) U* for every Weyl U, so rho^Gamma
+    (transposed on subsystem 2) commutes with every U (x) U.  The phase pair
+    U_{1,0} (x) U_{1,0} multiplies |ij> by exp(-2 pi i (i + j)/3), so
+    rho^Gamma splits into three 3x3 blocks by (i + j) mod 3.  The shift pair
+    U_{0,1} (x) U_{0,1} maps |ij> to |i+1, j+1>, i.e. block s onto block
+    s + 2, so it carries the blocks unitarily onto one another and all three
+    have the same spectrum.
+    """
+    pt = _pt_array(_bell_stack(), 3, 3, 2)
+    table = pt[:, _PT_BLOCK[:, None], _PT_BLOCK].reshape(9, 9)
+    table.setflags(write=False)
+    return table
 
-    def to_dict(self) -> dict:
-        return _round_floats({
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "gamma": self.params.gamma,
-            },
-            "valid": self.valid,
-            "min_pt_eigenvalue": self.min_pt_eigenvalue,
-            "label": self.label,
-            "witness_values": self.witness_values,
-            "measure": self.measure,
-        })
 
-    def to_csv_row(self) -> str:
-        w_line = self.witness_values.get("line")
-        cells = [
-            format_float(self.params.alpha),
-            format_float(self.params.beta),
-            format_float(self.params.gamma),
-            "true" if self.valid else "false",
-            format_float(self.min_pt_eigenvalue),
-            self.label,
-            format_float(self.witness_values["region_I"]),
-            format_float(self.witness_values["region_II"]),
-            "" if w_line is None else format_float(w_line),
-            "" if self.measure is None else format_float(self.measure),
-        ]
-        return ",".join(cells)
+def _bell_traces(entries: np.ndarray) -> np.ndarray:
+    """t_k = Tr(P_k W), so that Tr(rho W) = w . t for rho = sum_k w_k P_k."""
+    traces = np.vecdot(_bell_stack().reshape(9, 81), entries.ravel()).real
+    traces.setflags(write=False)
+    return traces
+
+
+@lru_cache(maxsize=None)
+def _region_traces() -> tuple[np.ndarray, np.ndarray]:
+    return tuple(_bell_traces(w.op.entries) for w in region_witnesses())
 
 
 @lru_cache(maxsize=64)
 def _line_witness_for_slice(gamma: float, lam: float | None = None):
-    """(line witness, certified) for a slice, or None when not constructible.
+    """(Bell traces of the line witness, certified) for a slice, or None
+    when the witness is not constructible.
 
     With `lam=None` the witness sits at lambda_min(gamma), where it is
     certified whenever detection is possible at all.
@@ -134,44 +141,163 @@ def _line_witness_for_slice(gamma: float, lam: float | None = None):
     if not 0.0 < lam <= 1.0:
         return None
     witness, _ = line_witness(gamma, lam)
-    return witness, certify_witness(witness).certified
+    return _bell_traces(witness.op.entries), certify_witness(witness).certified
+
+
+def classify_weights(weights, tol: float = PSD_TOL, line=None):
+    """Classify Bell-diagonal two-qutrit states rho = sum_k w_k P_k.
+
+    `weights` is an (N, 9) array with the weight of P_{n,m} at column
+    3n + m.  `line` optionally adds a third witness as (t, certified), with
+    t_k = Tr(P_k W); an uncertified witness is reported but never counts
+    toward detection.
+
+    Returns (valid, min_pt_eig, label, witness_values): arrays of length N
+    and a dict of them keyed "region_I", "region_II" and, with `line`,
+    "line".  Valid means every weight is >= -tol.  NPT states are tagged
+    NPT-I or NPT-II by the more violated region witness; valid PPT states
+    become "PPT-detected-bound-entangled" only when a certified witness is
+    below -tol on them, otherwise "PPT-unresolved".  No 9x9 matrix is
+    formed: the PT minimum comes from one 3x3 block (`_pt_block_table`)
+    and each witness value is w . t.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != 9:
+        raise ValueError(f"weights must have shape (N, 9), got {weights.shape}")
+    valid = weights.min(axis=1) >= -tol
+    blocks = np.vecdot(weights[:, None, :], _pt_block_table().T)
+    min_pt_eig = np.linalg.eigvalsh(blocks.reshape(-1, 3, 3))[:, 0]
+    traces = dict(zip(("region_I", "region_II"), _region_traces()))
+    certified = list(traces)
+    if line is not None:
+        traces["line"] = line[0]
+        if line[1]:
+            certified.append("line")
+    values = {name: np.vecdot(weights, t) for name, t in traces.items()}
+    detected = values["region_I"] < -tol
+    for name in certified[1:]:
+        detected |= values[name] < -tol
+    npt_tag = np.where(values["region_I"] <= values["region_II"], 1, 2)
+    code = np.where(valid, np.where(min_pt_eig < -tol, npt_tag,
+                                    np.where(detected, 3, 4)), 0)
+    return valid, min_pt_eig, _LABELS[code], values
+
+
+def _csv_lines(alpha, beta, gamma, valid, min_pt_eig, label, values, measure):
+    """CSV lines of classified points, from one list per column (NaN marks
+    an absent measure) and one float gamma."""
+
+    def floats(column):
+        return [format(x, ".15g") if x == x else "" for x in column]
+
+    n = len(label)
+    line = values.get("line")
+    cells = [floats(alpha), floats(beta), [format_float(gamma)] * n,
+             ["true" if v else "false" for v in valid], floats(min_pt_eig),
+             label, floats(values["region_I"]), floats(values["region_II"]),
+             [""] * n if line is None else floats(line), floats(measure)]
+    return [",".join(row) for row in zip(*cells)]
+
+
+def _json_rows(alpha, beta, gamma, valid, min_pt_eig, label, values, measure):
+    """JSON rows of classified points, from the columns `_csv_lines` takes."""
+    names = list(values)
+    return [
+        {"params": {"alpha": a, "beta": b, "gamma": gamma},
+         "valid": v,
+         "min_pt_eigenvalue": p,
+         "label": lab,
+         "witness_values": dict(zip(names, w)),
+         "measure": m if m == m else None}
+        for a, b, v, p, lab, m, *w in zip(alpha, beta, valid, min_pt_eig,
+                                          label, measure, *values.values())
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class RegionSample:
+    """One classified point of the parameter space."""
+
+    params: SimplexParams
+    valid: bool
+    min_pt_eigenvalue: float
+    label: str
+    witness_values: dict = field(default_factory=dict)
+    measure: float | None = None
+
+    def _columns(self):
+        return ([self.params.alpha], [self.params.beta], self.params.gamma,
+                [self.valid], [self.min_pt_eigenvalue], [self.label],
+                {name: [v] for name, v in self.witness_values.items()},
+                [math.nan if self.measure is None else self.measure])
+
+    def to_dict(self) -> dict:
+        return _json_rows(*self._columns())[0]
+
+    def to_csv_row(self) -> str:
+        return _csv_lines(*self._columns())[0]
+
+
+@dataclass(frozen=True, eq=False)
+class SliceColumns:
+    """Classified points of one gamma slice, one array entry per point.
+
+    `witness_values` maps each witness name to its column of expectations;
+    `measure` is NaN where no distance measure is attached.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: float
+    valid: np.ndarray
+    min_pt_eig: np.ndarray
+    label: np.ndarray
+    witness_values: dict
+    measure: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    @classmethod
+    def concatenate(cls, parts: list) -> "SliceColumns":
+        """The points of several classified parts of one slice, in order."""
+
+        def join(columns):
+            return np.concatenate(list(columns))
+
+        first = parts[0]
+        return cls(join(p.alpha for p in parts), join(p.beta for p in parts),
+                   first.gamma, join(p.valid for p in parts),
+                   join(p.min_pt_eig for p in parts),
+                   join(p.label for p in parts),
+                   {name: join(p.witness_values[name] for p in parts)
+                    for name in first.witness_values},
+                   join(p.measure for p in parts))
+
+    def lists(self, part: slice = slice(None)):
+        """The columns of the points in `part` as plain lists (gamma stays
+        one float), in the order `_csv_lines` and `_json_rows` take."""
+        return (self.alpha[part].tolist(), self.beta[part].tolist(),
+                self.gamma, self.valid[part].tolist(),
+                self.min_pt_eig[part].tolist(), self.label[part].tolist(),
+                {name: column[part].tolist()
+                 for name, column in self.witness_values.items()},
+                self.measure[part].tolist())
 
 
 def _classify_slice(alphas: np.ndarray, betas: np.ndarray, gamma: float,
-                    tol: float, line_lambda: float | None) -> list[RegionSample]:
+                    tol: float, line_lambda: float | None) -> SliceColumns:
     """Classify the points (alphas[k], betas[k], gamma) of a slice at once."""
-    mats, min_eigs = _family_matrices(alphas, betas, gamma)
-    pt_mins = np.linalg.eigvalsh(_pt_array(mats, 3, 3, 2))[:, 0]
-    witnesses = dict(zip(("region_I", "region_II"), region_witnesses()))
-    line = _line_witness_for_slice(gamma, line_lambda)
-    if line is not None:
-        witnesses["line"] = line[0]
-    certified = [name for name in witnesses if name != "line" or line[1]]
-    # vecdot conjugates the states as hs_inner's vdot does, to the same bits
-    flat = mats.reshape(-1, 81)
-    columns = {name: np.vecdot(flat, witness.op.entries.ravel()).real.tolist()
-               for name, witness in witnesses.items()}
-    rows = []
-    for k, (alpha, beta, min_eig, pt_min) in enumerate(zip(
-            alphas.tolist(), betas.tolist(), min_eigs.tolist(),
-            pt_mins.tolist())):
-        values = {name: column[k] for name, column in columns.items()}
-        valid = min_eig >= -tol
-        measure = None
-        if not valid:
-            label = LABEL_INVALID
-        elif pt_min < -tol:
-            label = (LABEL_NPT_I if values["region_I"] <= values["region_II"]
-                     else LABEL_NPT_II)
-            if gamma == 0.0:
-                # the PT test above is the one hs_measure_gamma0 would repeat
-                measure, _ = _gamma0_measure(alpha, beta)
-        else:
-            detected = any(values[name] < -tol for name in certified)
-            label = LABEL_BOUND if detected else LABEL_UNRESOLVED
-        rows.append(RegionSample(SimplexParams(alpha, beta, gamma), valid,
-                                 pt_min, label, values, measure))
-    return rows
+    valid, min_pt_eig, label, values = classify_weights(
+        _family_weights(alphas, betas, gamma), tol,
+        _line_witness_for_slice(gamma, line_lambda))
+    measure = np.full(len(label), math.nan)
+    if gamma == 0.0:
+        # the PT test of the label is the one hs_measure_gamma0 would repeat
+        npt = (label == LABEL_NPT_I) | (label == LABEL_NPT_II)
+        measure[npt] = np.maximum(*_measure_values(alphas[npt], betas[npt]))
+    return SliceColumns(alphas, betas, gamma, valid, min_pt_eig, label,
+                        values, measure)
 
 
 def classify_point(params, tol: float = PSD_TOL,
@@ -189,9 +315,15 @@ def classify_point(params, tol: float = PSD_TOL,
     (default: lambda_min of the slice); an uncertified override is still
     reported but never counts toward detection.
     """
-    weights = np.array(params, dtype=float)
-    return _classify_slice(weights[:1], weights[1:2], float(weights[2]), tol,
-                           line_lambda)[0]
+    point = np.array(params, dtype=float)
+    columns = _classify_slice(point[:1], point[1:2], float(point[2]), tol,
+                              line_lambda)
+    (alpha,), (beta,), gamma, (valid,), (pt_min,), (label,), values, \
+        (measure,) = columns.lists()
+    return RegionSample(
+        SimplexParams(alpha, beta, gamma), valid, pt_min, label,
+        {name: value for name, (value,) in values.items()},
+        None if math.isnan(measure) else measure)
 
 
 def classify_b(b: float, tol: float = PSD_TOL) -> RegionSample:
@@ -236,18 +368,22 @@ class SweepReport:
 
     grid: dict
     provenance: dict
-    rows: list
+    columns: SliceColumns
 
     def to_csv(self) -> str:
+        # strings are made one grid row at a time, so only the finished
+        # lines of the whole grid are held at once
+        n = self.grid["grid_n"]
         lines = [",".join(SLICE_COLUMNS)]
-        lines.extend(row.to_csv_row() for row in self.rows)
+        for start in range(0, len(self.columns), n):
+            lines.extend(_csv_lines(*self.columns.lists(slice(start, start + n))))
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         return {
             "grid": self.grid,
             "provenance": self.provenance,
-            "rows": [row.to_dict() for row in self.rows],
+            "rows": _json_rows(*self.columns.lists()),
         }
 
 
@@ -256,7 +392,7 @@ def slice_sweep(gamma: float, grid_n: int, tol: float = PSD_TOL) -> SweepReport:
 
     The grid covers the bounding box of the positivity triangle with
     `grid_n` points per axis, row-major in (alpha, beta), and is classified
-    one alpha row at a time.
+    `_SWEEP_BLOCK` points at a time.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -265,20 +401,19 @@ def slice_sweep(gamma: float, grid_n: int, tol: float = PSD_TOL) -> SweepReport:
     low, high = np.min(vertices, axis=0), np.max(vertices, axis=0)
     alphas = np.linspace(low[0], high[0], grid_n)
     betas = np.linspace(low[1], high[1], grid_n)
-    # one grid row per batch keeps the stacked matrices O(grid_n) in memory
-    rows = []
-    for alpha in alphas:
-        rows.extend(_classify_slice(np.full(grid_n, alpha), betas, gamma,
-                                    tol, None))
-    grid = _round_floats({
+    alpha_grid, beta_grid = np.repeat(alphas, grid_n), np.tile(betas, grid_n)
+    columns = SliceColumns.concatenate([
+        _classify_slice(alpha_grid[start:start + _SWEEP_BLOCK],
+                        beta_grid[start:start + _SWEEP_BLOCK], gamma, tol, None)
+        for start in range(0, grid_n * grid_n, _SWEEP_BLOCK)])
+    grid = {
         "gamma": gamma,
-        "alpha_range": [alphas[0], alphas[-1]],
-        "beta_range": [betas[0], betas[-1]],
+        "alpha_range": [float(alphas[0]), float(alphas[-1])],
+        "beta_range": [float(betas[0]), float(betas[-1])],
         "grid_n": grid_n,
-    })
-    provenance = {"tool": "entwit", "version": __version__,
-                  "tol": _round_floats(float(tol))}
-    return SweepReport(grid=grid, provenance=provenance, rows=rows)
+    }
+    provenance = {"tool": "entwit", "version": __version__, "tol": float(tol)}
+    return SweepReport(grid=grid, provenance=provenance, columns=columns)
 
 
 @dataclass(eq=False)
@@ -312,10 +447,10 @@ class LambdaScanReport:
             "grid": self.grid,
             "provenance": self.provenance,
             "rows": [profile.to_dict() for profile in self.rows],
-            "summary": _round_floats({
+            "summary": {
                 "min_lambda_min": self.min_lambda,
                 "argmin_gamma": self.argmin_gamma,
-            }),
+            },
         }
 
 
@@ -336,7 +471,7 @@ def lambda_scan(gamma_lo: float, gamma_hi: float, steps: int) -> LambdaScanRepor
             min_lambda = profile.lambda_min
             argmin_gamma = profile.gamma
     grid = {
-        "gamma_range": _round_floats([float(gamma_lo), float(gamma_hi)]),
+        "gamma_range": [float(gamma_lo), float(gamma_hi)],
         "steps": steps,
     }
     provenance = {"tool": "entwit", "version": __version__}

@@ -24,7 +24,6 @@ from .witness import certify_witness
 from .ppt import SamplerConfig, min_separable_expectation, nearest_ppt
 from .atlas import (
     SLICE_COLUMNS,
-    _round_floats,
     classify_point,
     format_float,
     lambda_scan,
@@ -77,7 +76,19 @@ def _emit(payload: str, out: str | None):
         sys.stdout.write(payload)
 
 
+def _round_floats(obj):
+    """Floats, also inside dicts and lists, as read back from format_float."""
+    if isinstance(obj, float):
+        return float(format_float(obj))
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
 def _json_payload(obj) -> str:
+    """Indented JSON with every float rounded, once, to 15 significant digits."""
     return json.dumps(_round_floats(obj), indent=2) + "\n"
 
 

@@ -68,18 +68,29 @@ def _family_blocks():
     return ident, p00, pair, triple
 
 
+def _family_weights(alpha, beta, gamma):
+    """Bell weights of the family, w[..., 3n + m] on P_{n,m}: shape (9,) for
+    scalar parameters, (N, 9) for parameters that broadcast to length N.
+
+    These are the closed-form eigenvalues: (1-alpha-beta-gamma)/9 plus alpha
+    on P00, beta/2 on P10 and P20, gamma/3 on P01, P11 and P21.
+    """
+    base = (1.0 - alpha - beta - gamma) / 9.0
+    # each entry carries base, hence the full broadcast shape
+    a, b, g = base + alpha, base + beta / 2.0, base + gamma / 3.0
+    return np.array([a, g, base, b, g, base, b, g, base]).T
+
+
 def _family_matrices(alpha, beta, gamma):
-    """Family matrices, stacked over the weights' broadcast shape, and their
-    closed-form minimum eigenvalues; scalar weights give one 9x9 matrix."""
+    """Family matrices, stacked over the parameters' broadcast length, and
+    their closed-form minimum eigenvalues; scalar parameters give one 9x9
+    matrix."""
     ident, p00, pair, triple = _family_blocks()
     outer = np.multiply.outer
     base = (1.0 - alpha - beta - gamma) / 9.0
-    half_beta, third_gamma = beta / 2.0, gamma / 3.0
-    mats = (outer(base, ident) + outer(alpha, p00) + outer(half_beta, pair)
-            + outer(third_gamma, triple))
-    min_eigs = base + np.minimum(np.minimum(alpha, half_beta),
-                                 np.minimum(third_gamma, 0.0))
-    return mats, min_eigs
+    mats = (outer(base, ident) + outer(alpha, p00) + outer(beta / 2.0, pair)
+            + outer(gamma / 3.0, triple))
+    return mats, _family_weights(alpha, beta, gamma).min(axis=-1)
 
 
 def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:
@@ -106,12 +117,7 @@ def simplex_spectrum(params) -> np.ndarray:
     weights: e+alpha (x1), e+beta/2 (x2), e+gamma/3 (x3) and e (x3) with
     e = (1-alpha-beta-gamma)/9.
     """
-    alpha, beta, gamma = params
-    e = (1.0 - alpha - beta - gamma) / 9.0
-    vals = np.array(
-        [e + alpha] + [e + beta / 2.0] * 2 + [e + gamma / 3.0] * 3 + [e] * 3
-    )
-    return np.sort(vals)
+    return np.sort(_family_weights(*map(float, params)))
 
 
 @lru_cache(maxsize=None)

@@ -88,57 +88,54 @@ def test_positivity_vertices_gamma0():
 
 
 def test_slice_gamma0_labels():
-    report = slice_sweep(0.0, 25)
-    assert len(report.rows) == 625
-    for row in report.rows:
-        if not row.valid:
-            assert row.label == LABEL_INVALID
+    columns = slice_sweep(0.0, 25).columns
+    assert len(columns) == 625
+    for k, label in enumerate(columns.label):
+        if not columns.valid[k]:
+            assert label == LABEL_INVALID
             continue
-        npt = row.min_pt_eigenvalue < -1e-10
-        w1 = row.witness_values["region_I"]
-        w2 = row.witness_values["region_II"]
+        npt = columns.min_pt_eig[k] < -1e-10
+        w1 = columns.witness_values["region_I"][k]
+        w2 = columns.witness_values["region_II"][k]
         if npt:
             # witness sign rule reproduces the region tag on this slice
-            assert row.label == (LABEL_NPT_I if w1 < -1e-10 else LABEL_NPT_II)
+            assert label == (LABEL_NPT_I if w1 < -1e-10 else LABEL_NPT_II)
             assert (w1 < -1e-10) or (w2 < -1e-10)
         else:
-            assert row.label == LABEL_UNRESOLVED  # never bound-entangled here
-            assert row.measure is None
+            assert label == LABEL_UNRESOLVED  # never bound-entangled here
+            assert math.isnan(columns.measure[k])
 
 
 def test_slice_gamma0_region_one_border():
     # the region-I witness changes sign across alpha = 1/4 + beta/8
-    report = slice_sweep(0.0, 40)
-    for row in report.rows:
-        if not row.valid:
-            continue
-        margin = row.params.alpha - 0.25 - row.params.beta / 8
-        w1 = row.witness_values["region_I"]
-        if abs(margin) > 1e-9:
-            assert (w1 < 0) == (margin > 0)
+    columns = slice_sweep(0.0, 40).columns
+    margin = columns.alpha - 0.25 - columns.beta / 8
+    w1 = columns.witness_values["region_I"]
+    checked = columns.valid & (np.abs(margin) > 1e-9)
+    assert np.array_equal((w1 < 0)[checked], (margin > 0)[checked])
 
 
 def test_slice_bound_entangled_gamma_minus_three_sevenths():
     sample = classify_point(SimplexParams(2 / 21, -8 / 21, -3 / 7))
     assert sample.label == LABEL_BOUND
     report = slice_sweep(-3 / 7, 21)
-    labels = {row.label for row in report.rows}
-    assert LABEL_BOUND in labels
+    assert LABEL_BOUND in set(report.columns.label.tolist())
 
 
 def test_slice_rows_rederivable_from_columns():
-    report = slice_sweep(-0.35, 15)
-    for row in report.rows:
-        values = row.witness_values
-        if not row.valid:
-            assert row.label == LABEL_INVALID
-        elif row.min_pt_eigenvalue < -1e-10:
+    columns = slice_sweep(-0.35, 15).columns
+    for k, label in enumerate(columns.label):
+        values = {name: column[k]
+                  for name, column in columns.witness_values.items()}
+        if not columns.valid[k]:
+            assert label == LABEL_INVALID
+        elif columns.min_pt_eig[k] < -1e-10:
             expected = (LABEL_NPT_I if values["region_I"] <= values["region_II"]
                         else LABEL_NPT_II)
-            assert row.label == expected
+            assert label == expected
         else:
             detected = any(v < -1e-10 for v in values.values())
-            assert row.label == (LABEL_BOUND if detected else LABEL_UNRESOLVED)
+            assert label == (LABEL_BOUND if detected else LABEL_UNRESOLVED)
 
 
 def test_slice_csv_deterministic():
@@ -305,29 +302,34 @@ def _reference_sample(alpha, beta, gamma, tol=1e-10):
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, -0.3, 0.18, 0.05, -3 / 7])
 def test_slice_sweep_matches_per_point_reference(gamma):
-    for row in slice_sweep(gamma, 9).rows:
-        valid, pt_min, label, values, measure = _reference_sample(*row.params)
-        assert (row.valid, row.label, row.measure) == (valid, label, measure)
-        assert row.min_pt_eigenvalue == pytest.approx(pt_min, abs=1e-12)
-        assert row.witness_values.keys() == values.keys()
+    columns = slice_sweep(gamma, 9).columns
+    for k in range(len(columns)):
+        valid, pt_min, label, values, measure = _reference_sample(
+            columns.alpha[k], columns.beta[k], columns.gamma)
+        row_measure = None if math.isnan(columns.measure[k]) else \
+            columns.measure[k]
+        assert (columns.valid[k], columns.label[k], row_measure) == \
+            (valid, label, measure)
+        assert columns.min_pt_eig[k] == pytest.approx(pt_min, abs=1e-12)
+        assert columns.witness_values.keys() == values.keys()
         for name, value in values.items():
-            assert row.witness_values[name] == pytest.approx(value, abs=1e-12)
+            assert columns.witness_values[name][k] == \
+                pytest.approx(value, abs=1e-12)
 
 
-def _fields(sample):
-    return (sample.params, sample.valid, sample.min_pt_eigenvalue,
-            sample.label, sample.witness_values, sample.measure)
+def _fields(columns, order=slice(None)):
+    """Every column in `order` as a list, None marking an absent measure."""
+    *head, measure = columns.lists(order)
+    return head + [[None if math.isnan(m) else m for m in measure]]
 
 
 @pytest.mark.parametrize("gamma", [0.0, -0.3])
 def test_classify_slice_is_point_order_invariant(gamma):
-    rows = slice_sweep(gamma, 9).rows
-    alphas = np.array([row.params.alpha for row in rows])
-    betas = np.array([row.params.beta for row in rows])
-    perm = np.random.default_rng(7).permutation(len(rows))
-    shuffled = _classify_slice(alphas[perm], betas[perm], gamma, 1e-10, None)
-    assert [_fields(row) for row in shuffled] == \
-        [_fields(rows[k]) for k in perm]
+    columns = slice_sweep(gamma, 9).columns
+    perm = np.random.default_rng(7).permutation(len(columns))
+    shuffled = _classify_slice(columns.alpha[perm], columns.beta[perm], gamma,
+                               1e-10, None)
+    assert _fields(shuffled) == _fields(columns, perm)
 
 
 def test_cli_classify_json_deterministic(capsys):
