@@ -60,15 +60,17 @@ SLICE_COLUMNS = (
     "w_region_I", "w_region_II", "w_line", "measure",
 )
 
+_FLOAT_SPEC = ".15g"
+
 # an object array of the five label strings: a label column costs one
 # pointer per point, not 28 UCS-4 characters
 _LABELS = np.array([LABEL_INVALID, LABEL_NPT_I, LABEL_NPT_II, LABEL_BOUND,
                     LABEL_UNRESOLVED], dtype=object)
 
 # points per `_classify_slice` call in a sweep.  In `perfbench` slice-atlas
-# runs (2-vCPU x86 host) blocks of 512 kept the peak RSS at that of the
-# earlier per-row classifier, while one call per 80 x 80 grid, with its
-# 0.9 MB stack of complex PT blocks, raised it by about 1.2 MB.
+# runs (2-vCPU x86 host) one call per 80 x 80 grid, with its 0.9 MB stack of
+# complex PT blocks, had about 1.5 MB more peak RSS than blocks of 512 points,
+# which cost 2-3 % of the speed.
 _SWEEP_BLOCK = 512
 
 # |00>, |12>, |21>: the product states with (i + j) mod 3 = 0
@@ -77,7 +79,7 @@ _PT_BLOCK = np.array([0, 5, 7])
 
 def format_float(x: float) -> str:
     """Fixed 15-significant-digit rendering used in all CSV/JSON output."""
-    return format(float(x), ".15g")
+    return format(float(x), _FLOAT_SPEC)
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +190,7 @@ def _csv_lines(alpha, beta, gamma, valid, min_pt_eig, label, values, measure):
     an absent measure) and one float gamma."""
 
     def floats(column):
-        return [format(x, ".15g") if x == x else "" for x in column]
+        return [format(x, _FLOAT_SPEC) if x == x else "" for x in column]
 
     n = len(label)
     line = values.get("line")
@@ -371,13 +373,14 @@ class SweepReport:
     columns: SliceColumns
 
     def to_csv(self) -> str:
-        # strings are made one grid row at a time, so only the finished
-        # lines of the whole grid are held at once
+        # one string per grid row: the short line strings of a row die as
+        # soon as the row is joined, so they never all live at once
         n = self.grid["grid_n"]
-        lines = [",".join(SLICE_COLUMNS)]
+        rows = [",".join(SLICE_COLUMNS) + "\n"]
         for start in range(0, len(self.columns), n):
-            lines.extend(_csv_lines(*self.columns.lists(slice(start, start + n))))
-        return "\n".join(lines) + "\n"
+            lines = _csv_lines(*self.columns.lists(slice(start, start + n)))
+            rows.append("\n".join(lines) + "\n")
+        return "".join(rows)
 
     def to_json_obj(self) -> dict:
         return {
