@@ -120,6 +120,7 @@ def _bell_traces(entries: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _region_traces() -> tuple[np.ndarray, np.ndarray]:
+    """Bell traces of the two region witnesses."""
     return tuple(_bell_traces(w.op.entries) for w in region_witnesses())
 
 
