@@ -16,12 +16,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .operators import PSD_TOL, _pt_array
-from .weyl import bell_projector
-from .families import SimplexParams, horodecki_to_simplex, _family_weights
+from .operators import PSD_TOL
+from .families import (SimplexParams, horodecki_to_simplex, _bell_traces,
+                       _family_weights, _pt_minimum)
 from .witness import (
     DETECTION_GAMMA,
-    DetectionProfile,
     certify_witness,
     detection_profile,
     line_witness,
@@ -73,49 +72,10 @@ _LABELS = np.array([LABEL_INVALID, LABEL_NPT_I, LABEL_NPT_II, LABEL_BOUND,
 # which cost 2-3 % of the speed.
 _SWEEP_BLOCK = 512
 
-# |00>, |12>, |21>: the product states with (i + j) mod 3 = 0
-_PT_BLOCK = np.array([0, 5, 7])
-
 
 def format_float(x: float) -> str:
     """Fixed 15-significant-digit rendering used in all CSV/JSON output."""
     return format(float(x), _FLOAT_SPEC)
-
-
-@lru_cache(maxsize=None)
-def _bell_stack() -> np.ndarray:
-    """The 9 two-qutrit Bell projectors, P_{n,m} at index 3n + m."""
-    stack = np.array([bell_projector(3, (n, m)).entries
-                      for n in range(3) for m in range(3)])
-    stack.setflags(write=False)
-    return stack
-
-
-@lru_cache(maxsize=None)
-def _pt_block_table() -> np.ndarray:
-    """B[k] = block of P_k^Gamma on |00>, |12>, |21>, flattened to (9, 9).
-
-    For rho = sum_k w_k P_k the block of rho^Gamma is (w @ B).reshape(3, 3),
-    and its spectrum is that of the whole 9x9 rho^Gamma, three times over.
-    Each P_k is invariant under U (x) U* for every Weyl U, so rho^Gamma
-    (transposed on subsystem 2) commutes with every U (x) U.  The phase pair
-    U_{1,0} (x) U_{1,0} multiplies |ij> by exp(-2 pi i (i + j)/3), so
-    rho^Gamma splits into three 3x3 blocks by (i + j) mod 3.  The shift pair
-    U_{0,1} (x) U_{0,1} maps |ij> to |i+1, j+1>, i.e. block s onto block
-    s + 2, so it carries the blocks unitarily onto one another and all three
-    have the same spectrum.
-    """
-    pt = _pt_array(_bell_stack(), 3, 3, 2)
-    table = pt[:, _PT_BLOCK[:, None], _PT_BLOCK].reshape(9, 9)
-    table.setflags(write=False)
-    return table
-
-
-def _bell_traces(entries: np.ndarray) -> np.ndarray:
-    """t_k = Tr(P_k W), so that Tr(rho W) = w . t for rho = sum_k w_k P_k."""
-    traces = np.vecdot(_bell_stack().reshape(9, 81), entries.ravel()).real
-    traces.setflags(write=False)
-    return traces
 
 
 @lru_cache(maxsize=None)
@@ -126,23 +86,21 @@ def _region_traces() -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _line_witness_for_slice(gamma: float, lam: float | None = None):
-    """(Bell traces of the line witness, certified) for a slice, or None
-    when the witness is not constructible.
+    """(Bell traces of the line witness, certified) for a slice.
 
     With `lam=None` the witness sits at lambda_min(gamma), where it is
-    certified whenever detection is possible at all.
+    certified whenever detection is possible at all; slices where it
+    detects nothing give None.  An explicit `lam` goes straight to
+    `line_witness`, which rejects lambda outside (0, 1] and gamma outside
+    the anchor windows with ValueError.
     """
-    if abs(gamma) > 3 / 7 + 1e-12 or abs(gamma) <= 1 / 7:
-        return None
     if lam is None:
-        if abs(gamma) <= DETECTION_GAMMA:
+        if not DETECTION_GAMMA < abs(gamma) <= 3 / 7 + 1e-12:
             return None
         profile = detection_profile(gamma)
         if not profile.detects:
             return None
         lam = profile.lambda_min
-    if not 0.0 < lam <= 1.0:
-        return None
     witness, _ = line_witness(gamma, lam)
     return _bell_traces(witness.op.entries), certify_witness(witness).certified
 
@@ -161,15 +119,14 @@ def classify_weights(weights, tol: float = PSD_TOL, line=None):
     NPT-I or NPT-II by the more violated region witness; valid PPT states
     become "PPT-detected-bound-entangled" only when a certified witness is
     below -tol on them, otherwise "PPT-unresolved".  No 9x9 matrix is
-    formed: the PT minimum comes from one 3x3 block (`_pt_block_table`)
-    and each witness value is w . t.
+    formed: the PT minimum comes from one 3x3 block
+    (`families._pt_minimum`) and each witness value is w . t.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != 9:
         raise ValueError(f"weights must have shape (N, 9), got {weights.shape}")
     valid = weights.min(axis=1) >= -tol
-    blocks = np.vecdot(weights[:, None, :], _pt_block_table().T)
-    min_pt_eig = np.linalg.eigvalsh(blocks.reshape(-1, 3, 3))[:, 0]
+    min_pt_eig = _pt_minimum(weights)
     traces = dict(zip(("region_I", "region_II"), _region_traces()))
     certified = list(traces)
     if line is not None:
@@ -316,7 +273,8 @@ def classify_point(params, tol: float = PSD_TOL,
 
     `line_lambda` overrides the segment parameter of the line witness
     (default: lambda_min of the slice); an uncertified override is still
-    reported but never counts toward detection.
+    reported but never counts toward detection, and one that
+    `line_witness` cannot build raises ValueError.
     """
     point = np.array(params, dtype=float)
     columns = _classify_slice(point[:1], point[1:2], float(point[2]), tol,
@@ -427,8 +385,8 @@ class LambdaScanReport:
     grid: dict
     provenance: dict
     rows: list
-    min_lambda: float = math.inf
-    argmin_gamma: float = math.nan
+    min_lambda: float
+    argmin_gamma: float
 
     def to_csv(self) -> str:
         lines = ["gamma,lambda_1,lambda_2,lambda_min,detects"]
@@ -459,25 +417,21 @@ class LambdaScanReport:
 
 
 def lambda_scan(gamma_lo: float, gamma_hi: float, steps: int) -> LambdaScanReport:
-    """Detection profiles on an even gamma grid; gamma = 0 is skipped."""
+    """Detection profiles on an even gamma grid; gamma = 0 is skipped, and a
+    grid with no other gamma is rejected."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
     gammas = np.linspace(float(gamma_lo), float(gamma_hi), steps)
-    rows: list[DetectionProfile] = []
-    min_lambda = math.inf
-    argmin_gamma = math.nan
-    for gamma in gammas:
-        if gamma == 0.0:
-            continue
-        profile = detection_profile(float(gamma))
-        rows.append(profile)
-        if profile.lambda_min < min_lambda:
-            min_lambda = profile.lambda_min
-            argmin_gamma = profile.gamma
+    rows = [detection_profile(float(gamma)) for gamma in gammas if gamma != 0.0]
+    if not rows:
+        raise ValueError("the gamma range holds no nonzero gamma to scan")
+    # the first of equal minima, in grid order
+    best = min(rows, key=lambda profile: profile.lambda_min)
     grid = {
         "gamma_range": [float(gamma_lo), float(gamma_hi)],
         "steps": steps,
     }
     provenance = {"tool": "entwit", "version": __version__}
     return LambdaScanReport(grid=grid, provenance=provenance, rows=rows,
-                            min_lambda=min_lambda, argmin_gamma=argmin_gamma)
+                            min_lambda=best.lambda_min,
+                            argmin_gamma=best.gamma)

@@ -88,8 +88,9 @@ def _round_floats(obj):
 
 
 def _json_payload(obj) -> str:
-    """Indented JSON with every float rounded, once, to 15 significant digits."""
-    return json.dumps(_round_floats(obj), indent=2) + "\n"
+    """Indented JSON with every float rounded, once, to 15 significant
+    digits; NaN and infinity, which JSON cannot hold, raise ValueError."""
+    return json.dumps(_round_floats(obj), indent=2, allow_nan=False) + "\n"
 
 
 def _add_state_flags(parser: argparse.ArgumentParser):
@@ -97,17 +98,20 @@ def _add_state_flags(parser: argparse.ArgumentParser):
                         help="Horodecki parameter b in [0, 5]")
     parser.add_argument("--alpha", type=_finite, default=None)
     parser.add_argument("--beta", type=_finite, default=None)
-    parser.add_argument("--gamma", type=_finite, default=0.0)
+    parser.add_argument("--gamma", type=_finite, default=None,
+                        help="with --alpha/--beta (default 0)")
 
 
 def _params_from_args(args) -> tuple[SimplexParams, float | None]:
     if args.b is not None:
-        if args.alpha is not None or args.beta is not None:
-            raise ValueError("give either --b or --alpha/--beta, not both")
+        if any(v is not None for v in (args.alpha, args.beta, args.gamma)):
+            raise ValueError("give either --b or --alpha/--beta/--gamma, "
+                             "not both")
         return horodecki_to_simplex(args.b), args.b
     if args.alpha is None or args.beta is None:
         raise ValueError("state required: --b or both --alpha and --beta")
-    return SimplexParams(args.alpha, args.beta, args.gamma), None
+    gamma = 0.0 if args.gamma is None else args.gamma
+    return SimplexParams(args.alpha, args.beta, gamma), None
 
 
 def _cmd_classify(args) -> int:
@@ -149,25 +153,19 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_slice(args) -> int:
-    report = slice_sweep(args.gamma, args.grid, tol=args.tol)
-    if args.format == "json":
-        payload = _json_payload(report.to_json_obj())
-    else:
-        payload = report.to_csv()
-    _emit(payload, args.out)
+def _emit_report(report, args) -> int:
+    """Write a sweep or scan report as JSON or CSV."""
+    _emit(_json_payload(report.to_json_obj()) if args.format == "json"
+          else report.to_csv(), args.out)
     return 0
+
+
+def _cmd_slice(args) -> int:
+    return _emit_report(slice_sweep(args.gamma, args.grid, tol=args.tol), args)
 
 
 def _cmd_lambda_scan(args) -> int:
-    lo, hi = args.gamma_range
-    report = lambda_scan(lo, hi, args.steps)
-    if args.format == "json":
-        payload = _json_payload(report.to_json_obj())
-    else:
-        payload = report.to_csv()
-    _emit(payload, args.out)
-    return 0
+    return _emit_report(lambda_scan(*args.gamma_range, args.steps), args)
 
 
 def _cmd_reproduce(args) -> int:

@@ -7,6 +7,10 @@ Three families appear throughout:
 * the one-parameter Horodecki line rho_b, 0 <= b <= 5, which embeds into the
   three-parameter family at alpha=(6-b)/21, beta=-2b/21, gamma=(5-2b)/7,
 * the segment from any state toward the maximally mixed state.
+
+The three-parameter family is defined once, by its Bell weights
+(rho = sum_k w_k P_k); the weights-to-matrix map, the PT minimum from one
+3x3 block and the Bell traces of witnesses live here with them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import PSD_TOL, BipartiteOperator, DensityMatrix
+from .operators import PSD_TOL, BipartiteOperator, DensityMatrix, _pt_array
 from .weyl import bell_projector, max_entangled
 
 __all__ = [
@@ -30,6 +34,9 @@ __all__ = [
     "line_state",
     "gamma_slice_point",
 ]
+
+# |00>, |12>, |21>: the product states with (i + j) mod 3 = 0
+_PT_BLOCK = np.array([0, 5, 7])
 
 
 class SimplexParams(NamedTuple):
@@ -60,12 +67,53 @@ class SimplexState:
 
 
 @lru_cache(maxsize=None)
-def _family_blocks():
-    ident = np.eye(9, dtype=complex)
-    p00 = bell_projector(3, (0, 0)).entries
-    pair = bell_projector(3, (1, 0)).entries + bell_projector(3, (2, 0)).entries
-    triple = sum(bell_projector(3, (n, 1)).entries for n in range(3))
-    return ident, p00, pair, triple
+def _bell_stack() -> np.ndarray:
+    """The 9 two-qutrit Bell projectors, P_{n,m} at index 3n + m."""
+    stack = np.array([bell_projector(3, (n, m)).entries
+                      for n in range(3) for m in range(3)])
+    stack.setflags(write=False)
+    return stack
+
+
+def _bell_diagonal(weights) -> np.ndarray:
+    """sum_k w_k P_k: one 9x9 matrix for weights of shape (9,), a stack of
+    them for shape (N, 9)."""
+    flat = weights @ _bell_stack().reshape(9, 81)
+    return flat.reshape(*weights.shape[:-1], 9, 9)
+
+
+@lru_cache(maxsize=None)
+def _pt_block_table() -> np.ndarray:
+    """B[k] = block of P_k^Gamma on |00>, |12>, |21>, flattened to (9, 9).
+
+    For rho = sum_k w_k P_k the block of rho^Gamma is (w @ B).reshape(3, 3),
+    and its spectrum is that of the whole 9x9 rho^Gamma, three times over.
+    Each P_k is invariant under U (x) U* for every Weyl U, so rho^Gamma
+    (transposed on subsystem 2) commutes with every U (x) U.  The phase pair
+    U_{1,0} (x) U_{1,0} multiplies |ij> by exp(-2 pi i (i + j)/3), so
+    rho^Gamma splits into three 3x3 blocks by (i + j) mod 3.  The shift pair
+    U_{0,1} (x) U_{0,1} maps |ij> to |i+1, j+1>, i.e. block s onto block
+    s + 2, so it carries the blocks unitarily onto one another and all three
+    have the same spectrum.
+    """
+    pt = _pt_array(_bell_stack(), 3, 3, 2)
+    table = pt[:, _PT_BLOCK[:, None], _PT_BLOCK].reshape(9, 9)
+    table.setflags(write=False)
+    return table
+
+
+def _pt_minimum(weights: np.ndarray) -> np.ndarray:
+    """Minimum PT eigenvalue of each sum_k w_k P_k, weights of shape (N, 9),
+    from one 3x3 block (`_pt_block_table`)."""
+    blocks = np.vecdot(weights[:, None, :], _pt_block_table().T)
+    return np.linalg.eigvalsh(blocks.reshape(-1, 3, 3))[:, 0]
+
+
+def _bell_traces(entries: np.ndarray) -> np.ndarray:
+    """t_k = Tr(P_k W), so that Tr(rho W) = w . t for rho = sum_k w_k P_k."""
+    traces = np.vecdot(_bell_stack().reshape(9, 81), entries.ravel()).real
+    traces.setflags(write=False)
+    return traces
 
 
 def _family_weights(alpha, beta, gamma):
@@ -81,18 +129,6 @@ def _family_weights(alpha, beta, gamma):
     return np.array([a, g, base, b, g, base, b, g, base]).T
 
 
-def _family_matrices(alpha, beta, gamma):
-    """Family matrices, stacked over the parameters' broadcast length, and
-    their closed-form minimum eigenvalues; scalar parameters give one 9x9
-    matrix."""
-    ident, p00, pair, triple = _family_blocks()
-    outer = np.multiply.outer
-    base = (1.0 - alpha - beta - gamma) / 9.0
-    mats = (outer(base, ident) + outer(alpha, p00) + outer(beta / 2.0, pair)
-            + outer(gamma / 3.0, triple))
-    return mats, _family_weights(alpha, beta, gamma).min(axis=-1)
-
-
 def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:
     """Two-qutrit state (1-a-b-g)/9 * 1 + a P00 + b/2 (P10+P20) + g/3 (P01+P11+P21).
 
@@ -101,10 +137,11 @@ def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:
     way.
     """
     params = SimplexParams(*map(float, params))
-    mat, min_eig = _family_matrices(*params)
+    weights = _family_weights(*params)
+    min_eig = weights.min()
     return SimplexState(
         params=params,
-        op=BipartiteOperator(3, 3, mat),
+        op=BipartiteOperator(3, 3, _bell_diagonal(weights)),
         min_eigenvalue=float(min_eig),
         valid=bool(min_eig >= -psd_tol),
     )

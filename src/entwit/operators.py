@@ -257,11 +257,13 @@ def operator_to_dict(x) -> dict:
 def operator_from_dict(obj: dict) -> BipartiteOperator:
     """Parse the shared JSON operator object."""
     try:
-        dim_a = int(obj["dim_a"])
-        dim_b = int(obj["dim_b"])
+        dims = obj["dim_a"], obj["dim_b"]
+        dim_a, dim_b = map(int, dims)
         pairs = obj["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed operator object: {exc}") from exc
+    if (dim_a, dim_b) != dims:
+        raise ValueError(f"dim_a and dim_b must be integers, got {dims}")
     side = dim_a * dim_b
     if len(pairs) != side * side:
         raise ValueError(

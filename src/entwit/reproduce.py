@@ -18,7 +18,6 @@ from .operators import hs_inner, hs_norm, identity
 from .weyl import bell_projector
 from .families import (
     SimplexParams,
-    _family_matrices,
     horodecki_state,
     horodecki_to_simplex,
     simplex_spectrum,
@@ -361,10 +360,18 @@ def check_nearest_ppt(seed: int, count: int = 20) -> CheckResult:
 
 
 def check_spectrum_closed_form(seed: int, count: int = 1000) -> CheckResult:
-    weights = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 3))
-    numeric = np.linalg.eigvalsh(_family_matrices(*weights.T)[0])
+    """`simplex_spectrum` against eigvalsh of the family formula, built
+    here from `bell_projector` terms rather than from the Bell weights."""
+    params = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 3))
+    alpha, beta, gamma = params.T[:, :, None, None]
+    p = {(n, m): bell_projector(3, (n, m)).entries
+         for n in range(3) for m in range(3)}
+    mats = ((1.0 - alpha - beta - gamma) / 9.0 * np.eye(9) + alpha * p[0, 0]
+            + beta / 2.0 * (p[1, 0] + p[2, 0])
+            + gamma / 3.0 * (p[0, 1] + p[1, 1] + p[2, 1]))
+    numeric = np.linalg.eigvalsh(mats)
     worst = max(float(np.abs(simplex_spectrum(w) - spectrum).max())
-                for w, spectrum in zip(weights, numeric))
+                for w, spectrum in zip(params, numeric))
     return _check("spectrum_closed_form", worst, 1e-12, 0.0, worst)
 
 

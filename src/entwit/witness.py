@@ -32,9 +32,9 @@ from .operators import (
     DensityMatrix,
     hs_inner,
     hs_norm,
-    partial_transpose,
 )
-from .families import SimplexParams, horodecki_state, line_state, simplex_state
+from .families import (SimplexParams, horodecki_state, line_state,
+                       simplex_state, _family_weights, _pt_minimum)
 from .weyl import weyl_expand
 
 __all__ = [
@@ -256,13 +256,14 @@ def _measure_values(alpha: float, beta: float) -> tuple[float, float]:
 
 
 def _gamma0_pt_minimum(alpha: float, beta: float, psd_tol: float) -> float:
-    state = simplex_state(SimplexParams(alpha, beta, 0.0), psd_tol=psd_tol)
-    if not state.valid:
+    weights = _family_weights(alpha, beta, 0.0)
+    min_eig = weights.min()
+    if not min_eig >= -psd_tol:
         raise ValueError(
             f"({alpha}, {beta}, 0) is not a state: min eigenvalue "
-            f"{state.min_eigenvalue:.3e}"
+            f"{min_eig:.3e}"
         )
-    return float(np.linalg.eigvalsh(partial_transpose(state.op, 2).entries)[0])
+    return float(_pt_minimum(weights[None])[0])
 
 
 def _gamma0_measure(alpha: float, beta: float) -> tuple[float, str]:

@@ -30,7 +30,7 @@ from entwit.atlas import (
     separability_note,
     slice_sweep,
 )
-from entwit.cli import _build_parser, main
+from entwit.cli import _build_parser, _json_payload, main
 from entwit.families import horodecki_to_simplex, simplex_state
 from entwit.reproduce import run_battery
 
@@ -182,6 +182,25 @@ def test_cli_usage_errors(capsys):
     assert main(["classify", "--b", "1", "--alpha", "0.2"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--b", "3.5", "--lambda", "2"], "lambda=2.0 outside (0, 1]"),
+    (["classify", "--b", "3.5", "--lambda=-1"], "lambda=-1.0 outside (0, 1]"),
+    (["classify", "--alpha", "0.1", "--beta", "0", "--gamma", "0.05",
+      "--lambda", "0.5"], "gamma=0.05 outside the anchor windows"),
+])
+def test_cli_classify_rejects_unusable_lambda(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["classify", "nearest-ppt"])
+def test_cli_rejects_gamma_with_b(command, capsys):
+    assert main([command, "--b", "3.5", "--gamma", "0.3"]) == 1
+    assert "give either --b or --alpha/--beta/--gamma" in \
+        capsys.readouterr().err
 
 
 def test_cli_reused_parser_matches_fresh_parser(capsys):
@@ -378,6 +397,22 @@ def test_cli_lambda_scan_stdout(capsys):
     assert len(out.splitlines()) == 5
 
 
+def test_lambda_scan_rejects_range_without_nonzero_gamma(capsys):
+    with pytest.raises(ValueError, match="no nonzero gamma"):
+        lambda_scan(0.0, 0.0, 3)
+    for fmt in ("csv", "json"):
+        assert main(["lambda-scan", "--gamma-range", "0", "0", "--steps", "3",
+                     "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert "no nonzero gamma" in captured.err and captured.out == ""
+
+
+def test_json_payload_rejects_non_finite_floats():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="JSON"):
+            _json_payload({"rows": [{"value": bad}]})
+
+
 def test_cli_witness_check_certified(tmp_path, capsys):
     witness_one, _ = region_witnesses()
     path = tmp_path / "witness.json"
@@ -419,6 +454,17 @@ def test_cli_witness_check_non_finite_entries(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["witness-check", str(path)]) == 1
         assert "entries[10] is not finite" in capsys.readouterr().err
+
+
+def test_cli_witness_check_non_integer_dimensions(tmp_path, capsys):
+    witness_one, _ = region_witnesses()
+    doc = operator_to_dict(witness_one.op)
+    doc["dim_a"], doc["dim_b"] = 3.9, 3.2
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(doc))
+    assert main(["witness-check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "must be integers" in captured.err and captured.out == ""
 
 
 def test_cli_nearest_ppt(capsys):

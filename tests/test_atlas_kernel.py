@@ -11,23 +11,25 @@ from entwit import (
     BipartiteOperator,
     SimplexParams,
     bell_projector,
+    classify_ppt,
     detection_profile,
     hs_inner,
+    hs_measure_gamma0,
     line_witness,
+    nearest_separable_gamma0,
     region_witnesses,
+    simplex_state,
 )
 from entwit.atlas import (
     LABEL_INVALID,
     _SWEEP_BLOCK,
     _classify_slice,
-    _bell_traces,
-    _pt_block_table,
     classify_point,
     classify_weights,
     slice_sweep,
 )
 from entwit.cli import main
-from entwit.families import _family_weights
+from entwit.families import _bell_traces, _family_weights, _pt_block_table
 from entwit.operators import _pt_array
 
 BELL = np.array([bell_projector(3, (n, m)).entries
@@ -162,7 +164,54 @@ def test_label_path_builds_no_nine_by_nine_matrix(monkeypatch):
     for gamma in (0.0, -0.3, 0.18):
         slice_sweep(gamma, 12)
         classify_point(SimplexParams(0.1, -0.05, gamma))
+    calls = len(shapes)
+    # the gamma = 0 measure and nearest point: NPT in each region, and PPT
+    for alpha, beta in ((0.5, 0.0), (0.0, 0.8), (0.2, 0.2)):
+        hs_measure_gamma0(alpha, beta)
+    nearest_separable_gamma0(0.5, 0.0)
+    nearest_separable_gamma0(0.0, 0.8)
+    assert len(shapes) == calls + 5
     assert shapes and set(shapes) == {(3, 3)}
+
+
+def _gamma0_border_points(count):
+    """Valid NPT points of the gamma = 0 slice in each region and their
+    nearest separable points, which lie on the region borders."""
+    rng = np.random.default_rng(61)
+    npt, border = {"I": [], "II": []}, {"I": [], "II": []}
+    while min(map(len, npt.values())) < count:
+        alpha, beta = rng.uniform(-1 / 6, 1.0), rng.uniform(-1 / 3, 1.0)
+        if not simplex_state(SimplexParams(alpha, beta, 0.0)).valid:
+            continue
+        if hs_measure_gamma0(alpha, beta)[1] == "separable":
+            continue
+        params, region = nearest_separable_gamma0(alpha, beta)
+        npt[region].append((alpha, beta))
+        border[region].append(params[:2])
+    return ([p for points in npt.values() for p in points[:count]],
+            [p for points in border.values() for p in points[:count]])
+
+
+def test_gamma0_ppt_decision_matches_full_partial_transpose():
+    rng = np.random.default_rng(60)
+    seeded = [(a, b) for a, b in zip(rng.uniform(-1 / 6, 1.0, 400),
+                                     rng.uniform(-1 / 3, 1.0, 400))
+              if simplex_state(SimplexParams(a, b, 0.0)).valid]
+    npt, border = _gamma0_border_points(25)
+    for alpha, beta in seeded + npt + border:
+        rho = simplex_state(SimplexParams(alpha, beta, 0.0)).density()
+        want = classify_ppt(rho).label
+        measure, region = hs_measure_gamma0(alpha, beta)
+        assert (region == "separable") == (want == "PPT")
+        if want == "PPT":
+            assert measure == 0.0
+            with pytest.raises(ValueError, match="PPT"):
+                nearest_separable_gamma0(alpha, beta)
+        else:
+            assert nearest_separable_gamma0(alpha, beta)[1] == region
+    # the border points are PPT, on the edge of the NPT regions
+    for alpha, beta in border:
+        assert hs_measure_gamma0(alpha, beta) == (0.0, "separable")
 
 
 @pytest.mark.parametrize("gamma", [0.0, -0.3])

@@ -17,6 +17,7 @@ from entwit import (
     simplex_state,
     weyl_expand,
 )
+from entwit.families import _bell_diagonal, _family_weights
 
 
 def reference_horodecki(b):
@@ -88,6 +89,25 @@ def test_simplex_state_is_bell_diagonal():
         state = simplex_state(SimplexParams(*rng.uniform(-0.3, 0.3, 3)))
         coeffs = weyl_expand(state.op).coeffs
         assert np.abs(coeffs[~mask]).max() < 1e-12
+
+
+def test_bell_diagonal_equals_family_formula():
+    # the README formula, term by term, against the matrix of the weights;
+    # the box reaches well outside the valid states
+    params = np.random.default_rng(47).uniform(-1.0, 1.0, (250, 3))
+    p = {(n, m): bell_projector(3, (n, m)).entries
+         for n in range(3) for m in range(3)}
+    stack = _bell_diagonal(_family_weights(*params.T))
+    valid = 0
+    for (alpha, beta, gamma), mat in zip(params, stack):
+        formula = ((1 - alpha - beta - gamma) / 9 * np.eye(9)
+                   + alpha * p[0, 0] + beta / 2 * (p[1, 0] + p[2, 0])
+                   + gamma / 3 * (p[0, 1] + p[1, 1] + p[2, 1]))
+        single = _bell_diagonal(_family_weights(alpha, beta, gamma))
+        assert np.abs(single - formula).max() <= 1e-15
+        assert np.abs(mat - formula).max() <= 1e-15
+        valid += simplex_state(SimplexParams(alpha, beta, gamma)).valid
+    assert 0 < valid < len(params)
 
 
 def test_horodecki_state_structure():

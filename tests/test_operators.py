@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from entwit import (
     tensor,
     weyl,
 )
-from entwit.families import _family_matrices
+from entwit.families import _bell_diagonal, _family_weights
 from entwit.operators import _pt_array
 
 
@@ -153,8 +155,8 @@ def test_pt_spectrum_independent_of_subsystem():
     # PT over subsystem 1 is the full transpose of PT over subsystem 2, so
     # for Hermitian input both have one spectrum
     rng = np.random.default_rng(29)
-    family, min_eigs = _family_matrices(*rng.uniform(-0.5, 1.0, (3, 400)))
-    family = family[min_eigs >= 0][:20]
+    weights = _family_weights(*rng.uniform(-0.5, 1.0, (3, 400)))
+    family = _bell_diagonal(weights[weights.min(axis=1) >= 0][:20])
     raw = (rng.standard_normal((20, 9, 9))
            + 1j * rng.standard_normal((20, 9, 9)))
     hermitian = raw + raw.conj().swapaxes(1, 2)
@@ -254,3 +256,11 @@ def test_operator_json_rejects_malformed():
         operator_from_dict({"dim_a": 3})
     with pytest.raises(ValueError, match="number pairs"):
         operator_from_dict({"dim_a": 1, "dim_b": 1, "entries": [["a", 0.0]]})
+    # non-integral dimensions are not truncated
+    entries = [[0.0, 0.0]] * 81
+    for dims in ((3.9, 3.2), (3, 3.5), ("3", 3), (math.inf, 3), (math.nan, 3)):
+        with pytest.raises(ValueError):
+            operator_from_dict(dict(zip(("dim_a", "dim_b"), dims),
+                                    entries=entries))
+    op = operator_from_dict({"dim_a": 3.0, "dim_b": 3, "entries": entries})
+    assert (op.dim_a, op.dim_b) == (3, 3)
