@@ -11,104 +11,21 @@ slice sweeps, detection-threshold scans and a threshold-reproduction battery.
 
 __version__ = "0.1.0"
 
-from .operators import (
-    BipartiteOperator,
-    DensityMatrix,
-    hermitian_spectrum,
-    hs_inner,
-    hs_norm,
-    identity,
-    is_positive_semidefinite,
-    maximally_mixed,
-    operator_from_dict,
-    operator_to_dict,
-    partial_transpose,
-    tensor,
-)
-from .weyl import WeylExpansion, WeylIndex, bell_projector, max_entangled, weyl, weyl_expand
-from .families import (
-    SimplexParams,
-    SimplexState,
-    gamma_slice_point,
-    horodecki_state,
-    horodecki_to_simplex,
-    line_state,
-    simplex_spectrum,
-    simplex_state,
-)
-from .witness import (
-    DETECTION_GAMMA,
-    CROSSING_GAMMA,
-    DetectionProfile,
-    GeometricWitness,
-    LineWitnessCoefficients,
-    WitnessCertificate,
-    certify_witness,
-    detection_profile,
-    geometric_witness,
-    horodecki_detection_range,
-    hs_measure_gamma0,
-    line_witness,
-    line_witness_coefficients,
-    nearest_separable_gamma0,
-    region_witnesses,
-)
-from .ppt import (
-    NearestPptResult,
-    PptVerdict,
-    SamplerConfig,
-    classify_ppt,
-    min_separable_expectation,
-    nearest_ppt,
-)
+# private aliases: the star import of `weyl` rebinds `entwit.weyl` to the
+# function of that name
+from . import families as _families
+from . import operators as _operators
+from . import ppt as _ppt
+from . import weyl as _weyl
+from . import witness as _witness
+from .operators import *  # noqa: F401,F403
+from .weyl import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
+from .witness import *  # noqa: F401,F403
+from .ppt import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "BipartiteOperator",
-    "DensityMatrix",
-    "identity",
-    "maximally_mixed",
-    "hs_inner",
-    "hs_norm",
-    "tensor",
-    "partial_transpose",
-    "hermitian_spectrum",
-    "is_positive_semidefinite",
-    "operator_to_dict",
-    "operator_from_dict",
-    "WeylIndex",
-    "WeylExpansion",
-    "weyl",
-    "max_entangled",
-    "bell_projector",
-    "weyl_expand",
-    "SimplexParams",
-    "SimplexState",
-    "simplex_state",
-    "simplex_spectrum",
-    "horodecki_state",
-    "horodecki_to_simplex",
-    "line_state",
-    "gamma_slice_point",
-    "GeometricWitness",
-    "WitnessCertificate",
-    "DetectionProfile",
-    "LineWitnessCoefficients",
-    "DETECTION_GAMMA",
-    "CROSSING_GAMMA",
-    "geometric_witness",
-    "certify_witness",
-    "region_witnesses",
-    "nearest_separable_gamma0",
-    "hs_measure_gamma0",
-    "line_witness",
-    "line_witness_coefficients",
-    "detection_profile",
-    "horodecki_detection_range",
-    "PptVerdict",
-    "NearestPptResult",
-    "SamplerConfig",
-    "classify_ppt",
-    "nearest_ppt",
-    "min_separable_expectation",
+__all__ = ["__version__"] + [
+    name
+    for module in (_operators, _weyl, _families, _witness, _ppt)
+    for name in module.__all__
 ]

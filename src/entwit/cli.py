@@ -351,7 +351,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"entwit {args.command}: {exc}\n")
         return 1
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import PSD_TOL, BipartiteOperator, DensityMatrix, _pt_array
-from .weyl import bell_projector, max_entangled
+from .weyl import _bell_stack, max_entangled
 
 __all__ = [
     "SimplexParams",
@@ -66,19 +66,10 @@ class SimplexState:
         return DensityMatrix(self.op, psd_tol=psd_tol)
 
 
-@lru_cache(maxsize=None)
-def _bell_stack() -> np.ndarray:
-    """The 9 two-qutrit Bell projectors, P_{n,m} at index 3n + m."""
-    stack = np.array([bell_projector(3, (n, m)).entries
-                      for n in range(3) for m in range(3)])
-    stack.setflags(write=False)
-    return stack
-
-
 def _bell_diagonal(weights) -> np.ndarray:
     """sum_k w_k P_k: one 9x9 matrix for weights of shape (9,), a stack of
     them for shape (N, 9)."""
-    flat = weights @ _bell_stack().reshape(9, 81)
+    flat = weights @ _bell_stack(3).reshape(9, 81)
     return flat.reshape(*weights.shape[:-1], 9, 9)
 
 
@@ -96,7 +87,7 @@ def _pt_block_table() -> np.ndarray:
     s + 2, so it carries the blocks unitarily onto one another and all three
     have the same spectrum.
     """
-    pt = _pt_array(_bell_stack(), 3, 3, 2)
+    pt = _pt_array(_bell_stack(3), 3, 3, 2)
     table = pt[:, _PT_BLOCK[:, None], _PT_BLOCK].reshape(9, 9)
     table.setflags(write=False)
     return table
@@ -111,7 +102,7 @@ def _pt_minimum(weights: np.ndarray) -> np.ndarray:
 
 def _bell_traces(entries: np.ndarray) -> np.ndarray:
     """t_k = Tr(P_k W), so that Tr(rho W) = w . t for rho = sum_k w_k P_k."""
-    traces = np.vecdot(_bell_stack().reshape(9, 81), entries.ravel()).real
+    traces = np.vecdot(_bell_stack(3).reshape(9, 81), entries.ravel()).real
     traces.setflags(write=False)
     return traces
 

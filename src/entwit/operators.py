@@ -109,8 +109,7 @@ class DensityMatrix:
     """
 
     def __init__(self, op: BipartiteOperator, psd_tol: float = PSD_TOL):
-        if not isinstance(op, BipartiteOperator):
-            op = _as_operator(op)
+        op = _as_operator(op)
         mat = op.entries
         herm_defect = np.abs(mat - mat.conj().T).max()
         if herm_defect > HERMITICITY_TOL:
@@ -140,12 +139,13 @@ class DensityMatrix:
 
 
 def _as_operator(x) -> BipartiteOperator:
-    """Coerce DensityMatrix/BipartiteOperator to BipartiteOperator."""
-    if isinstance(x, BipartiteOperator):
-        return x
-    if isinstance(x, DensityMatrix):
-        return x.op
-    raise TypeError(f"expected BipartiteOperator or DensityMatrix, got {type(x)!r}")
+    """A BipartiteOperator, or the one a wrapper holds as `.op` (DensityMatrix,
+    GeometricWitness); TypeError for anything else."""
+    op = getattr(x, "op", x)
+    if not isinstance(op, BipartiteOperator):
+        raise TypeError(
+            f"expected BipartiteOperator or a wrapper of one, got {type(x)!r}")
+    return op
 
 
 def _check_same_dims(a: BipartiteOperator, b: BipartiteOperator):

@@ -16,6 +16,7 @@ from .operators import (
     PSD_TOL,
     BipartiteOperator,
     DensityMatrix,
+    _as_operator,
     _pt_array,
 )
 
@@ -95,10 +96,13 @@ class SamplerConfig:
             raise ValueError("count must be at least 1")
 
 
+def _min_pt_eigenvalue(mat: np.ndarray, dim_a: int, dim_b: int) -> float:
+    return float(np.linalg.eigvalsh(_pt_array(mat, dim_a, dim_b, 2))[0])
+
+
 def classify_ppt(rho: DensityMatrix, tol: float = PSD_TOL) -> PptVerdict:
     """NPT iff the partial transpose has an eigenvalue below -tol."""
-    pt = _pt_array(rho.entries, rho.dim_a, rho.dim_b, 2)
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
+    min_eig = _min_pt_eigenvalue(rho.entries, rho.dim_a, rho.dim_b)
     label = "NPT" if min_eig < -tol else "PPT"
     return PptVerdict(label=label, min_pt_eigenvalue=min_eig, tolerance=tol)
 
@@ -159,20 +163,14 @@ def nearest_ppt(rho: DensityMatrix, tol: float = 1e-10,
         residual = float(np.linalg.norm(x_next - x))
         x = x_next
         if residual < tol:
-            pt_min = float(np.linalg.eigvalsh(
-                _pt_array(y, dim_a, dim_b, 2))[0])
+            pt_min = _min_pt_eigenvalue(y, dim_a, dim_b)
             if pt_min >= -tol:
-                return NearestPptResult(
-                    state=DensityMatrix(BipartiteOperator(dim_a, dim_b, y)),
-                    converged=True,
-                    iterations=iterations,
-                    residual=residual,
-                    min_pt_eigenvalue=pt_min,
-                )
-    pt_min = float(np.linalg.eigvalsh(_pt_array(y, dim_a, dim_b, 2))[0])
+                break
+    else:
+        pt_min = _min_pt_eigenvalue(y, dim_a, dim_b)
     return NearestPptResult(
         state=DensityMatrix(BipartiteOperator(dim_a, dim_b, y)),
-        converged=False,
+        converged=bool(residual < tol and pt_min >= -tol),
         iterations=iterations,
         residual=residual,
         min_pt_eigenvalue=pt_min,
@@ -266,15 +264,6 @@ def _seesaw(forms: np.ndarray, right: np.ndarray,
     return values
 
 
-def _operator_matrix(w) -> tuple[np.ndarray, int]:
-    op = getattr(w, "op", w)
-    if isinstance(op, DensityMatrix):
-        op = op.op
-    if op.dim_b != op.dim_a:
-        raise ValueError("sampler requires equal subsystem dimensions")
-    return np.asarray(op.entries), op.dim_a
-
-
 def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     """Empirical minimum of Tr(sigma W) over seeded pure product states.
 
@@ -295,13 +284,15 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     in `count` (longer runs extend shorter ones).
     """
     single = not isinstance(w, Sequence)
-    parsed = [_operator_matrix(op) for op in ([w] if single else w)]
-    if not parsed:
+    ops = [_as_operator(op) for op in ([w] if single else w)]
+    if not ops:
         raise ValueError("no operator to probe")
-    d = parsed[0][1]
-    if any(dim != d for _, dim in parsed):
+    if any(op.dim_b != op.dim_a for op in ops):
+        raise ValueError("sampler requires equal subsystem dimensions")
+    d = ops[0].dim_a
+    if any(op.dim_a != d for op in ops):
         raise ValueError("sampler requires operators of one dimension")
-    mats = np.stack([mat for mat, _ in parsed])
+    mats = np.stack([op.entries for op in ops])
     # Re <v|W|v> is the form of the Hermitian part, which eigh needs
     mats = (mats + mats.conj().swapaxes(1, 2)) / 2
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import BipartiteOperator, DensityMatrix
+from .operators import BipartiteOperator, DensityMatrix, _as_operator
 
 __all__ = [
     "WeylIndex",
@@ -47,12 +47,32 @@ def _norm_index(idx, d: int) -> WeylIndex:
 
 
 @lru_cache(maxsize=None)
-def _weyl_cached(d: int, n: int, m: int) -> np.ndarray:
-    mat = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        mat[k, (k - m) % d] = np.exp(-2j * np.pi * k * n / d)
-    mat.setflags(write=False)
-    return mat
+def _weyl_stack(d: int) -> np.ndarray:
+    """All d^2 Weyl operators, stack[n, m] = U_{n,m}, shape (d, d, d, d).
+
+    Every phase is read from one table of d-th roots of unity whose entries
+    j and d - j are exact conjugates (entry d/2 of an even d is exactly -1),
+    so U_{-n,m} is exactly conj(U_{n,m}).
+    """
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    k = np.arange(d)
+    roots = np.exp(-2j * np.pi * k / d)
+    upper = k[k > d / 2]
+    roots[upper] = roots[d - upper].conj()
+    if d % 2 == 0:
+        roots[d // 2] = -1.0
+    n, m = k[:, None, None], k[None, :, None]
+    stack = np.zeros((d, d, d, d), dtype=complex)
+    stack[n, m, k, (k - m) % d] = roots[k * n % d]
+    stack.setflags(write=False)
+    return stack
+
+
+def _realign(mat: np.ndarray, d: int) -> np.ndarray:
+    """R(X)[(a c), (b e)] = X[(a b), (c e)] on d^2 x d^2 matrices; R is an
+    involution, and R(A (x) B) is the outer product of flattened A and B."""
+    return mat.reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
 
 
 def weyl(d: int, idx) -> np.ndarray:
@@ -61,10 +81,9 @@ def weyl(d: int, idx) -> np.ndarray:
     U_{0,0} is the identity and every other U_{n,m} is traceless.  The
     returned array is a read-only cached view.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    stack = _weyl_stack(d)
     n, m = _norm_index(idx, d)
-    return _weyl_cached(d, n, m)
+    return stack[n, m]
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -77,11 +96,16 @@ def max_entangled(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _bell_entries(d: int, n: int, m: int) -> np.ndarray:
-    vec = np.kron(weyl(d, (n, m)), np.eye(d)) @ max_entangled(d)
-    mat = np.outer(vec, vec.conj())
-    mat.setflags(write=False)
-    return mat
+def _bell_stack(d: int) -> np.ndarray:
+    """All d^2 Bell projectors, P_{n,m} at index d n + m.
+
+    (U_{n,m} (x) 1)|phi+> has entry U_{n,m}[a, b]/sqrt(d) at row d a + b, so
+    P_{n,m} is the outer product of flattened U_{n,m} with itself, over d.
+    """
+    vecs = _weyl_stack(d).reshape(d * d, d * d)
+    stack = vecs[:, :, None] * vecs[:, None, :].conj() / d
+    stack.setflags(write=False)
+    return stack
 
 
 def bell_projector(d: int, idx) -> DensityMatrix:
@@ -89,23 +113,9 @@ def bell_projector(d: int, idx) -> DensityMatrix:
 
     The d^2 projectors are mutually orthogonal and resolve the identity.
     """
+    stack = _bell_stack(d)
     n, m = _norm_index(idx, d)
-    return DensityMatrix(BipartiteOperator(d, d, _bell_entries(d, n, m)))
-
-
-@lru_cache(maxsize=None)
-def _pair_basis(d: int) -> np.ndarray:
-    # basis[n, m, l, k] = U_{n,m} (x) U_{l,k}, shape (d,d,d,d,d^2,d^2)
-    side = d * d
-    basis = np.empty((d, d, d, d, side, side), dtype=complex)
-    for n in range(d):
-        for m in range(d):
-            left = weyl(d, (n, m))
-            for l in range(d):
-                for k in range(d):
-                    basis[n, m, l, k] = np.kron(left, weyl(d, (l, k)))
-    basis.setflags(write=False)
-    return basis
+    return DensityMatrix(BipartiteOperator(d, d, stack[n * d + m]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +136,10 @@ class WeylExpansion:
         return complex(self.coeffs[n, m, l, k])
 
     def reconstruct(self) -> BipartiteOperator:
-        mat = np.einsum("nmlk,nmlkab->ab", self.coeffs, _pair_basis(self.d))
-        return BipartiteOperator(self.d, self.d, mat)
+        d = self.d
+        basis = _weyl_stack(d).reshape(d * d, d * d)
+        flat = self.coeffs.reshape(d * d, d * d)
+        return BipartiteOperator(d, d, _realign(basis.T @ flat @ basis, d))
 
     def significant(self, threshold: float = 1e-12):
         """Index pairs whose coefficient magnitude exceeds `threshold`."""
@@ -141,14 +153,15 @@ class WeylExpansion:
 def weyl_expand(x) -> WeylExpansion:
     """Expand a bipartite operator with d1 = d2 = d in the U (x) U basis.
 
-    The coefficient of U_{n,m} (x) U_{l,k} is <U_{n,m} (x) U_{l,k}, x>/d^2;
-    the reconstruction reproduces the input to machine precision.
+    The coefficient of U_{n,m} (x) U_{l,k} is <U_{n,m} (x) U_{l,k}, x>/d^2,
+    which is entry ((n m), (l k)) of u R(x) u^T / d^2 with u the conjugated
+    Weyl basis as rows; the reconstruction reproduces the input to machine
+    precision.
     """
-    op = x.op if isinstance(x, DensityMatrix) else x
+    op = _as_operator(x)
     if op.dim_a != op.dim_b:
         raise ValueError("Weyl expansion requires equal subsystem dimensions")
     d = op.dim_a
-    coeffs = np.einsum(
-        "nmlkab,ab->nmlk", _pair_basis(d).conj(), op.entries
-    ) / (d * d)
-    return WeylExpansion(d, coeffs)
+    basis = _weyl_stack(d).reshape(d * d, d * d).conj()
+    coeffs = basis @ _realign(op.entries, d) @ basis.T / (d * d)
+    return WeylExpansion(d, coeffs.reshape(d, d, d, d))

@@ -30,6 +30,7 @@ from .operators import (
     PSD_TOL,
     BipartiteOperator,
     DensityMatrix,
+    _as_operator,
     hs_inner,
     hs_norm,
 )
@@ -42,6 +43,8 @@ __all__ = [
     "WitnessCertificate",
     "DetectionProfile",
     "LineWitnessCoefficients",
+    "DETECTION_GAMMA",
+    "CROSSING_GAMMA",
     "geometric_witness",
     "certify_witness",
     "region_witnesses",
@@ -187,34 +190,27 @@ def certify_witness(w, zero_tol: float = _COEFF_ZERO_TOL) -> WitnessCertificate:
     coefficient)/(d-1), the table entries are the paired coefficients
     divided by a, and certification requires max |c| <= 1 + 1e-12.
     """
-    op = w.op if isinstance(w, GeometricWitness) else w
-    if isinstance(op, DensityMatrix):
-        op = op.op
+    op = _as_operator(w)
     if not op.is_hermitian(1e-10):
         raise ValueError("certification requires a Hermitian operator")
     expansion = weyl_expand(op)
     d = expansion.d
-    coeffs = expansion.coeffs
+    coeffs = expansion.coeffs.reshape(d * d, d * d)
+    # row d n + m holds the coefficients of U_{n,m} (x) U_{l,k}; its pair
+    # sits in column d (-n mod d) + m
+    rows = np.arange(d * d)
+    n, m = np.divmod(rows, d)
+    partners = (-n) % d * d + m
+    paired = coeffs[rows, partners]
+    off = np.abs(coeffs)
+    off[rows, partners] = 0.0
 
-    id_coeff = coeffs[0, 0, 0, 0]
+    id_coeff = paired[0]
     a = id_coeff.real / (d - 1)
-
-    c_table = np.zeros((d, d), dtype=complex)
-    off_form = abs(id_coeff.imag)
-    for n in range(d):
-        for m in range(d):
-            if n == 0 and m == 0:
-                off = np.abs(coeffs[0, 0]).copy()
-                off[0, 0] = 0.0
-                off_form = max(off_form, off.max())
-                continue
-            partner = ((-n) % d, m)
-            paired = coeffs[n, m, partner[0], partner[1]]
-            if a > 0:
-                c_table[n, m] = paired / a
-            off = np.abs(coeffs[n, m]).copy()
-            off[partner] = 0.0
-            off_form = max(off_form, off.max())
+    off_form = max(abs(id_coeff.imag), off.max())
+    c_table = paired / a if a > 0 else np.zeros(d * d, dtype=complex)
+    c_table[0] = 0.0
+    c_table = c_table.reshape(d, d)
 
     in_form = bool(off_form <= zero_tol and id_coeff.real > 0)
     max_abs_c = float(np.abs(c_table).max())

@@ -371,6 +371,23 @@ def test_cli_slice_csv(tmp_path, capsys):
     assert lines[0].split(",")[:3] == ["alpha", "beta", "gamma"]
 
 
+def test_cli_out_missing_directory(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "x.txt"
+    assert main(["classify", "--alpha", "0.5", "--beta", "0",
+                 "--out", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("entwit classify: ")
+    assert captured.out == ""
+
+
+def test_cli_out_is_a_directory(tmp_path, capsys):
+    assert main(["slice", "--gamma", "0.1", "--grid", "3",
+                 "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("entwit slice: ")
+    assert captured.out == ""
+
+
 def test_cli_classify_csv_row(capsys):
     assert main(["classify", "--alpha", "0.5", "--beta", "0",
                  "--format", "csv"]) == 0

@@ -91,6 +91,14 @@ def test_simplex_state_is_bell_diagonal():
         assert np.abs(coeffs[~mask]).max() < 1e-12
 
 
+def test_simplex_state_is_real():
+    # the imaginary parts of the conjugate Bell pairs cancel up to round-off;
+    # the box holds every valid state
+    params = np.random.default_rng(59).uniform(-0.5, 1.0, (2500, 3))
+    worst = max(np.abs(simplex_state(p).op.entries.imag).max() for p in params)
+    assert worst <= 1e-17
+
+
 def test_bell_diagonal_equals_family_formula():
     # the README formula, term by term, against the matrix of the weights;
     # the box reaches well outside the valid states

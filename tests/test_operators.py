@@ -264,3 +264,32 @@ def test_operator_json_rejects_malformed():
                                     entries=entries))
     op = operator_from_dict({"dim_a": 3.0, "dim_b": 3, "entries": entries})
     assert (op.dim_a, op.dim_b) == (3, 3)
+
+
+def test_package_exports_each_public_name_once():
+    import entwit
+
+    assert set(entwit.__all__) == {
+        "__version__",
+        "BipartiteOperator", "DensityMatrix", "identity", "maximally_mixed",
+        "hs_inner", "hs_norm", "tensor", "partial_transpose",
+        "hermitian_spectrum", "is_positive_semidefinite", "operator_to_dict",
+        "operator_from_dict",
+        "WeylIndex", "WeylExpansion", "weyl", "max_entangled",
+        "bell_projector", "weyl_expand",
+        "SimplexParams", "SimplexState", "simplex_state", "simplex_spectrum",
+        "horodecki_state", "horodecki_to_simplex", "line_state",
+        "gamma_slice_point",
+        "GeometricWitness", "WitnessCertificate", "DetectionProfile",
+        "LineWitnessCoefficients", "DETECTION_GAMMA", "CROSSING_GAMMA",
+        "geometric_witness", "certify_witness", "region_witnesses",
+        "nearest_separable_gamma0", "hs_measure_gamma0", "line_witness",
+        "line_witness_coefficients", "detection_profile",
+        "horodecki_detection_range",
+        "PptVerdict", "NearestPptResult", "SamplerConfig", "classify_ppt",
+        "nearest_ppt", "min_separable_expectation",
+    }
+    assert len(entwit.__all__) == 48
+    for name in entwit.__all__:
+        assert hasattr(entwit, name), name
+    assert callable(entwit.weyl)

@@ -55,9 +55,23 @@ def test_weyl_negative_index_normalization():
     assert WeylIndex(-1, 4).normalized(3) == WeylIndex(2, 1)
 
 
+def test_weyl_negative_index_is_exact_conjugate():
+    for d in (2, 3, 4, 5):
+        for n in range(d):
+            for m in range(d):
+                assert np.array_equal(weyl(d, (-n, m)), weyl(d, (n, m)).conj())
+    for m in range(3):
+        assert np.array_equal(bell_projector(3, (2, m)).entries,
+                              bell_projector(3, (1, m)).entries.conj())
+
+
 def test_weyl_rejects_small_dimension():
     with pytest.raises(ValueError):
         weyl(1, (0, 0))
+    with pytest.raises(ValueError):
+        bell_projector(1, (0, 0))
+    with pytest.raises(ValueError):
+        weyl_expand(BipartiteOperator(1, 1, np.eye(1)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -152,6 +166,21 @@ def test_weyl_expand_round_trip_random_hermitian():
         herm = BipartiteOperator(3, 3, raw + raw.conj().T)
         expansion = weyl_expand(herm)
         assert hs_norm(expansion.reconstruct() - herm) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_weyl_expand_matches_definition(d):
+    # the coefficient of U_a (x) U_b is <U_a (x) U_b, X>/d^2, element by element
+    rng = np.random.default_rng(d)
+    side = d * d
+    op = BipartiteOperator(d, d, rng.standard_normal((side, side))
+                           + 1j * rng.standard_normal((side, side)))
+    expansion = weyl_expand(op)
+    for n, m, l, k in np.ndindex(d, d, d, d):
+        element = tensor(weyl(d, (n, m)), weyl(d, (l, k)))
+        assert abs(expansion.coeffs[n, m, l, k]
+                   - hs_inner(element, op) / side) < 1e-14
+    assert hs_norm(expansion.reconstruct() - op) < 1e-12
 
 
 def test_weyl_expand_hermitian_conjugate_coefficients():

@@ -6,6 +6,8 @@ import pytest
 from entwit import (
     CROSSING_GAMMA,
     DETECTION_GAMMA,
+    GeometricWitness,
+    SamplerConfig,
     SimplexParams,
     certify_witness,
     classify_ppt,
@@ -20,11 +22,13 @@ from entwit import (
     line_witness,
     line_witness_coefficients,
     maximally_mixed,
+    min_separable_expectation,
     nearest_separable_gamma0,
     region_witnesses,
     simplex_state,
     tensor,
     weyl,
+    weyl_expand,
 )
 from entwit.operators import BipartiteOperator
 
@@ -153,6 +157,69 @@ def test_certify_generic_hermitian_off_form():
     certificate = certify_witness(BipartiteOperator(3, 3, raw + raw.conj().T))
     assert not certificate.in_certifiable_form
     assert certificate.off_form_residual > 1e-6
+
+
+def reference_certificate(op):
+    # the per-pair reading of the coefficient table, one (n, m) at a time
+    coeffs = weyl_expand(op).coeffs
+    d = coeffs.shape[0]
+    id_coeff = coeffs[0, 0, 0, 0]
+    a = id_coeff.real / (d - 1)
+    c_table = np.zeros((d, d), dtype=complex)
+    off_form = abs(id_coeff.imag)
+    for n in range(d):
+        for m in range(d):
+            partner = ((-n) % d, m)
+            if (n, m) != (0, 0) and a > 0:
+                c_table[n, m] = coeffs[n, m][partner] / a
+            off = np.abs(coeffs[n, m])
+            off[partner] = 0.0
+            off_form = max(off_form, off.max())
+    return a, c_table, off_form
+
+
+def test_certify_matches_per_pair_reference():
+    rng = np.random.default_rng(61)
+    raw = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    ops = [w.op for w in region_witnesses()]
+    ops += [line_witness(gamma, lam)[0].op
+            for gamma in (-0.4, -0.2, 0.3) for lam in (0.5, 0.95)]
+    ops += [BipartiteOperator(3, 3, raw + raw.conj().T),
+            BipartiteOperator(3, 3, -np.eye(9))]
+    for op in ops:
+        certificate = certify_witness(op)
+        a, c_table, off_form = reference_certificate(op)
+        assert abs(certificate.a - a) <= 1e-15
+        assert np.abs(certificate.c_table - c_table).max() <= 1e-15
+        assert abs(certificate.off_form_residual - off_form) <= 1e-15
+
+
+def test_certify_scaled_region_witness_absolute_zero_tol():
+    # the off-form residual grows with the scale and meets the absolute
+    # zero_tol = 1e-12 between 10^4 and 10^5
+    op = region_witnesses()[0].op
+    op = (op + op.dagger()) / 2
+    for k in range(9):
+        certificate = certify_witness(10.0 ** k * op)
+        assert certificate.certified == (k <= 4), k
+        assert certificate.in_certifiable_form == (k <= 4), k
+
+
+def test_operator_wrappers_coerce_alike():
+    rho = simplex_state(SimplexParams(0.5, 0.0, 0.0)).density()
+    wrapped = [rho.op, rho,
+               GeometricWitness(op=rho.op, reference=rho, target=rho)]
+    config = SamplerConfig(seed=3, count=200)
+    certificates = [certify_witness(x).to_dict() for x in wrapped]
+    expansions = [weyl_expand(x).coeffs for x in wrapped]
+    minima = [min_separable_expectation(x, config) for x in wrapped]
+    assert certificates[1:] == certificates[:-1]
+    assert all(np.array_equal(e, expansions[0]) for e in expansions)
+    assert minima[1:] == minima[:-1]
+    for fn in (certify_witness, weyl_expand,
+               lambda x: min_separable_expectation(x, config)):
+        with pytest.raises(TypeError):
+            fn(rho.entries)
 
 
 def test_nearest_separable_gamma0_examples():
