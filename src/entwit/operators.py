@@ -264,6 +264,11 @@ def operator_from_dict(obj: dict) -> BipartiteOperator:
         raise ValueError(f"malformed operator object: {exc}") from exc
     if (dim_a, dim_b) != dims:
         raise ValueError(f"dim_a and dim_b must be integers, got {dims}")
+    if dim_a < 1 or dim_b < 1:
+        raise ValueError(f"dim_a and dim_b must be positive, got {dims}")
+    if not isinstance(pairs, list):
+        raise ValueError(f"entries must be a list of [re, im] pairs, got "
+                         f"{type(pairs).__name__}")
     side = dim_a * dim_b
     if len(pairs) != side * side:
         raise ValueError(

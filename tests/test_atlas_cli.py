@@ -484,6 +484,21 @@ def test_cli_witness_check_non_integer_dimensions(tmp_path, capsys):
     assert "must be integers" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"entries": 5}, "entries must be a list"),
+    ({"entries": None}, "entries must be a list"),
+    ({"dim_a": -3, "dim_b": -3, "entries": []}, "must be positive"),
+])
+def test_cli_witness_check_malformed_operator(fields, message, tmp_path,
+                                              capsys):
+    doc = operator_to_dict(region_witnesses()[0].op) | fields
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["witness-check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_cli_nearest_ppt(capsys):
     assert main(["nearest-ppt", "--alpha", "0.5", "--beta", "0"]) == 0
     out = capsys.readouterr().out

@@ -22,7 +22,12 @@ from entwit import (
 )
 from entwit.atlas import (
     LABEL_INVALID,
+    LABEL_NPT_I,
+    LABEL_UNRESOLVED,
+    SLICE_COLUMNS,
     _SWEEP_BLOCK,
+    SliceColumns,
+    SweepReport,
     _classify_slice,
     classify_point,
     classify_weights,
@@ -249,3 +254,72 @@ def test_slice_json_rows_match_csv_cells(gamma, capsys):
                 assert cell == value
             else:
                 assert float(cell) == value and math.isfinite(value)
+
+
+def _reference_csv(columns):
+    """The CSV of a slice built cell by cell: format(x, ".15g") per float,
+    "" for NaN or an absent line, true/false for validity."""
+
+    def cell(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, str):
+            return x
+        return "" if x is None or math.isnan(x) else format(float(x), ".15g")
+
+    line = columns.witness_values.get("line")
+    lines = [",".join(SLICE_COLUMNS)]
+    for k in range(len(columns)):
+        lines.append(",".join(cell(x) for x in (
+            columns.alpha[k], columns.beta[k], columns.gamma,
+            columns.valid[k], columns.min_pt_eig[k], columns.label[k],
+            columns.witness_values["region_I"][k],
+            columns.witness_values["region_II"][k],
+            None if line is None else line[k], columns.measure[k])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid_n", [2, 7, 37])
+@pytest.mark.parametrize("gamma", [0.0, -0.3, 0.41, 0.05])
+def test_slice_csv_equals_per_cell_reference(gamma, grid_n):
+    report = slice_sweep(gamma, grid_n)
+    columns = report.columns
+    # gamma = 0 carries the measure column (the 2 x 2 grid holds no NPT
+    # state), -0.3 and 0.41 the line column
+    measured = (~np.isnan(columns.measure)).any()
+    assert measured == (gamma == 0.0 and grid_n > 2)
+    assert (gamma in (-0.3, 0.41)) == ("line" in columns.witness_values)
+    assert report.to_csv() == _reference_csv(columns)
+
+
+def test_csv_of_hand_built_columns_equals_per_cell_reference():
+    """Signed zeros, a subnormal, huge values and a partial NaN measure, on
+    a 2 x 2 grid with and without a line column."""
+    alpha = np.repeat([-0.0, 1e300], 2)
+    beta = np.tile([5e-324, -0.0], 2)
+    values = {"region_I": np.array([-0.0, 1e300, -5e-324, 0.1]),
+              "region_II": np.array([1 / 3, -1e-300, 0.0, 2.5e-17])}
+    columns = SliceColumns(
+        alpha, beta, -0.0, np.array([True, False, True, True]),
+        np.array([5e-324, -0.0, -1e300, 1 / 7]),
+        np.array([LABEL_NPT_I, LABEL_INVALID, LABEL_NPT_I, LABEL_UNRESOLVED],
+                 dtype=object),
+        values, np.array([math.nan, 0.0, -0.0, 1e300]))
+    for witness_values in (values, values | {"line": np.array(
+            [-0.0, 5e-324, math.inf, -1e300])}):
+        columns = SliceColumns(**(vars(columns) |
+                                  {"witness_values": witness_values}))
+        report = SweepReport({"grid_n": 2}, {}, columns)
+        assert report.to_csv() == _reference_csv(columns)
+
+
+@pytest.mark.parametrize("gamma, k", [(0.0, 0), (0.0, 12), (-0.3, 31),
+                                      (0.41, 40), (0.05, 48)])
+def test_classify_csv_row_is_the_slice_row(gamma, k, capsys):
+    report = slice_sweep(gamma, 7)
+    slice_line = report.to_csv().splitlines()[k + 1]
+    alpha, beta = float(report.columns.alpha[k]), float(report.columns.beta[k])
+    assert main(["classify", f"--alpha={alpha!r}", f"--beta={beta!r}",
+                 f"--gamma={gamma!r}", "--format=csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [",".join(SLICE_COLUMNS),
+                                                    slice_line]

@@ -264,6 +264,14 @@ def test_operator_json_rejects_malformed():
                                     entries=entries))
     op = operator_from_dict({"dim_a": 3.0, "dim_b": 3, "entries": entries})
     assert (op.dim_a, op.dim_b) == (3, 3)
+    # a non-list entries field, and dimensions that are not positive
+    for bad in (5, None, "0" * 81, {"0": [0.0, 0.0]}):
+        with pytest.raises(ValueError, match="entries must be a list"):
+            operator_from_dict({"dim_a": 3, "dim_b": 3, "entries": bad})
+    for dims in ((-3, -3), (0, 3), (3, -1), (0, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            operator_from_dict(dict(zip(("dim_a", "dim_b"), dims),
+                                    entries=entries))
 
 
 def test_package_exports_each_public_name_once():
