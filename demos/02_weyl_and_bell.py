@@ -35,5 +35,5 @@ print("Tr(P00 P10) =", hs_inner(bell_projector(d, (0, 0)).op,
 # expansion of P00: nine paired coefficients of 1/9, nothing else
 expansion = weyl_expand(bell_projector(d, (0, 0)).op)
 print("\nsignificant coefficients of |phi+><phi+|:")
-for left, right, coeff in expansion.significant(1e-12):
+for left, right, coeff in expansion.significant():
     print(f"  U{left} (x) U{right}: {coeff:.4f}")

@@ -17,10 +17,11 @@ import numpy as np
 
 from . import __version__
 from .operators import PSD_TOL
-from .families import (SimplexParams, horodecki_to_simplex, _bell_traces,
-                       _family_weights, _pt_minimum)
+from .families import (SimplexParams, _bell_traces, _family_weights,
+                       _pt_minimum)
 from .witness import (
     DETECTION_GAMMA,
+    _ANCHOR_GAMMA_MAX,
     certify_witness,
     detection_profile,
     line_witness,
@@ -40,7 +41,6 @@ __all__ = [
     "LambdaScanReport",
     "classify_weights",
     "classify_point",
-    "classify_b",
     "separability_note",
     "positivity_vertices",
     "slice_sweep",
@@ -98,7 +98,7 @@ def _line_witness_for_slice(gamma: float, lam: float | None = None):
     the anchor windows with ValueError.
     """
     if lam is None:
-        if not DETECTION_GAMMA < abs(gamma) <= 3 / 7 + 1e-12:
+        if not DETECTION_GAMMA < abs(gamma) <= _ANCHOR_GAMMA_MAX:
             return None
         profile = detection_profile(gamma)
         if not profile.detects:
@@ -316,11 +316,6 @@ def classify_point(params, tol: float = PSD_TOL,
         SimplexParams(alpha, beta, gamma), valid, pt_min, label,
         {name: value for name, (value,) in values.items()},
         None if math.isnan(measure) else measure)
-
-
-def classify_b(b: float, tol: float = PSD_TOL) -> RegionSample:
-    """Classify a Horodecki state through its simplex embedding."""
-    return classify_point(horodecki_to_simplex(b), tol=tol)
 
 
 def separability_note(sample: RegionSample, b: float | None = None) -> str | None:

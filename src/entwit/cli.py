@@ -18,7 +18,7 @@ import math
 import re
 import sys
 
-from .operators import hs_norm, operator_from_dict
+from .operators import PSD_TOL, hs_norm, operator_from_dict
 from .families import SimplexParams, horodecki_to_simplex, simplex_state
 from .witness import certify_witness
 from .ppt import SamplerConfig, min_separable_expectation, nearest_ppt
@@ -33,6 +33,9 @@ from .atlas import (
 from .reproduce import run_battery
 
 __all__ = ["main", "entry_point"]
+
+#: Largest |alpha|, |beta|, |gamma|: far outside the states, far below overflow.
+_PARAM_BOUND = 1e100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +114,12 @@ def _params_from_args(args) -> tuple[SimplexParams, float | None]:
     if args.alpha is None or args.beta is None:
         raise ValueError("state required: --b or both --alpha and --beta")
     gamma = 0.0 if args.gamma is None else args.gamma
-    return SimplexParams(args.alpha, args.beta, gamma), None
+    params = SimplexParams(args.alpha, args.beta, gamma)
+    for name, value in params._asdict().items():
+        if abs(value) > _PARAM_BOUND:
+            raise ValueError(f"--{name}={value!r} outside [-{_PARAM_BOUND:g}, "
+                             f"{_PARAM_BOUND:g}]")
+    return params, None
 
 
 def _cmd_classify(args) -> int:
@@ -275,7 +283,7 @@ def _build_parser() -> _Parser:
     classify.add_argument("--lambda", dest="lam", type=_finite, default=None,
                           help="segment parameter of the line witness "
                                "(default: lambda_min of the slice)")
-    classify.add_argument("--tol", type=_tolerance, default=1e-10)
+    classify.add_argument("--tol", type=_tolerance, default=PSD_TOL)
     classify.add_argument("--format", choices=("text", "csv", "json"),
                           default="text")
     classify.add_argument("--out", default=None)
@@ -288,7 +296,7 @@ def _build_parser() -> _Parser:
     slice_cmd.add_argument("--gamma", type=_finite, required=True)
     slice_cmd.add_argument("--grid", type=int, default=60,
                            help="points per axis (default 60)")
-    slice_cmd.add_argument("--tol", type=_tolerance, default=1e-10)
+    slice_cmd.add_argument("--tol", type=_tolerance, default=PSD_TOL)
     slice_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     slice_cmd.add_argument("--out", default=None)
     slice_cmd.set_defaults(func=_cmd_slice)
@@ -333,7 +341,7 @@ def _build_parser() -> _Parser:
         help="project a state onto the PPT set (alternating projections "
              "with corrections)")
     _add_state_flags(nearest)
-    nearest.add_argument("--tol", type=_tolerance, default=1e-10)
+    nearest.add_argument("--tol", type=_tolerance, default=PSD_TOL)
     nearest.add_argument("--steps", type=int, default=10000,
                          help="iteration cap (default 10000)")
     nearest.add_argument("--format", choices=("text", "json"), default="text")

@@ -27,9 +27,12 @@ __all__ = [
     "operator_from_dict",
 ]
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
+HERMITICITY_TOL = 1e-12  # max |A - A^dag| of a density matrix
+TRACE_TOL = 1e-12  # |Tr rho - 1|
+PSD_TOL = 1e-10  # lowest eigenvalue >= -PSD_TOL; also the PPT test
+OPERATOR_HERMITICITY_TOL = 1e-10  # max |A - A^dag| to diagonalize or certify
+COEFF_ZERO_TOL = 1e-12  # a Weyl coefficient this small reads as zero
+CERTIFICATE_SLACK = 1e-12  # certified: max |c| <= 1 + CERTIFICATE_SLACK
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +74,7 @@ class BipartiteOperator:
         return BipartiteOperator(self.dim_a, self.dim_b, self.entries.conj().T)
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return np.abs(self.entries - self.entries.conj().T).max() <= tol
+        return _hermiticity_defect(self.entries) <= tol
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -111,7 +114,7 @@ class DensityMatrix:
     def __init__(self, op: BipartiteOperator, psd_tol: float = PSD_TOL):
         op = _as_operator(op)
         mat = op.entries
-        herm_defect = np.abs(mat - mat.conj().T).max()
+        herm_defect = _hermiticity_defect(mat)
         if herm_defect > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |A - A^dag| = {herm_defect:.3e}")
         tr = np.trace(mat).real
@@ -136,6 +139,11 @@ class DensityMatrix:
     @property
     def entries(self) -> np.ndarray:
         return self.op.entries
+
+
+def _hermiticity_defect(mat: np.ndarray) -> float:
+    """max |A - A^dag| over the entries of a square matrix."""
+    return float(np.abs(mat - mat.conj().T).max())
 
 
 def _as_operator(x) -> BipartiteOperator:
@@ -220,24 +228,25 @@ def partial_transpose(x, subsystem: int) -> BipartiteOperator:
     return op._like(_pt_array(op.entries, op.dim_a, op.dim_b, subsystem))
 
 
-def hermitian_spectrum(h, tol: float = 1e-10) -> np.ndarray:
+def hermitian_spectrum(h) -> np.ndarray:
     """All real eigenvalues of a Hermitian operator, ascending.
 
-    Rejects inputs that are not Hermitian within `tol`.  Uses a
-    Hermitian-specific solver so the spectrum is real and stable near
+    Rejects inputs that are not Hermitian within OPERATOR_HERMITICITY_TOL.
+    Uses a Hermitian-specific solver so the spectrum is real and stable near
     degeneracies.
     """
     op = _as_operator(h)
-    defect = np.abs(op.entries - op.entries.conj().T).max()
-    if defect > tol:
-        raise ValueError(f"not Hermitian within {tol}: defect {defect:.3e}")
+    defect = _hermiticity_defect(op.entries)
+    if defect > OPERATOR_HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian within {OPERATOR_HERMITICITY_TOL}: "
+                         f"defect {defect:.3e}")
     return np.linalg.eigvalsh(op.entries)
 
 
-def is_positive_semidefinite(h, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """PSD gate: (min_eigenvalue >= -tol, min_eigenvalue)."""
+def is_positive_semidefinite(h) -> tuple[bool, float]:
+    """PSD gate: (min_eigenvalue >= -PSD_TOL, min_eigenvalue)."""
     min_eig = float(hermitian_spectrum(h)[0])
-    return (min_eig >= -tol, min_eig)
+    return (min_eig >= -PSD_TOL, min_eig)
 
 
 def operator_to_dict(x) -> dict:

@@ -36,14 +36,6 @@ class PptVerdict:
 
     label: str
     min_pt_eigenvalue: float
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "min_pt_eigenvalue": float(self.min_pt_eigenvalue),
-            "tolerance": float(self.tolerance),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +92,16 @@ def _min_pt_eigenvalue(mat: np.ndarray, dim_a: int, dim_b: int) -> float:
     return float(np.linalg.eigvalsh(_pt_array(mat, dim_a, dim_b, 2))[0])
 
 
-def classify_ppt(rho: DensityMatrix, tol: float = PSD_TOL) -> PptVerdict:
-    """NPT iff the partial transpose has an eigenvalue below -tol."""
+def classify_ppt(rho: DensityMatrix) -> PptVerdict:
+    """NPT iff the partial transpose has an eigenvalue below -PSD_TOL."""
     min_eig = _min_pt_eigenvalue(rho.entries, rho.dim_a, rho.dim_b)
-    label = "NPT" if min_eig < -tol else "PPT"
-    return PptVerdict(label=label, min_pt_eigenvalue=min_eig, tolerance=tol)
+    label = "NPT" if min_eig < -PSD_TOL else "PPT"
+    return PptVerdict(label=label, min_pt_eigenvalue=min_eig)
+
+
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """(M + M^dag)/2 of a matrix, or of each of a stack along leading axes."""
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 
 def _project_spectrum_to_simplex(vals: np.ndarray) -> np.ndarray:
@@ -119,22 +116,20 @@ def _project_spectrum_to_simplex(vals: np.ndarray) -> np.ndarray:
 
 def _project_density(mat: np.ndarray) -> np.ndarray:
     """Metric projection onto the unit-trace PSD set (spectrum -> simplex)."""
-    herm = (mat + mat.conj().T) / 2
-    vals, vecs = np.linalg.eigh(herm)
+    vals, vecs = np.linalg.eigh(_hermitian_part(mat))
     w = _project_spectrum_to_simplex(vals)
     return (vecs * w) @ vecs.conj().T
 
 
 def _project_pt_psd(mat: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Metric projection onto {X : PT(X) >= 0} (PT is an isometry)."""
-    herm = (mat + mat.conj().T) / 2
-    pt = _pt_array(herm, dim_a, dim_b, 2)
+    pt = _pt_array(_hermitian_part(mat), dim_a, dim_b, 2)
     vals, vecs = np.linalg.eigh(pt)
     clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
     return _pt_array(clipped, dim_a, dim_b, 2)
 
 
-def nearest_ppt(rho: DensityMatrix, tol: float = 1e-10,
+def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
                 max_iter: int = 10000) -> NearestPptResult:
     """Metric projection of `rho` onto the PPT states.
 
@@ -294,7 +289,7 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
         raise ValueError("sampler requires operators of one dimension")
     mats = np.stack([op.entries for op in ops])
     # Re <v|W|v> is the form of the Hermitian part, which eigh needs
-    mats = (mats + mats.conj().swapaxes(1, 2)) / 2
+    mats = _hermitian_part(mats)
 
     pooled, right = _pool_starts(mats, d, config)
     k, starts = pooled.shape

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .operators import hs_inner, hs_norm, identity
+from .operators import PSD_TOL, hs_inner, hs_norm, identity
 from .weyl import bell_projector
 from .families import (
     SimplexParams,
@@ -22,6 +23,7 @@ from .families import (
     horodecki_to_simplex,
     simplex_spectrum,
     simplex_state,
+    _family_weights,
 )
 from .witness import (
     CROSSING_GAMMA,
@@ -99,12 +101,10 @@ def _bisect(f, lo, hi, iters: int):
     return 0.5 * (lo + hi)
 
 
-def _bisect_lambda_roots(gammas, which: str = "max", iters: int = 80):
-    """Per-gamma root of |coefficient| = 1 in lambda, by bisection."""
-    pick = {"max": np.maximum, "f1": lambda f1, f2: f1,
-            "f2": lambda f1, f2: f2}[which]
-    return _bisect(lambda lams: pick(*_coeff_moduli(gammas, lams)) - 1.0,
-                   np.full_like(gammas, 0.05), np.full_like(gammas, 2.0), iters)
+def _bisect_lambda_roots(gammas):
+    """Per-gamma root of max |coefficient| = 1 in lambda, by bisection."""
+    return _bisect(lambda lams: np.maximum(*_coeff_moduli(gammas, lams)) - 1.0,
+                   np.full_like(gammas, 0.05), np.full_like(gammas, 2.0), 80)
 
 
 def check_total_minimum_closed_form() -> CheckResult:
@@ -114,24 +114,24 @@ def check_total_minimum_closed_form() -> CheckResult:
                   LAMBDA_MIN_TOTAL, computed)
 
 
-def check_total_minimum_scan(points: int = 10000) -> CheckResult:
+def check_total_minimum_scan() -> CheckResult:
     """Grid scan plus bisection, using only the coefficient moduli.
 
     The minimum of max(root_1, root_2) over gamma sits at the kink where the
     two root curves cross, so the grid minimum is refined by bisecting the
-    root difference on the bracketing grid interval.
+    root difference on the bracketing grid interval.  Both moduli scale as
+    1/lambda, so that difference is f_1(gamma, 1) - f_2(gamma, 1).
     """
-    gammas = np.linspace(DETECTION_GAMMA, 3 / 7, points)
+    gammas = np.linspace(DETECTION_GAMMA, 3 / 7, 10000)
     roots = _bisect_lambda_roots(gammas)
     best = int(np.argmin(roots))
     scan_min = float(roots[best])
 
     def root_gap(gamma):
-        return (_bisect_lambda_roots(gamma, "f1")
-                - _bisect_lambda_roots(gamma, "f2"))
+        return np.subtract(*_coeff_moduli(gamma, 1.0))
 
     lo = gammas[max(best - 1, 0)]
-    hi = gammas[min(best + 1, points - 1)]
+    hi = gammas[min(best + 1, len(gammas) - 1)]
     if root_gap(hi) * root_gap(lo) < 0:
         crossing = _bisect(root_gap, lo, hi, 60)
         scan_min = min(scan_min, float(_bisect_lambda_roots(crossing)))
@@ -145,9 +145,9 @@ def check_crossing_equality() -> CheckResult:
     return _check("crossing_equality", dev, 1e-12, 0.0, dev)
 
 
-def check_crossing_sign_flip(eps: float = 1e-6) -> CheckResult:
-    below = detection_profile(CROSSING_GAMMA - eps)
-    above = detection_profile(CROSSING_GAMMA + eps)
+def check_crossing_sign_flip() -> CheckResult:
+    below = detection_profile(CROSSING_GAMMA - 1e-6)
+    above = detection_profile(CROSSING_GAMMA + 1e-6)
     ok = (below.lambda_1 - below.lambda_2 > 0) and (
         above.lambda_1 - above.lambda_2 < 0)
     return _check_flag("crossing_sign_flip", ok,
@@ -156,9 +156,9 @@ def check_crossing_sign_flip(eps: float = 1e-6) -> CheckResult:
                        f"above={above.lambda_1 - above.lambda_2:.3e}")
 
 
-def check_detection_boundary(eps: float = 1e-6) -> CheckResult:
-    inside = detection_profile(DETECTION_GAMMA + eps).detects
-    outside = detection_profile(DETECTION_GAMMA - eps).detects
+def check_detection_boundary() -> CheckResult:
+    inside = detection_profile(DETECTION_GAMMA + 1e-6).detects
+    outside = detection_profile(DETECTION_GAMMA - 1e-6).detects
     ok = inside and not outside
     return _check_flag("detection_boundary", ok,
                        "detects iff |gamma| > 1/sqrt(21)",
@@ -192,11 +192,8 @@ def check_horodecki_pt_classes() -> CheckResult:
     expectations = [(b, "NPT") for b in (0.0, 0.5, 0.99)] + \
         [(b, "PPT") for b in (1.0, 2.0, 3.0, 4.0)] + \
         [(b, "NPT") for b in (4.01, 4.5, 5.0)]
-    wrong = [
-        (b, want, classify_ppt(horodecki_state(b)).label)
-        for b, want in expectations
-        if classify_ppt(horodecki_state(b)).label != want
-    ]
+    wrong = [(b, want, label) for b, want in expectations
+             if (label := classify_ppt(horodecki_state(b)).label) != want]
     return _check_flag("horodecki_pt_classes", not wrong,
                        "NPT <1, PPT [1,4], NPT >4", wrong or "all as stated")
 
@@ -219,9 +216,9 @@ def check_pt_sign_changes() -> CheckResult:
                   f"({root_low:.10f}, {root_high:.10f})")
 
 
-def check_embedding(points: int = 51) -> CheckResult:
+def check_embedding() -> CheckResult:
     worst = 0.0
-    for b in np.linspace(0.0, 5.0, points):
+    for b in np.linspace(0.0, 5.0, 51):
         state = simplex_state(horodecki_to_simplex(b))
         worst = max(worst, hs_norm(state.op - horodecki_state(b).op))
     return _check("embedding_residual", worst, 1e-12, 0.0, worst)
@@ -232,23 +229,21 @@ def _random_region_points(rng, region: str, count: int):
     while len(points) < count:
         alpha = rng.uniform(-1 / 6, 1.0)
         beta = rng.uniform(-1 / 3, 1.0)
-        state = simplex_state(SimplexParams(alpha, beta, 0.0))
-        if not state.valid:
+        if _family_weights(alpha, beta, 0.0).min() < -PSD_TOL:
             continue
         d_one, d_two = _measure_values(alpha, beta)
-        if region == "I" and d_one > 1e-6 >= max(d_two, 0):
-            points.append((alpha, beta))
-        elif region == "II" and d_two > 1e-6 >= max(d_one, 0):
+        own, other = (d_one, d_two) if region == "I" else (d_two, d_one)
+        if own > 1e-6 >= max(other, 0):
             points.append((alpha, beta))
     return points
 
 
-def check_gamma0_measures(seed: int, per_region: int = 100) -> CheckResult:
+def check_gamma0_measures(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     witness_one, witness_two = region_witnesses()
     worst = 0.0
     for region, witness in (("I", witness_one), ("II", witness_two)):
-        for alpha, beta in _random_region_points(rng, region, per_region):
+        for alpha, beta in _random_region_points(rng, region, 100):
             rho = simplex_state(SimplexParams(alpha, beta, 0.0)).density()
             nearest, found_region = nearest_separable_gamma0(alpha, beta)
             measure, measure_region = hs_measure_gamma0(alpha, beta)
@@ -264,9 +259,15 @@ def check_gamma0_measures(seed: int, per_region: int = 100) -> CheckResult:
     return _check("gamma0_measures", worst, 1e-12, 0.0, worst)
 
 
-def _detection_gammas(count_per_sign: int = 10):
-    magnitudes = np.linspace(DETECTION_GAMMA + 1e-3, 3 / 7, count_per_sign)
-    return np.concatenate([-magnitudes[::-1], magnitudes])
+@lru_cache(maxsize=None)
+def _threshold_line_witnesses():
+    """(gamma, lambda_min, line witness at lambda_min) at 20 detecting
+    gammas, 10 of each sign."""
+    magnitudes = np.linspace(DETECTION_GAMMA + 1e-3, 3 / 7, 10)
+    gammas = np.concatenate([-magnitudes[::-1], magnitudes])
+    lams = [detection_profile(gamma).lambda_min for gamma in gammas]
+    return tuple((gamma, lam, line_witness(gamma, lam)[0])
+                 for gamma, lam in zip(gammas, lams))
 
 
 def check_certifications() -> list[CheckResult]:
@@ -277,12 +278,10 @@ def check_certifications() -> list[CheckResult]:
     results.append(_check_flag("region_witnesses_certified", regions_ok,
                                "both certified", regions_ok))
 
-    gammas = _detection_gammas()
+    lines = _threshold_line_witnesses()
     at_threshold = []
     below_threshold = []
-    for gamma in gammas:
-        lam_min = detection_profile(gamma).lambda_min
-        witness, _ = line_witness(gamma, lam_min)
+    for gamma, lam_min, witness in lines:
         at_threshold.append(certify_witness(witness).certified)
         witness_below, _ = line_witness(gamma, 0.9 * lam_min)
         certificate = certify_witness(witness_below)
@@ -290,7 +289,7 @@ def check_certifications() -> list[CheckResult]:
             not certificate.certified and certificate.max_abs_c > 1.0)
     results.append(_check_flag(
         "line_witnesses_certified", all(at_threshold),
-        f"{len(gammas)} certified", f"{sum(at_threshold)} certified"))
+        f"{len(lines)} certified", f"{sum(at_threshold)} certified"))
     results.append(_check_flag(
         "line_witnesses_below_threshold_fail", all(below_threshold),
         "all fail with max|c| > 1", f"{sum(below_threshold)} fail"))
@@ -305,10 +304,7 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     lowest states of each (`min_separable_expectation`).
     """
     witnesses = list(region_witnesses())
-    for gamma in _detection_gammas():
-        lam_min = detection_profile(gamma).lambda_min
-        witness, _ = line_witness(gamma, lam_min)
-        witnesses.append(witness)
+    witnesses += [witness for _, _, witness in _threshold_line_witnesses()]
     config = SamplerConfig(seed=seed, count=samples)
     floor = float(min_separable_expectation(witnesses, config).min())
     deviation = max(0.0, -floor)
@@ -342,10 +338,10 @@ def check_closed_form_coefficients() -> CheckResult:
     return _check("closed_form_coefficients", worst, 1e-10, 0.0, worst)
 
 
-def check_nearest_ppt(seed: int, count: int = 20) -> CheckResult:
+def check_nearest_ppt(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    points = _random_region_points(rng, "I", (count + 1) // 2) + \
-        _random_region_points(rng, "II", count // 2)
+    points = _random_region_points(rng, "I", 10) + \
+        _random_region_points(rng, "II", 10)
     worst = 0.0
     for alpha, beta in points:
         rho = simplex_state(SimplexParams(alpha, beta, 0.0)).density()
@@ -359,10 +355,10 @@ def check_nearest_ppt(seed: int, count: int = 20) -> CheckResult:
     return _check("nearest_ppt_gamma0", worst, 1e-6, 0.0, worst)
 
 
-def check_spectrum_closed_form(seed: int, count: int = 1000) -> CheckResult:
+def check_spectrum_closed_form(seed: int) -> CheckResult:
     """`simplex_spectrum` against eigvalsh of the family formula, built
     here from `bell_projector` terms rather than from the Bell weights."""
-    params = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 3))
+    params = np.random.default_rng(seed).uniform(-1.0, 1.0, (1000, 3))
     alpha, beta, gamma = params.T[:, :, None, None]
     p = {(n, m): bell_projector(3, (n, m)).entries
          for n in range(3) for m in range(3)}

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import BipartiteOperator, DensityMatrix, _as_operator
+from .operators import (COEFF_ZERO_TOL, BipartiteOperator, DensityMatrix,
+                        _as_operator)
 
 __all__ = [
     "WeylIndex",
@@ -38,12 +39,7 @@ class WeylIndex(NamedTuple):
     m: int
 
     def normalized(self, d: int) -> "WeylIndex":
-        return WeylIndex(self.n % d, self.m % d)
-
-
-def _norm_index(idx, d: int) -> WeylIndex:
-    n, m = idx
-    return WeylIndex(int(n) % d, int(m) % d)
+        return WeylIndex(int(self.n) % d, int(self.m) % d)
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +78,7 @@ def weyl(d: int, idx) -> np.ndarray:
     returned array is a read-only cached view.
     """
     stack = _weyl_stack(d)
-    n, m = _norm_index(idx, d)
+    n, m = WeylIndex(*idx).normalized(d)
     return stack[n, m]
 
 
@@ -114,7 +110,7 @@ def bell_projector(d: int, idx) -> DensityMatrix:
     The d^2 projectors are mutually orthogonal and resolve the identity.
     """
     stack = _bell_stack(d)
-    n, m = _norm_index(idx, d)
+    n, m = WeylIndex(*idx).normalized(d)
     return DensityMatrix(BipartiteOperator(d, d, stack[n * d + m]))
 
 
@@ -131,8 +127,8 @@ class WeylExpansion:
     coeffs: np.ndarray = field(repr=False)
 
     def coefficient(self, left, right) -> complex:
-        n, m = _norm_index(left, self.d)
-        l, k = _norm_index(right, self.d)
+        n, m = WeylIndex(*left).normalized(self.d)
+        l, k = WeylIndex(*right).normalized(self.d)
         return complex(self.coeffs[n, m, l, k])
 
     def reconstruct(self) -> BipartiteOperator:
@@ -141,10 +137,10 @@ class WeylExpansion:
         flat = self.coeffs.reshape(d * d, d * d)
         return BipartiteOperator(d, d, _realign(basis.T @ flat @ basis, d))
 
-    def significant(self, threshold: float = 1e-12):
-        """Index pairs whose coefficient magnitude exceeds `threshold`."""
+    def significant(self):
+        """Index pairs whose coefficient magnitude exceeds COEFF_ZERO_TOL."""
         out = []
-        for n, m, l, k in np.argwhere(np.abs(self.coeffs) > threshold):
+        for n, m, l, k in np.argwhere(np.abs(self.coeffs) > COEFF_ZERO_TOL):
             out.append(((int(n), int(m)), (int(l), int(k)),
                         complex(self.coeffs[n, m, l, k])))
         return out

@@ -27,6 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import (
+    CERTIFICATE_SLACK,
+    COEFF_ZERO_TOL,
+    OPERATOR_HERMITICITY_TOL,
     PSD_TOL,
     BipartiteOperator,
     DensityMatrix,
@@ -64,7 +67,8 @@ DETECTION_GAMMA = 1.0 / math.sqrt(21.0)
 #: cross: sqrt(5)/7.
 CROSSING_GAMMA = math.sqrt(5.0) / 7.0
 
-_COEFF_ZERO_TOL = 1e-12
+#: Largest |gamma| of a line-witness anchor: 3/7, with a margin for rounding.
+_ANCHOR_GAMMA_MAX = 3 / 7 + 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,17 +185,18 @@ def geometric_witness(sigma: DensityMatrix, rho: DensityMatrix,
     )
 
 
-def certify_witness(w, zero_tol: float = _COEFF_ZERO_TOL) -> WitnessCertificate:
+def certify_witness(w) -> WitnessCertificate:
     """Check the Weyl-coefficient criterion on a Hermitian operator.
 
     The operator is in certifiable form when its expansion is supported on
     the identity plus pairs ((n,m), (-n mod d, m)) only, with a positive
     identity coefficient.  The leading scale is a = (identity
     coefficient)/(d-1), the table entries are the paired coefficients
-    divided by a, and certification requires max |c| <= 1 + 1e-12.
+    divided by a, off-form coefficients must be within COEFF_ZERO_TOL of 0,
+    and certification requires max |c| <= 1 + CERTIFICATE_SLACK.
     """
     op = _as_operator(w)
-    if not op.is_hermitian(1e-10):
+    if not op.is_hermitian(OPERATOR_HERMITICITY_TOL):
         raise ValueError("certification requires a Hermitian operator")
     expansion = weyl_expand(op)
     d = expansion.d
@@ -212,9 +217,9 @@ def certify_witness(w, zero_tol: float = _COEFF_ZERO_TOL) -> WitnessCertificate:
     c_table[0] = 0.0
     c_table = c_table.reshape(d, d)
 
-    in_form = bool(off_form <= zero_tol and id_coeff.real > 0)
+    in_form = bool(off_form <= COEFF_ZERO_TOL and id_coeff.real > 0)
     max_abs_c = float(np.abs(c_table).max())
-    certified = bool(in_form and max_abs_c <= 1.0 + 1e-12)
+    certified = bool(in_form and max_abs_c <= 1.0 + CERTIFICATE_SLACK)
     c_table.setflags(write=False)
     return WitnessCertificate(
         in_certifiable_form=in_form,
@@ -251,10 +256,10 @@ def _measure_values(alpha: float, beta: float) -> tuple[float, float]:
     return d_one, d_two
 
 
-def _gamma0_pt_minimum(alpha: float, beta: float, psd_tol: float) -> float:
+def _gamma0_pt_minimum(alpha: float, beta: float) -> float:
     weights = _family_weights(alpha, beta, 0.0)
     min_eig = weights.min()
-    if not min_eig >= -psd_tol:
+    if not min_eig >= -PSD_TOL:
         raise ValueError(
             f"({alpha}, {beta}, 0) is not a state: min eigenvalue "
             f"{min_eig:.3e}"
@@ -274,8 +279,7 @@ def _gamma0_measure(alpha: float, beta: float) -> tuple[float, str]:
     return (d_one, "I") if d_one >= d_two else (d_two, "II")
 
 
-def nearest_separable_gamma0(alpha: float, beta: float,
-                             psd_tol: float = PSD_TOL):
+def nearest_separable_gamma0(alpha: float, beta: float):
     """Nearest separable state to an NPT point of the gamma = 0 slice.
 
     On this slice the PPT states coincide with the separable states, and the
@@ -285,8 +289,7 @@ def nearest_separable_gamma0(alpha: float, beta: float,
     Returns (SimplexParams, region) with region "I" or "II".  Rejects inputs
     that are not PSD or that are already PPT.
     """
-    pt_min = _gamma0_pt_minimum(alpha, beta, psd_tol)
-    if pt_min >= -psd_tol:
+    if _gamma0_pt_minimum(alpha, beta) >= -PSD_TOL:
         raise ValueError(
             "state is PPT, hence separable on this slice; distance 0"
         )
@@ -300,16 +303,14 @@ def nearest_separable_gamma0(alpha: float, beta: float,
     return params, region
 
 
-def hs_measure_gamma0(alpha: float, beta: float,
-                      psd_tol: float = PSD_TOL) -> tuple[float, str]:
+def hs_measure_gamma0(alpha: float, beta: float) -> tuple[float, str]:
     """Distance to the separable set on the gamma = 0 slice, with region label.
 
     Equals the norm distance to the nearest separable state and minus the
     expectation of the matching region witness.  PPT inputs return
     (0.0, "separable"); non-PSD inputs are rejected.
     """
-    pt_min = _gamma0_pt_minimum(alpha, beta, psd_tol)
-    if pt_min >= -psd_tol:
+    if _gamma0_pt_minimum(alpha, beta) >= -PSD_TOL:
         return 0.0, "separable"
     return _gamma0_measure(alpha, beta)
 
@@ -330,10 +331,6 @@ def line_witness_coefficients(gamma: float, lam: float) -> LineWitnessCoefficien
     return LineWitnessCoefficients(a=a, c1=c1, c2=c2)
 
 
-def _gamma_window_ok(gamma: float, tol: float = 1e-12) -> bool:
-    return 1 / 7 < abs(gamma) <= 3 / 7 + tol
-
-
 def line_witness(gamma: float, lam: float):
     """Witness along the segment from a PPT Horodecki anchor to 1/9.
 
@@ -346,7 +343,7 @@ def line_witness(gamma: float, lam: float):
     Returns (GeometricWitness, LineWitnessCoefficients); the witness is
     unnormalized, matching the closed form a(2*1 + c1 U1 + c2 U2I + c2* U2II).
     """
-    if not _gamma_window_ok(gamma):
+    if not 1 / 7 < abs(gamma) <= _ANCHOR_GAMMA_MAX:
         raise ValueError(
             f"gamma={gamma} outside the anchor windows [-3/7, -1/7) and (1/7, 3/7]"
         )
@@ -376,7 +373,7 @@ def detection_profile(gamma: float) -> DetectionProfile:
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero (anchor would be the gamma=0 slice)")
-    if abs(gamma) > 3 / 7 + 1e-12:
+    if abs(gamma) > _ANCHOR_GAMMA_MAX:
         raise ValueError(f"|gamma|={abs(gamma)} outside the PPT anchor window (<= 3/7)")
     denom = 7.0 * (1.0 + 3.0 * gamma * gamma)
     lambda_1 = 8.0 / denom

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,6 @@ from entwit.atlas import (
     LABEL_NPT_II,
     LABEL_UNRESOLVED,
     _classify_slice,
-    classify_b,
     classify_point,
     lambda_scan,
     positivity_vertices,
@@ -49,19 +52,19 @@ def test_classify_point_region_two_and_invalid():
 
 
 def test_classify_b_bound_entangled_window():
-    sample = classify_b(3.5)
+    sample = classify_point(horodecki_to_simplex(3.5))
     assert sample.label == LABEL_BOUND
     assert sample.min_pt_eigenvalue > -1e-10
     assert sample.witness_values["line"] < 0
 
 
 def test_classify_b_separable_window_note():
-    sample = classify_b(2.5)
+    sample = classify_point(horodecki_to_simplex(2.5))
     assert sample.label == LABEL_UNRESOLVED
     note = separability_note(sample, b=2.5)
     assert note is not None and "separable" in note
     # no separability claim where nothing is known
-    far = classify_b(1.2)
+    far = classify_point(horodecki_to_simplex(1.2))
     assert separability_note(far, b=1.2) is None
 
 
@@ -227,6 +230,50 @@ def test_cli_reused_parser_matches_fresh_parser(capsys):
     reused = [run(argv) for argv in commands]
     assert reused == fresh
     assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "--alpha=1.7e308", "--beta=-1.7e308", "--gamma=0.5",
+      "--format", "csv"], "--alpha"),
+    (["classify", "--alpha=1.7e308", "--beta=-1.7e308", "--gamma=0.5",
+      "--format", "json"], "--alpha"),
+    (["classify", "--alpha=1e308", "--beta=1e308"], "--alpha"),
+    (["classify", "--alpha=0.1", "--beta=0", "--gamma=-1e101"], "--gamma"),
+    (["nearest-ppt", "--alpha=1e308", "--beta=1e308"], "--alpha"),
+    (["nearest-ppt", "--alpha=0.1", "--beta=2e200"], "--beta"),
+])
+def test_cli_rejects_huge_state_parameters(argv, flag, capsys):
+    # warnings are errors in this suite, so an overflow would fail here too
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and flag + "=" in err[0] and "outside" in err[0]
+
+
+def test_cli_accepts_state_parameters_at_the_bound(capsys):
+    assert main(["classify", "--alpha=1e100", "--beta=-1e100",
+                 "--gamma=1e100", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sample"]["label"] == \
+        LABEL_INVALID
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "--b", "3.5"], 0),
+    (["slice", "--gamma", "9", "--grid", "3"], 1),
+])
+def test_python_dash_m_entwit_exit_code(argv, code):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "entwit", *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == code, result.stderr
+    if code == 0:
+        assert "label: " + LABEL_BOUND in result.stdout
+    else:
+        assert "gamma=9.0 outside" in result.stderr
 
 
 def test_cli_rejects_non_finite_state_flags(capsys):
