@@ -6,19 +6,22 @@ built from it, and the coefficient table of an operator in the U (x) U basis.
 
 import numpy as np
 
-from entwit import bell_projector, hs_inner, max_entangled, weyl, weyl_expand
+from entwit import (bell_projector, hs_inner, max_entangled, weyl_expand,
+                    weyl_operator)
 
 d = 3
-print("U_00 is the identity:", np.allclose(weyl(d, (0, 0)), np.eye(d)))
+print("U_00 is the identity:",
+      np.allclose(weyl_operator(d, (0, 0)), np.eye(d)))
 print("U_01 acts as the cyclic shift |k> -> |k+1>:")
-print(np.round(weyl(d, (0, 1)).real, 3))
+print(np.round(weyl_operator(d, (0, 1)).real, 3))
 
 # trace orthogonality: Tr(U^dag V) = d on the diagonal, 0 elsewhere
 gram = np.zeros((9, 9))
 labels = [(n, m) for n in range(d) for m in range(d)]
 for i, (n, m) in enumerate(labels):
     for j, (l, k) in enumerate(labels):
-        gram[i, j] = abs(np.vdot(weyl(d, (n, m)), weyl(d, (l, k))))
+        gram[i, j] = abs(np.vdot(weyl_operator(d, (n, m)),
+                                 weyl_operator(d, (l, k))))
 print("\nGram matrix of the nine Weyl operators (abs):")
 print(np.round(gram, 12))
 

@@ -11,13 +11,7 @@ slice sweeps, detection-threshold scans and a threshold-reproduction battery.
 
 __version__ = "0.1.0"
 
-# private aliases: the star import of `weyl` rebinds `entwit.weyl` to the
-# function of that name
-from . import families as _families
-from . import operators as _operators
-from . import ppt as _ppt
-from . import weyl as _weyl
-from . import witness as _witness
+from . import families, operators, ppt, weyl, witness
 from .operators import *  # noqa: F401,F403
 from .weyl import *  # noqa: F401,F403
 from .families import *  # noqa: F401,F403
@@ -26,6 +20,6 @@ from .ppt import *  # noqa: F401,F403
 
 __all__ = ["__version__"] + [
     name
-    for module in (_operators, _weyl, _families, _witness, _ppt)
+    for module in (operators, weyl, families, witness, ppt)
     for name in module.__all__
 ]

@@ -17,16 +17,17 @@ import numpy as np
 
 from . import __version__
 from .operators import PSD_TOL
-from .families import (SimplexParams, _bell_traces, _family_weights,
-                       _pt_minimum)
+from .families import SimplexParams, _family_weights, _pt_minimum
 from .witness import (
     DETECTION_GAMMA,
     _ANCHOR_GAMMA_MAX,
-    certify_witness,
-    detection_profile,
-    line_witness,
-    region_witnesses,
+    _REGION_PAIRS,
+    _certifies,
+    _line_pair,
     _measure_values,
+    _tangent_traces,
+    detection_profile,
+    line_witness_coefficients,
 )
 
 __all__ = [
@@ -83,8 +84,9 @@ def format_float(x: float) -> str:
 
 @lru_cache(maxsize=None)
 def _region_traces() -> tuple[np.ndarray, np.ndarray]:
-    """Bell traces of the two region witnesses."""
-    return tuple(_bell_traces(w.op.entries) for w in region_witnesses())
+    """Bell traces of the two region witnesses (`region_witnesses`)."""
+    return tuple(_tangent_traces(sigma, rho, normalize=True)[0]
+                 for sigma, rho in _REGION_PAIRS)
 
 
 @lru_cache(maxsize=64)
@@ -93,9 +95,9 @@ def _line_witness_for_slice(gamma: float, lam: float | None = None):
 
     With `lam=None` the witness sits at lambda_min(gamma), where it is
     certified whenever detection is possible at all; slices where it
-    detects nothing give None.  An explicit `lam` goes straight to
-    `line_witness`, which rejects lambda outside (0, 1] and gamma outside
-    the anchor windows with ValueError.
+    detects nothing give None.  An explicit `lam` outside (0, 1], or a gamma
+    outside the anchor windows, raises ValueError (`witness._line_pair`).
+    The certificate is that of `certify_witness`, from the closed form.
     """
     if lam is None:
         if not DETECTION_GAMMA < abs(gamma) <= _ANCHOR_GAMMA_MAX:
@@ -104,8 +106,18 @@ def _line_witness_for_slice(gamma: float, lam: float | None = None):
         if not profile.detects:
             return None
         lam = profile.lambda_min
-    witness, _ = line_witness(gamma, lam)
-    return _bell_traces(witness.op.entries), certify_witness(witness).certified
+    traces, _ = _tangent_traces(*_line_pair(gamma, lam))
+    coeffs = line_witness_coefficients(gamma, lam)
+    return traces, _certifies(coeffs.a, max(abs(coeffs.c1), abs(coeffs.c2)))
+
+
+def _witness_values(weights: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """w . t, (M, N), for traces (M, 9) and weights (N, 9), summed elementwise
+    in index order; a BLAS dot sums in an order that depends on the block."""
+    values = traces[:, :1] * weights[:, 0]
+    for k in range(1, 9):
+        values += traces[:, k:k + 1] * weights[:, k]
+    return values
 
 
 def classify_weights(weights, tol: float = PSD_TOL, line=None):
@@ -130,16 +142,14 @@ def classify_weights(weights, tol: float = PSD_TOL, line=None):
         raise ValueError(f"weights must have shape (N, 9), got {weights.shape}")
     valid = weights.min(axis=1) >= -tol
     min_pt_eig = _pt_minimum(weights)
-    traces = dict(zip(("region_I", "region_II"), _region_traces()))
-    certified = list(traces)
+    traces = list(_region_traces())
     if line is not None:
-        traces["line"] = line[0]
-        if line[1]:
-            certified.append("line")
-    values = {name: np.vecdot(weights, t) for name, t in traces.items()}
-    detected = values["region_I"] < -tol
-    for name in certified[1:]:
-        detected |= values[name] < -tol
+        traces.append(line[0])
+    table = _witness_values(weights, np.array(traces))
+    values = dict(zip(("region_I", "region_II", "line"), table))
+    # some certified witness below -tol (NaN hides one only on invalid rows)
+    detected = (table if line is not None and line[1]
+                else table[:2]).min(axis=0) < -tol
     npt_tag = np.where(values["region_I"] <= values["region_II"], 1, 2)
     code = np.where(valid, np.where(min_pt_eig < -tol, npt_tag,
                                     np.where(detected, 3, 4)), 0)

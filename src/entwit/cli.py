@@ -236,7 +236,11 @@ def _cmd_nearest_ppt(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     params, _ = _params_from_args(args)
-    rho = simplex_state(params, psd_tol=args.tol).density(psd_tol=args.tol)
+    state = simplex_state(params, psd_tol=args.tol)  # closed-form spectrum
+    if not state.valid:
+        raise ValueError(f"not positive semidefinite: min eigenvalue "
+                         f"{state.min_eigenvalue:.3e} < -{args.tol}")
+    rho = state.density(psd_tol=args.tol)
     result = nearest_ppt(rho, tol=args.tol, max_iter=args.steps)
     distance = None
     if result.converged:

@@ -4,13 +4,14 @@ Three families appear throughout:
 
 * the three-parameter mixture rho_{alpha,beta,gamma} of the maximally mixed
   state with Bell projectors (Bell-diagonal, closed-form spectrum),
-* the one-parameter Horodecki line rho_b, 0 <= b <= 5, which embeds into the
-  three-parameter family at alpha=(6-b)/21, beta=-2b/21, gamma=(5-2b)/7,
-* the segment from any state toward the maximally mixed state.
+* the one-parameter Horodecki line rho_b, 0 <= b <= 5, the member at
+  alpha=(6-b)/21, beta=-2b/21, gamma=(5-2b)/7,
+* the segment lam*rho + (1-lam)/9 * 1 toward the maximally mixed state,
+  the member at lam*(alpha, beta, gamma).
 
-The three-parameter family is defined once, by its Bell weights
-(rho = sum_k w_k P_k); the weights-to-matrix map, the PT minimum from one
-3x3 block and the Bell traces of witnesses live here with them.
+The family is defined once, by its Bell weights (rho = sum_k w_k P_k), and
+every family state is built from them; the weights-to-matrix map and the PT
+minimum from one 3x3 block live here with them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import PSD_TOL, BipartiteOperator, DensityMatrix, _pt_array
-from .weyl import _bell_stack, max_entangled
+from .weyl import _bell_stack
 
 __all__ = [
     "SimplexParams",
@@ -31,7 +32,6 @@ __all__ = [
     "simplex_spectrum",
     "horodecki_state",
     "horodecki_to_simplex",
-    "line_state",
     "gamma_slice_point",
 ]
 
@@ -100,13 +100,6 @@ def _pt_minimum(weights: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(blocks.reshape(-1, 3, 3))[:, 0]
 
 
-def _bell_traces(entries: np.ndarray) -> np.ndarray:
-    """t_k = Tr(P_k W), so that Tr(rho W) = w . t for rho = sum_k w_k P_k."""
-    traces = np.vecdot(_bell_stack(3).reshape(9, 81), entries.ravel()).real
-    traces.setflags(write=False)
-    return traces
-
-
 def _family_weights(alpha, beta, gamma):
     """Bell weights of the family, w[..., 3n + m] on P_{n,m}: shape (9,) for
     scalar parameters, (N, 9) for parameters that broadcast to length N.
@@ -148,33 +141,6 @@ def simplex_spectrum(params) -> np.ndarray:
     return np.sort(_family_weights(*map(float, params)))
 
 
-@lru_cache(maxsize=None)
-def _sigma_cycles():
-    plus = np.zeros((9, 9), dtype=complex)
-    minus = np.zeros((9, 9), dtype=complex)
-    for i, j in [(0, 1), (1, 2), (2, 0)]:
-        plus[3 * i + j, 3 * i + j] = 1 / 3
-    for i, j in [(1, 0), (2, 1), (0, 2)]:
-        minus[3 * i + j, 3 * i + j] = 1 / 3
-    return plus, minus
-
-
-def horodecki_state(b: float) -> DensityMatrix:
-    """One-parameter family 2/7 |phi+><phi+| + b/7 sigma+ + (5-b)/7 sigma-.
-
-    sigma+ mixes |01>,|12>,|20| and sigma- mixes |10>,|21>,|02> uniformly.
-    Valid for 0 <= b <= 5; NPT for b < 1 and b > 4, PPT in between.
-    """
-    b = float(b)
-    if not 0.0 <= b <= 5.0:
-        raise ValueError(f"b={b} outside the allowed range [0, 5]")
-    phi = max_entangled(3)
-    p00 = np.outer(phi, phi.conj())
-    plus, minus = _sigma_cycles()
-    mat = (2 / 7) * p00 + (b / 7) * plus + ((5 - b) / 7) * minus
-    return DensityMatrix(BipartiteOperator(3, 3, mat))
-
-
 def horodecki_to_simplex(b: float) -> SimplexParams:
     """Embedding of the Horodecki line into the three-parameter family."""
     b = float(b)
@@ -183,21 +149,21 @@ def horodecki_to_simplex(b: float) -> SimplexParams:
     return SimplexParams((6 - b) / 21, -2 * b / 21, (5 - 2 * b) / 7)
 
 
-def line_state(rho: DensityMatrix, lam: float) -> DensityMatrix:
-    """Point lam*rho + (1-lam)/D * 1 on the segment toward maximal mixture."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda={lam} outside the segment [0, 1]")
-    side = rho.op.dim
-    mat = lam * rho.entries + (1 - lam) / side * np.eye(side)
-    return DensityMatrix(BipartiteOperator(rho.dim_a, rho.dim_b, mat))
+def horodecki_state(b: float) -> DensityMatrix:
+    """One-parameter family 2/7 |phi+><phi+| + b/7 sigma+ + (5-b)/7 sigma-.
+
+    sigma+ mixes |01>,|12>,|20> and sigma- mixes |10>,|21>,|02> uniformly.
+    Valid for 0 <= b <= 5; NPT for b < 1 and b > 4, PPT in between.  Built
+    as the family member at `horodecki_to_simplex(b)`.
+    """
+    return simplex_state(horodecki_to_simplex(b)).density()
 
 
 def gamma_slice_point(b: float) -> tuple[float, float]:
     """(alpha, beta) of the PPT-entangled Horodecki point in its gamma slice.
 
     Defined only on the PPT-entangled window 3 < b <= 4, i.e. gamma =
-    (5-2b)/7 in [-3/7, -1/7).  Consistent with horodecki_to_simplex.
+    (5-2b)/7 in [-3/7, -1/7): ((1+gamma)/6, (-5+7 gamma)/21) there.
     """
     b = float(b)
     if not 3.0 < b <= 4.0:
@@ -205,5 +171,4 @@ def gamma_slice_point(b: float) -> tuple[float, float]:
             f"b={b} outside the PPT-entangled window 3 < b <= 4 "
             "(gamma in [-3/7, -1/7))"
         )
-    gamma = (5 - 2 * b) / 7
-    return ((1 + gamma) / 6, (-5 + 7 * gamma) / 21)
+    return horodecki_to_simplex(b)[:2]

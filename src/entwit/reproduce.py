@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import PSD_TOL, hs_inner, hs_norm, identity
-from .weyl import bell_projector
+from .weyl import bell_projector, max_entangled
 from .families import (
     SimplexParams,
     horodecki_state,
@@ -217,10 +217,17 @@ def check_pt_sign_changes() -> CheckResult:
 
 
 def check_embedding() -> CheckResult:
+    """The family member at `horodecki_to_simplex(b)` against rho_b =
+    2/7 |phi+><phi+| + b/7 sigma+ + (5-b)/7 sigma-, with sigma+ uniform on
+    |01>, |12>, |20> and sigma- on |10>, |21>, |02>."""
+    phi = max_entangled(3)
     worst = 0.0
     for b in np.linspace(0.0, 5.0, 51):
+        cycles = np.zeros(9)
+        cycles[[1, 5, 6]], cycles[[3, 7, 2]] = b / 21, (5 - b) / 21
+        rho_b = 2 / 7 * np.outer(phi, phi) + np.diag(cycles)
         state = simplex_state(horodecki_to_simplex(b))
-        worst = max(worst, hs_norm(state.op - horodecki_state(b).op))
+        worst = max(worst, float(np.linalg.norm(state.op.entries - rho_b)))
     return _check("embedding_residual", worst, 1e-12, 0.0, worst)
 
 
@@ -271,12 +278,9 @@ def _threshold_line_witnesses():
 
 
 def check_certifications() -> list[CheckResult]:
-    results = []
-    witness_one, witness_two = region_witnesses()
-    regions_ok = (certify_witness(witness_one).certified
-                  and certify_witness(witness_two).certified)
-    results.append(_check_flag("region_witnesses_certified", regions_ok,
-                               "both certified", regions_ok))
+    regions_ok = all(certify_witness(w).certified for w in region_witnesses())
+    results = [_check_flag("region_witnesses_certified", regions_ok,
+                           "both certified", regions_ok)]
 
     lines = _threshold_line_witnesses()
     at_threshold = []
@@ -313,6 +317,8 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
 
 
 def check_closed_form_coefficients() -> CheckResult:
+    """Certificates of the line witnesses, whose operators are built from
+    Bell weights, against the closed-form a, c1 and c2."""
     gammas = np.concatenate([
         np.linspace(-3 / 7, -1 / 7 - 1e-3, 10),
         np.linspace(1 / 7 + 1e-3, 3 / 7, 10),

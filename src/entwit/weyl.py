@@ -25,7 +25,7 @@ from .operators import (COEFF_ZERO_TOL, BipartiteOperator, DensityMatrix,
 __all__ = [
     "WeylIndex",
     "WeylExpansion",
-    "weyl",
+    "weyl_operator",
     "max_entangled",
     "bell_projector",
     "weyl_expand",
@@ -71,7 +71,7 @@ def _realign(mat: np.ndarray, d: int) -> np.ndarray:
     return mat.reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
 
 
-def weyl(d: int, idx) -> np.ndarray:
+def weyl_operator(d: int, idx) -> np.ndarray:
     """Single-system Weyl operator U_{n,m} on C^d.
 
     U_{0,0} is the identity and every other U_{n,m} is traceless.  The

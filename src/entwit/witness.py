@@ -6,7 +6,8 @@ A geometric witness is the tangent-hyperplane operator
 
 built from a reference state sigma and a target state rho.  By construction
 <sigma, C> = 0 and <rho, C> = -||sigma - rho||^2 (or -||sigma - rho|| after
-normalizing by the distance).
+normalizing by the distance).  Witnesses of two family states are built
+from their Bell weights (`_tangent_traces`).
 
 Certification uses the Weyl-coefficient criterion: an operator of the form
 
@@ -37,8 +38,8 @@ from .operators import (
     hs_inner,
     hs_norm,
 )
-from .families import (SimplexParams, horodecki_state, line_state,
-                       simplex_state, _family_weights, _pt_minimum)
+from .families import (SimplexParams, horodecki_to_simplex, simplex_state,
+                       _bell_diagonal, _family_weights, _pt_minimum)
 from .weyl import weyl_expand
 
 __all__ = [
@@ -155,18 +156,11 @@ class LineWitnessCoefficients(NamedTuple):
 
 def geometric_witness(sigma: DensityMatrix, rho: DensityMatrix,
                       normalize: bool = True) -> GeometricWitness:
-    """Witness candidate C = sigma - rho - <sigma, sigma - rho> 1.
-
-    Parameters
-    ----------
-    sigma : DensityMatrix
-        Reference state; the hyperplane passes through it.
-    rho : DensityMatrix
-        Target state, on the negative side of the hyperplane.
-    normalize : bool
-        Divide by ||sigma - rho||, so that <rho, C> = -||sigma - rho||.
-
-    Raises ValueError when sigma == rho (no hyperplane exists).
+    """Witness candidate C = sigma - rho - <sigma, sigma - rho> 1 of any two
+    states, as 9x9 matrices: the hyperplane passes through the reference
+    sigma and has the target rho on its negative side.  `normalize` divides
+    by ||sigma - rho||, so that <rho, C> = -||sigma - rho||.  Raises
+    ValueError when sigma == rho (no hyperplane exists).
     """
     diff = sigma.op - rho.op
     dist = hs_norm(diff)
@@ -183,6 +177,11 @@ def geometric_witness(sigma: DensityMatrix, rho: DensityMatrix,
         target=rho,
         normalization=dist if normalize else 1.0,
     )
+
+
+def _certifies(a: float, max_abs_c: float) -> bool:
+    """The certificate of a Weyl-form operator with scale a and max |c|."""
+    return bool(a > 0 and max_abs_c <= 1.0 + CERTIFICATE_SLACK)
 
 
 def certify_witness(w) -> WitnessCertificate:
@@ -219,7 +218,7 @@ def certify_witness(w) -> WitnessCertificate:
 
     in_form = bool(off_form <= COEFF_ZERO_TOL and id_coeff.real > 0)
     max_abs_c = float(np.abs(c_table).max())
-    certified = bool(in_form and max_abs_c <= 1.0 + CERTIFICATE_SLACK)
+    certified = in_form and _certifies(a, max_abs_c)
     c_table.setflags(write=False)
     return WitnessCertificate(
         in_certifiable_form=in_form,
@@ -231,6 +230,34 @@ def certify_witness(w) -> WitnessCertificate:
     )
 
 
+def _tangent_traces(reference: SimplexParams, target: SimplexParams,
+                    normalize: bool = False) -> tuple[np.ndarray, float]:
+    """(t, ||sigma - rho||) of the tangent witness sum_k t_k P_k of two family
+    states with Bell weights s and r: t = s - r - s . (s - r), over the
+    distance when `normalize`, since the P_k are orthonormal and sum to 1."""
+    s = _family_weights(*reference)
+    diff = s - _family_weights(*target)
+    dist = float(np.linalg.norm(diff))
+    traces = diff - s @ diff
+    return (traces / dist if normalize else traces), dist
+
+
+def _family_witness(reference: SimplexParams, target: SimplexParams,
+                    normalize: bool) -> GeometricWitness:
+    """`geometric_witness` of two family states, from `_tangent_traces`."""
+    traces, dist = _tangent_traces(reference, target, normalize)
+    return GeometricWitness(BipartiteOperator(3, 3, _bell_diagonal(traces)),
+                            simplex_state(reference).density(),
+                            simplex_state(target).density(),
+                            dist if normalize else 1.0)
+
+
+# (nearest separable state, entangled state) of the gamma = 0 region witnesses
+_REGION_PAIRS = ((SimplexParams(0.25, 0.0, 0.0), SimplexParams(0.5, 0.0, 0.0)),
+                 (SimplexParams(1 / 12, 7 / 15, 0.0),
+                  SimplexParams(0.0, 0.8, 0.0)))
+
+
 @lru_cache(maxsize=None)
 def region_witnesses() -> tuple[GeometricWitness, GeometricWitness]:
     """The two certified witnesses of the gamma = 0 slice.
@@ -240,14 +267,8 @@ def region_witnesses() -> tuple[GeometricWitness, GeometricWitness]:
     expectation on an entangled slice state is minus its distance measure.
     In Weyl form they read (2*1 -/+ U1 - U2)/(6 sqrt 2).
     """
-    rho_one = simplex_state(SimplexParams(0.5, 0.0, 0.0)).density()
-    sigma_one = simplex_state(SimplexParams(0.25, 0.0, 0.0)).density()
-    rho_two = simplex_state(SimplexParams(0.0, 0.8, 0.0)).density()
-    sigma_two = simplex_state(SimplexParams(1 / 12, 7 / 15, 0.0)).density()
-    return (
-        geometric_witness(sigma_one, rho_one, normalize=True),
-        geometric_witness(sigma_two, rho_two, normalize=True),
-    )
+    return tuple(_family_witness(sigma, rho, True)
+                 for sigma, rho in _REGION_PAIRS)
 
 
 def _measure_values(alpha: float, beta: float) -> tuple[float, float]:
@@ -331,18 +352,10 @@ def line_witness_coefficients(gamma: float, lam: float) -> LineWitnessCoefficien
     return LineWitnessCoefficients(a=a, c1=c1, c2=c2)
 
 
-def line_witness(gamma: float, lam: float):
-    """Witness along the segment from a PPT Horodecki anchor to 1/9.
-
-    The anchor is the Horodecki state at b = (5 - 7 gamma)/2, so gamma must
-    lie in the PPT window [-3/7, -1/7) or (1/7, 3/7] (the negative window
-    anchors at the known PPT-entangled states; the positive window is its
-    mirror slice).  Requires 0 < lambda <= 1; at lambda = 1 the operator
-    degenerates to zero.
-
-    Returns (GeometricWitness, LineWitnessCoefficients); the witness is
-    unnormalized, matching the closed form a(2*1 + c1 U1 + c2 U2I + c2* U2II).
-    """
+def _line_pair(gamma: float, lam: float) -> tuple[SimplexParams, SimplexParams]:
+    """(reference, anchor) of the line witness: the Horodecki state at
+    b = (5 - 7 gamma)/2 and the family member at lam times its parameters,
+    lam*anchor + (1-lam)/9 * 1; rejects gamma and lambda as `line_witness`."""
     if not 1 / 7 < abs(gamma) <= _ANCHOR_GAMMA_MAX:
         raise ValueError(
             f"gamma={gamma} outside the anchor windows [-3/7, -1/7) and (1/7, 3/7]"
@@ -350,17 +363,24 @@ def line_witness(gamma: float, lam: float):
     lam = float(lam)
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda={lam} outside (0, 1]")
-    coeffs = line_witness_coefficients(gamma, lam)
-    anchor = horodecki_state((5.0 - 7.0 * gamma) / 2.0)
-    reference = line_state(anchor, lam)
-    if lam == 1.0:
-        # segment endpoint: reference == anchor, the hyperplane degenerates
-        op = BipartiteOperator(3, 3, np.zeros((9, 9)))
-        witness = GeometricWitness(op=op, reference=reference, target=anchor,
-                                   normalization=1.0)
-    else:
-        witness = geometric_witness(reference, anchor, normalize=False)
-    return witness, coeffs
+    anchor = horodecki_to_simplex((5.0 - 7.0 * gamma) / 2.0)
+    return SimplexParams(*(lam * x for x in anchor)), anchor
+
+
+def line_witness(gamma: float, lam: float):
+    """Witness along the segment from a PPT Horodecki anchor to 1/9.
+
+    The anchor is the Horodecki state at b = (5 - 7 gamma)/2, so gamma must
+    lie in the PPT window [-3/7, -1/7) or (1/7, 3/7] (the negative window
+    anchors at the known PPT-entangled states; the positive window is its
+    mirror slice).  Requires 0 < lambda <= 1; at lambda = 1 the reference
+    is the anchor and the operator is exactly zero.
+
+    Returns (GeometricWitness, LineWitnessCoefficients); the witness is
+    unnormalized, matching the closed form a(2*1 + c1 U1 + c2 U2I + c2* U2II).
+    """
+    return (_family_witness(*_line_pair(gamma, lam), False),
+            line_witness_coefficients(gamma, lam))
 
 
 def detection_profile(gamma: float) -> DetectionProfile:

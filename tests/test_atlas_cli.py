@@ -562,6 +562,20 @@ def test_cli_nearest_ppt_invalid_state(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--alpha=2", "--beta=0"], "-1.111e-01"),
+    # far outside the states, where a 9x9 matrix is not Hermitian to the
+    # absolute tolerance any more
+    (["--alpha=1e100", "--beta=1e100"], "-2.222e+99"),
+])
+def test_cli_nearest_ppt_rejects_non_states_by_spectrum(argv, message, capsys):
+    assert main(["nearest-ppt", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"entwit nearest-ppt: not positive semidefinite: "
+                            f"min eigenvalue {message} < -1e-10\n")
+
+
 def test_cli_reproduce_small_battery(capsys):
     code = main(["reproduce", "--samples", "800", "--seed", "11"])
     out = capsys.readouterr().out

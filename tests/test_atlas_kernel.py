@@ -7,12 +7,16 @@ import math
 import numpy as np
 import pytest
 
+import entwit
 from entwit import (
     BipartiteOperator,
+    DensityMatrix,
     SimplexParams,
     bell_projector,
+    certify_witness,
     classify_ppt,
     detection_profile,
+    geometric_witness,
     hs_inner,
     hs_measure_gamma0,
     line_witness,
@@ -21,6 +25,7 @@ from entwit import (
     simplex_state,
 )
 from entwit.atlas import (
+    LABEL_BOUND,
     LABEL_INVALID,
     LABEL_NPT_I,
     LABEL_UNRESOLVED,
@@ -29,12 +34,14 @@ from entwit.atlas import (
     SliceColumns,
     SweepReport,
     _classify_slice,
+    _line_witness_for_slice,
+    _region_traces,
     classify_point,
     classify_weights,
     slice_sweep,
 )
 from entwit.cli import main
-from entwit.families import _bell_traces, _family_weights, _pt_block_table
+from entwit.families import _family_weights, _pt_block_table
 from entwit.operators import _pt_array
 
 BELL = np.array([bell_projector(3, (n, m)).entries
@@ -109,13 +116,17 @@ def test_block_test_weights_hit_degenerate_blocks():
     assert np.abs(spectrum - 1 / 9).max() <= 1e-15   # 1/9 three times
 
 
-def _line_operators():
-    operators = []
+def _weight_witnesses():
+    """(Bell traces of the label path, the witness as a 9x9 matrix) of the
+    two region witnesses and of line witnesses on both anchor windows."""
+    pairs = [(traces, witness.op.entries) for traces, witness
+             in zip(_region_traces(), region_witnesses())]
     for gamma in (0.3, -0.3, 0.18, -3 / 7):
         lam_min = detection_profile(gamma).lambda_min
         for lam in (0.5, min(lam_min, 1.0)):
-            operators.append(line_witness(gamma, lam)[0].op.entries)
-    return operators
+            pairs.append((_line_witness_for_slice(gamma, lam)[0],
+                          line_witness(gamma, lam)[0].op.entries))
+    return pairs
 
 
 def test_bell_traces_give_witness_expectations():
@@ -124,16 +135,44 @@ def test_bell_traces_give_witness_expectations():
                              rng.uniform(-1 / 3, 1.0, 300),
                              rng.uniform(-0.45, 0.45, 300))
     general = rng.uniform(-0.2, 1.0, (300, 9))
-    raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    operators = ([w.op.entries for w in region_witnesses()]
-                 + _line_operators() + [raw + raw.conj().T])
+    witnesses = _weight_witnesses()
     for weights in (family, general):
         states = _states(weights)
-        for op in operators:
+        for traces, op in witnesses:
             witness = BipartiteOperator(3, 3, op)
             direct = np.array([hs_inner(BipartiteOperator(3, 3, rho),
                                         witness).real for rho in states])
-            assert np.abs(weights @ _bell_traces(op) - direct).max() <= 1e-12
+            assert np.abs(weights @ traces - direct).max() <= 1e-12
+
+
+def test_weight_traces_equal_nine_by_nine_tangent_witness():
+    """t = s - r - s . (s - r) against Tr(P_k W) of `geometric_witness` on
+    the same two states as 9x9 matrices."""
+    cases = [(traces, witness.reference, witness.target, True)
+             for traces, witness in zip(_region_traces(), region_witnesses())]
+    magnitudes = np.linspace(1 / 7 + 1e-3, 3 / 7, 6)
+    for gamma in np.concatenate([-magnitudes, magnitudes]):
+        for lam in (0.05, 0.5, 0.9, 0.999):
+            witness, _ = line_witness(gamma, lam)
+            cases.append((_line_witness_for_slice(gamma, lam)[0],
+                          witness.reference, witness.target, False))
+    for traces, sigma, rho, normalize in cases:
+        direct = geometric_witness(sigma, rho, normalize=normalize)
+        bell_traces = np.einsum("kij,ji->k", BELL, direct.op.entries).real
+        assert np.abs(traces - bell_traces).max() <= 1e-15
+
+
+def test_label_path_certificate_equals_nine_by_nine_certificate():
+    magnitudes = np.linspace(1 / 7 + 1e-3, 3 / 7, 40)
+    certified = 0
+    for gamma in np.concatenate([-magnitudes[::-1], magnitudes]):
+        lam_min = detection_profile(gamma).lambda_min
+        for lam in [*np.linspace(0.05, 1.0, 30), min(lam_min, 1.0)]:
+            flag = _line_witness_for_slice(gamma, lam)[1]
+            witness, _ = line_witness(gamma, lam)
+            assert flag == certify_witness(witness).certified, (gamma, lam)
+            certified += flag
+    assert 0 < certified < 80 * 31
 
 
 def test_classify_weights_matches_matrices_on_general_weights():
@@ -177,6 +216,32 @@ def test_label_path_builds_no_nine_by_nine_matrix(monkeypatch):
     nearest_separable_gamma0(0.0, 0.8)
     assert len(shapes) == calls + 5
     assert shapes and set(shapes) == {(3, 3)}
+
+    # a fresh detecting gamma with the witness caches cleared: no 9x9
+    # operator is created and no Weyl expansion is made
+    _region_traces.cache_clear()
+    _line_witness_for_slice.cache_clear()
+    created = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            created.append(f"{owner.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(BipartiteOperator, "__post_init__")
+    counting(DensityMatrix, "__init__")
+    counting(entwit.weyl, "weyl_expand")
+    counting(entwit.witness, "weyl_expand")
+    # the Horodecki anchor of the slice
+    sample = classify_point(SimplexParams(0.63 / 6, -7.59 / 21, -0.37))
+    assert sample.label == LABEL_BOUND
+    assert "line" in sample.witness_values
+    assert created == []
+    assert set(shapes) == {(3, 3)}
 
 
 def _gamma0_border_points(count):

@@ -10,7 +10,6 @@ from entwit import (
     horodecki_state,
     horodecki_to_simplex,
     hs_norm,
-    line_state,
     max_entangled,
     maximally_mixed,
     simplex_spectrum,
@@ -164,22 +163,6 @@ def test_embedding_identity():
     for b in np.linspace(0, 5, 50):
         params = horodecki_to_simplex(b)
         assert hs_norm(simplex_state(params).op - horodecki_state(b).op) < 1e-12
-
-
-def test_line_state_endpoints():
-    rho = horodecki_state(3.5)
-    assert hs_norm(line_state(rho, 0.0).op - maximally_mixed(3, 3).op) < 1e-14
-    assert hs_norm(line_state(rho, 1.0).op - rho.op) == 0.0
-    mid = line_state(rho, 0.5)
-    assert np.allclose(mid.entries, 0.5 * rho.entries + 0.5 * np.eye(9) / 9)
-
-
-def test_line_state_rejects_outside_segment():
-    rho = horodecki_state(3.5)
-    with pytest.raises(ValueError):
-        line_state(rho, -0.01)
-    with pytest.raises(ValueError):
-        line_state(rho, 1.01)
 
 
 def test_gamma_slice_point_values():

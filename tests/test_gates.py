@@ -19,7 +19,7 @@ from entwit import (
     line_witness,
     simplex_state,
     tensor,
-    weyl,
+    weyl_operator,
 )
 from entwit.atlas import classify_point, slice_sweep
 
@@ -53,7 +53,7 @@ def test_operator_hermiticity_gate_at_1e_10(gate):
 
 def test_certification_zero_tolerance_at_1e_12():
     # U_{1,0} (x) U_{1,0} pairs with nothing: its coefficient is off-form
-    off = tensor(weyl(3, (1, 0)), weyl(3, (1, 0)))
+    off = tensor(weyl_operator(3, (1, 0)), weyl_operator(3, (1, 0)))
     off = off + off.dagger()
     for scale, in_form in ((0.99e-12, True), (1.01e-12, False)):
         certificate = certify_witness(BipartiteOperator(3, 3, np.eye(9))
@@ -64,7 +64,7 @@ def test_certification_zero_tolerance_at_1e_12():
 
 def test_certification_slack_at_one_plus_1e_12():
     # 2*1 + c (U_{0,1} (x) U_{0,1} + h.c.) is in form with a = 1, max|c| = c
-    pair = tensor(weyl(3, (0, 1)), weyl(3, (0, 1)))
+    pair = tensor(weyl_operator(3, (0, 1)), weyl_operator(3, (0, 1)))
     pair = pair + pair.dagger()
     for excess, certified in ((0.9e-12, True), (1.1e-12, False)):
         op = 2 * BipartiteOperator(3, 3, np.eye(9)) + (1 + excess) * pair

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from entwit import (
     operator_to_dict,
     partial_transpose,
     tensor,
-    weyl,
+    weyl_operator,
 )
 from entwit.families import _bell_diagonal, _family_weights
 from entwit.operators import _pt_array
@@ -52,8 +53,8 @@ def test_hs_inner_identity_and_projector():
 
 
 def test_hs_inner_weyl_orthogonality_example():
-    a = tensor(weyl(3, (0, 1)), weyl(3, (0, 1)))
-    b = tensor(weyl(3, (0, 2)), weyl(3, (0, 2)))
+    a = tensor(weyl_operator(3, (0, 1)), weyl_operator(3, (0, 1)))
+    b = tensor(weyl_operator(3, (0, 2)), weyl_operator(3, (0, 2)))
     assert abs(hs_inner(a, b)) < 1e-14
 
 
@@ -93,7 +94,7 @@ def test_tensor_examples():
     expected = np.zeros((9, 9))
     expected[1, 1] = 1  # |01><01| sits at row 0*3+1
     assert np.allclose(proj.entries, expected)
-    traceless = tensor(weyl(3, (1, 0)), weyl(3, (-1, 0)))
+    traceless = tensor(weyl_operator(3, (1, 0)), weyl_operator(3, (-1, 0)))
     assert abs(traceless.trace()) < 1e-14
 
 
@@ -283,11 +284,10 @@ def test_package_exports_each_public_name_once():
         "hs_inner", "hs_norm", "tensor", "partial_transpose",
         "hermitian_spectrum", "is_positive_semidefinite", "operator_to_dict",
         "operator_from_dict",
-        "WeylIndex", "WeylExpansion", "weyl", "max_entangled",
+        "WeylIndex", "WeylExpansion", "weyl_operator", "max_entangled",
         "bell_projector", "weyl_expand",
         "SimplexParams", "SimplexState", "simplex_state", "simplex_spectrum",
-        "horodecki_state", "horodecki_to_simplex", "line_state",
-        "gamma_slice_point",
+        "horodecki_state", "horodecki_to_simplex", "gamma_slice_point",
         "GeometricWitness", "WitnessCertificate", "DetectionProfile",
         "LineWitnessCoefficients", "DETECTION_GAMMA", "CROSSING_GAMMA",
         "geometric_witness", "certify_witness", "region_witnesses",
@@ -297,7 +297,11 @@ def test_package_exports_each_public_name_once():
         "PptVerdict", "NearestPptResult", "SamplerConfig", "classify_ppt",
         "nearest_ppt", "min_separable_expectation",
     }
-    assert len(entwit.__all__) == 48
+    assert len(entwit.__all__) == 47
     for name in entwit.__all__:
         assert hasattr(entwit, name), name
-    assert callable(entwit.weyl)
+    # the submodule, not a function of the same name
+    import entwit.weyl as weyl_module
+    assert isinstance(weyl_module, types.ModuleType)
+    assert weyl_module is entwit.weyl
+    assert callable(weyl_module.weyl_expand)

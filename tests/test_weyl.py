@@ -10,8 +10,8 @@ from entwit import (
     hs_norm,
     max_entangled,
     tensor,
-    weyl,
     weyl_expand,
+    weyl_operator,
 )
 
 
@@ -27,31 +27,31 @@ def test_weyl_matches_reference_formula():
     for d in (2, 3, 4):
         for n in range(d):
             for m in range(d):
-                assert np.allclose(weyl(d, (n, m)), reference_weyl(d, n, m))
+                assert np.allclose(weyl_operator(d, (n, m)), reference_weyl(d, n, m))
 
 
 def test_weyl_basic_properties():
-    assert np.allclose(weyl(3, (0, 0)), np.eye(3))
+    assert np.allclose(weyl_operator(3, (0, 0)), np.eye(3))
     for n in range(3):
         for m in range(3):
-            u = weyl(3, (n, m))
+            u = weyl_operator(3, (n, m))
             assert np.allclose(u @ u.conj().T, np.eye(3))  # unitary
             if (n, m) != (0, 0):
                 assert abs(np.trace(u)) < 1e-14
-    u = weyl(3, (1, 1))
+    u = weyl_operator(3, (1, 1))
     assert np.trace(u.conj().T @ u) == pytest.approx(3)
 
 
 def test_weyl_cyclic_shift():
-    u = weyl(3, (0, 1))
+    u = weyl_operator(3, (0, 1))
     basis = np.eye(3)
     for k in range(3):
         assert np.allclose(u @ basis[:, k], basis[:, (k + 1) % 3])
 
 
 def test_weyl_negative_index_normalization():
-    assert np.allclose(weyl(3, (-1, 1)), weyl(3, (2, 1)))
-    assert np.allclose(weyl(3, WeylIndex(-2, -2)), weyl(3, (1, 1)))
+    assert np.allclose(weyl_operator(3, (-1, 1)), weyl_operator(3, (2, 1)))
+    assert np.allclose(weyl_operator(3, WeylIndex(-2, -2)), weyl_operator(3, (1, 1)))
     assert WeylIndex(-1, 4).normalized(3) == WeylIndex(2, 1)
 
 
@@ -59,7 +59,8 @@ def test_weyl_negative_index_is_exact_conjugate():
     for d in (2, 3, 4, 5):
         for n in range(d):
             for m in range(d):
-                assert np.array_equal(weyl(d, (-n, m)), weyl(d, (n, m)).conj())
+                assert np.array_equal(weyl_operator(d, (-n, m)),
+                                      weyl_operator(d, (n, m)).conj())
     for m in range(3):
         assert np.array_equal(bell_projector(3, (2, m)).entries,
                               bell_projector(3, (1, m)).entries.conj())
@@ -67,7 +68,7 @@ def test_weyl_negative_index_is_exact_conjugate():
 
 def test_weyl_rejects_small_dimension():
     with pytest.raises(ValueError):
-        weyl(1, (0, 0))
+        weyl_operator(1, (0, 0))
     with pytest.raises(ValueError):
         bell_projector(1, (0, 0))
     with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ def test_weyl_rejects_small_dimension():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_weyl_trace_orthogonality(d):
-    ops = {(n, m): weyl(d, (n, m)) for n in range(d) for m in range(d)}
+    ops = {(n, m): weyl_operator(d, (n, m)) for n in range(d) for m in range(d)}
     for key_a, ua in ops.items():
         for key_b, ub in ops.items():
             overlap = np.vdot(ua, ub)
@@ -90,8 +91,9 @@ def test_weyl_composition_phase():
         for m1 in range(d):
             for n2 in range(d):
                 for m2 in range(d):
-                    prod = weyl(d, (n1, m1)) @ weyl(d, (n2, m2))
-                    target = weyl(d, (n1 + n2, m1 + m2))
+                    prod = (weyl_operator(d, (n1, m1))
+                            @ weyl_operator(d, (n2, m2)))
+                    target = weyl_operator(d, (n1 + n2, m1 + m2))
                     ratios = prod[np.abs(target) > 0.5] / target[np.abs(target) > 0.5]
                     phase = ratios[0]
                     assert abs(abs(phase) - 1) < 1e-13
@@ -177,7 +179,7 @@ def test_weyl_expand_matches_definition(d):
                            + 1j * rng.standard_normal((side, side)))
     expansion = weyl_expand(op)
     for n, m, l, k in np.ndindex(d, d, d, d):
-        element = tensor(weyl(d, (n, m)), weyl(d, (l, k)))
+        element = tensor(weyl_operator(d, (n, m)), weyl_operator(d, (l, k)))
         assert abs(expansion.coeffs[n, m, l, k]
                    - hs_inner(element, op) / side) < 1e-14
     assert hs_norm(expansion.reconstruct() - op) < 1e-12
@@ -192,7 +194,7 @@ def test_weyl_expand_hermitian_conjugate_coefficients():
         for m in range(3):
             for l in range(3):
                 for k in range(3):
-                    element = tensor(weyl(3, (n, m)), weyl(3, (l, k)))
+                    element = tensor(weyl_operator(3, (n, m)), weyl_operator(3, (l, k)))
                     adj_coeff = hs_inner(element.dagger(), herm) / 9
                     assert adj_coeff == pytest.approx(
                         np.conj(expansion.coefficient((n, m), (l, k))))

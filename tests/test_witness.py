@@ -18,7 +18,6 @@ from entwit import (
     hs_inner,
     hs_measure_gamma0,
     hs_norm,
-    line_state,
     line_witness,
     line_witness_coefficients,
     maximally_mixed,
@@ -27,8 +26,8 @@ from entwit import (
     region_witnesses,
     simplex_state,
     tensor,
-    weyl,
     weyl_expand,
+    weyl_operator,
 )
 from entwit.operators import BipartiteOperator
 
@@ -38,9 +37,9 @@ def u_combos():
     u1 = np.zeros((9, 9), dtype=complex)
     for n in range(3):
         for m in (1, 2):
-            u1 += tensor(weyl(3, (n, m)), weyl(3, (-n, m))).entries
-    u2i = tensor(weyl(3, (1, 0)), weyl(3, (-1, 0))).entries
-    u2ii = tensor(weyl(3, (2, 0)), weyl(3, (-2, 0))).entries
+            u1 += tensor(weyl_operator(3, (n, m)), weyl_operator(3, (-n, m))).entries
+    u2i = tensor(weyl_operator(3, (1, 0)), weyl_operator(3, (-1, 0))).entries
+    u2ii = tensor(weyl_operator(3, (2, 0)), weyl_operator(3, (-2, 0))).entries
     return u1, u2i, u2ii
 
 
@@ -297,9 +296,9 @@ def test_line_witness_matches_raw_construction():
         lam = rng.uniform(0.05, 0.99)
         witness, _ = line_witness(gamma, lam)
         anchor = horodecki_state((5 - 7 * gamma) / 2)
-        rho_lam = line_state(anchor, lam)
-        diff = rho_lam.entries - anchor.entries
-        shift = np.vdot(rho_lam.entries, diff).real
+        rho_lam = lam * anchor.entries + (1 - lam) / 9 * np.eye(9)
+        diff = rho_lam - anchor.entries
+        shift = np.vdot(rho_lam, diff).real
         raw = diff - shift * np.eye(9)
         assert np.abs(witness.op.entries - raw).max() < 1e-14
         assert hs_inner(anchor, witness.op).real == pytest.approx(
