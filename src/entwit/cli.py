@@ -70,6 +70,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _integer_at_least(low: int):
+    """Parser of an integer flag that rejects values below `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _emit(payload: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -320,10 +334,11 @@ def _build_parser() -> _Parser:
         "reproduce",
         help="run the full threshold-reproduction battery (exit 3 on any "
              "failure)")
-    reproduce.add_argument("--samples", type=int, default=100000,
+    reproduce.add_argument("--samples", type=_integer_at_least(1),
+                           default=100000,
                            help="product states in the one pool that probes "
                                 "every witness (default 1e5)")
-    reproduce.add_argument("--seed", type=int, default=20240901)
+    reproduce.add_argument("--seed", type=_integer_at_least(0), default=20240901)
     reproduce.add_argument("--format", choices=("text", "csv", "json"),
                            default="text")
     reproduce.add_argument("--out", default=None)
@@ -334,8 +349,8 @@ def _build_parser() -> _Parser:
         help="certify an operator file (shared JSON format); uncertified "
              "operators get a sampler probe")
     witness.add_argument("file")
-    witness.add_argument("--samples", type=int, default=20000)
-    witness.add_argument("--seed", type=int, default=0)
+    witness.add_argument("--samples", type=_integer_at_least(1), default=20000)
+    witness.add_argument("--seed", type=_integer_at_least(0), default=0)
     witness.add_argument("--format", choices=("text", "json"), default="text")
     witness.add_argument("--out", default=None)
     witness.set_defaults(func=_cmd_witness_check)

@@ -132,13 +132,21 @@ def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:
 
 
 def simplex_spectrum(params) -> np.ndarray:
-    """Closed-form spectrum of the three-parameter family, ascending.
+    """Closed-form spectrum of the three-parameter family, ascending: shape
+    (9,) for one (alpha, beta, gamma), (N, 9) for parameters of shape (N, 3).
 
     The family is Bell-diagonal, so the eigenvalues are the Bell-projector
     weights: e+alpha (x1), e+beta/2 (x2), e+gamma/3 (x3) and e (x3) with
     e = (1-alpha-beta-gamma)/9.
     """
-    return np.sort(_family_weights(*map(float, params)))
+    params = np.asarray(params, dtype=float)
+    return np.sort(_family_weights(*np.moveaxis(params, -1, 0)), axis=-1)
+
+
+def _horodecki_params(b) -> SimplexParams:
+    """The family parameters of the Horodecki member at b, elementwise over
+    an array of b."""
+    return SimplexParams((6 - b) / 21, -2 * b / 21, (5 - 2 * b) / 7)
 
 
 def horodecki_to_simplex(b: float) -> SimplexParams:
@@ -146,7 +154,7 @@ def horodecki_to_simplex(b: float) -> SimplexParams:
     b = float(b)
     if not 0.0 <= b <= 5.0:
         raise ValueError(f"b={b} outside the allowed range [0, 5]")
-    return SimplexParams((6 - b) / 21, -2 * b / 21, (5 - 2 * b) / 7)
+    return _horodecki_params(b)
 
 
 def horodecki_state(b: float) -> DensityMatrix:

@@ -113,20 +113,8 @@ class DensityMatrix:
 
     def __init__(self, op: BipartiteOperator, psd_tol: float = PSD_TOL):
         op = _as_operator(op)
-        mat = op.entries
-        herm_defect = _hermiticity_defect(mat)
-        if herm_defect > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: max |A - A^dag| = {herm_defect:.3e}")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {tr!r}, must equal 1 within {TRACE_TOL}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -psd_tol:
-            raise ValueError(
-                f"not positive semidefinite: min eigenvalue {min_eig:.3e} < -{psd_tol}"
-            )
+        self.min_eigenvalue = float(_density_gate(op.entries[None], psd_tol)[0])
         self.op = op
-        self.min_eigenvalue = min_eig
 
     @property
     def dim_a(self) -> int:
@@ -141,9 +129,35 @@ class DensityMatrix:
         return self.op.entries
 
 
-def _hermiticity_defect(mat: np.ndarray) -> float:
-    """max |A - A^dag| over the entries of a square matrix."""
-    return float(np.abs(mat - mat.conj().T).max())
+def _hermiticity_defect(mats: np.ndarray) -> float:
+    """max |A - A^dag| over the entries of a square matrix, or of every
+    matrix of a stack along leading axes."""
+    return float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
+
+
+def _density_gate(mats: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+    """Minimum eigenvalue of each matrix of a stack (N, D, D) that passes
+    the gates of a density matrix, in their order: Hermitian within
+    HERMITICITY_TOL, unit trace within TRACE_TOL, every eigenvalue
+    >= -psd_tol.  ValueError with the worst value of the first gate that
+    fails; `DensityMatrix` is the N=1 case.
+    """
+    herm_defect = _hermiticity_defect(mats)
+    if herm_defect > HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: max |A - A^dag| = {herm_defect:.3e}")
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    trace_error = abs(tr - 1.0)
+    if trace_error.max() > TRACE_TOL:
+        raise ValueError(f"trace is {tr[trace_error.argmax()]!r}, must equal 1 "
+                         f"within {TRACE_TOL}")
+    min_eig = np.linalg.eigvalsh(mats)[:, 0]
+    lowest = min_eig.min()
+    if lowest < -psd_tol:
+        raise ValueError(
+            f"not positive semidefinite: min eigenvalue {lowest:.3e} "
+            f"< -{psd_tol}"
+        )
+    return min_eig
 
 
 def _as_operator(x) -> BipartiteOperator:
@@ -186,9 +200,18 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a.entries, b.entries))
 
 
+def _hs_norms(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (N, D, D), with the dot
+    products of `np.linalg.norm` on one matrix: sqrt(Re.Re + Im.Im)."""
+    flat = mats.reshape(len(mats), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real)
+                   + np.vecdot(flat.imag, flat.imag))
+
+
 def hs_norm(a) -> float:
-    """Frobenius norm sqrt(<A, A>); zero only for the zero operator."""
-    return float(np.linalg.norm(_as_operator(a).entries))
+    """Frobenius norm sqrt(<A, A>); zero only for the zero operator.  The
+    N=1 case of `_hs_norms`."""
+    return float(_hs_norms(_as_operator(a).entries[None])[0])
 
 
 def tensor(a, b) -> BipartiteOperator:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .operators import (
     BipartiteOperator,
     DensityMatrix,
     _as_operator,
+    _hs_norms,
     _pt_array,
 )
 
@@ -88,13 +90,15 @@ class SamplerConfig:
             raise ValueError("count must be at least 1")
 
 
-def _min_pt_eigenvalue(mat: np.ndarray, dim_a: int, dim_b: int) -> float:
-    return float(np.linalg.eigvalsh(_pt_array(mat, dim_a, dim_b, 2))[0])
+def _min_pt_eigenvalues(mats: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Lowest partial-transpose eigenvalue of one matrix, or of each of a
+    stack along leading axes."""
+    return np.linalg.eigvalsh(_pt_array(mats, dim_a, dim_b, 2))[..., 0]
 
 
 def classify_ppt(rho: DensityMatrix) -> PptVerdict:
     """NPT iff the partial transpose has an eigenvalue below -PSD_TOL."""
-    min_eig = _min_pt_eigenvalue(rho.entries, rho.dim_a, rho.dim_b)
+    min_eig = float(_min_pt_eigenvalues(rho.entries, rho.dim_a, rho.dim_b))
     label = "NPT" if min_eig < -PSD_TOL else "PPT"
     return PptVerdict(label=label, min_pt_eigenvalue=min_eig)
 
@@ -104,29 +108,98 @@ def _hermitian_part(mats: np.ndarray) -> np.ndarray:
     return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 
-def _project_spectrum_to_simplex(vals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto {x >= 0, sum x = 1}."""
-    u = np.sort(vals)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(u) + 1)
-    pivot = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[pivot] / (pivot + 1)
-    return np.maximum(vals - theta, 0.0)
+def _project_spectra_to_simplex(vals: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of (N, D) real vectors, each in
+    ascending order as `eigh` returns them, onto {x >= 0, sum x = 1}."""
+    n, d = vals.shape
+    # thetas[k] = (sum of the k+1 largest - 1)/(k+1); theta is the one at
+    # the largest k whose (k+1)-th largest entry exceeds it: in ascending
+    # order, the first entry above its reversed theta
+    thetas = (np.cumsum(vals[:, ::-1], axis=1) - 1.0) / np.arange(1, d + 1)
+    first = (vals > thetas[:, ::-1]).argmax(axis=1)
+    theta = thetas.ravel()[np.arange(d - 1, n * d, d) - first]
+    return np.maximum(vals - theta[:, None], 0.0)
 
 
-def _project_density(mat: np.ndarray) -> np.ndarray:
+def _reassemble(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """V diag(vals) V^dag for each of a stack of eigenbases."""
+    return (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _project_density(mats: np.ndarray) -> np.ndarray:
     """Metric projection onto the unit-trace PSD set (spectrum -> simplex)."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(mat))
-    w = _project_spectrum_to_simplex(vals)
-    return (vecs * w) @ vecs.conj().T
+    vals, vecs = np.linalg.eigh(_hermitian_part(mats))
+    return _reassemble(vecs, _project_spectra_to_simplex(vals))
 
 
-def _project_pt_psd(mat: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+def _project_pt_psd(mats: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Metric projection onto {X : PT(X) >= 0} (PT is an isometry)."""
-    pt = _pt_array(_hermitian_part(mat), dim_a, dim_b, 2)
+    pt = _pt_array(_hermitian_part(mats), dim_a, dim_b, 2)
     vals, vecs = np.linalg.eigh(pt)
-    clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-    return _pt_array(clipped, dim_a, dim_b, 2)
+    return _pt_array(_reassemble(vecs, np.maximum(vals, 0.0)), dim_a, dim_b, 2)
+
+
+class _DykstraRuns(NamedTuple):
+    """`NearestPptResult` fields of a stack of N runs, as arrays with a
+    leading axis of N; `states` are the raw last density-side iterates."""
+
+    states: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    min_pt_eigenvalue: np.ndarray
+
+
+def _dykstra(mats: np.ndarray, dim_a: int, dim_b: int, tol: float,
+             max_iter: int) -> _DykstraRuns:
+    """The iteration of `nearest_ppt` on each matrix of a stack (N, D, D).
+
+    Every run takes the arithmetic of a stack of one and stops on its own.
+    The working arrays are compacted only when some runs converge while
+    others go on, so a stack of one never indexes before it stops.
+    """
+    n = len(mats)
+    states = np.empty_like(mats)
+    iterations = np.empty(n, dtype=int)
+    residual = np.empty(n)
+    pt_min = np.empty(n)
+    active = np.arange(n)
+    x, p, q, y = mats, np.zeros_like(mats), np.zeros_like(mats), mats
+    step_residual, step_min = np.full(n, np.inf), None
+    step = 0
+    for step in range(1, max_iter + 1):
+        x_p = x + p
+        y = _project_density(x_p)
+        p = x_p - y
+        y_q = y + q
+        x_next = _project_pt_psd(y_q, dim_a, dim_b)
+        q = y_q - x_next
+        step_residual = _hs_norms(x_next - x)
+        x = x_next
+        step_min = None
+        if step_residual.min() >= tol:
+            continue
+        step_min = _min_pt_eigenvalues(y, dim_a, dim_b)
+        done = (step_residual < tol) & (step_min >= -tol)
+        if done.all():
+            break
+        if done.any():
+            finished = active[done]
+            states[finished] = y[done]
+            iterations[finished] = step
+            residual[finished] = step_residual[done]
+            pt_min[finished] = step_min[done]
+            left = ~done
+            active, x, p, q, y = active[left], x[left], p[left], q[left], y[left]
+            step_residual, step_min = step_residual[left], step_min[left]
+    if step_min is None:
+        step_min = _min_pt_eigenvalues(y, dim_a, dim_b)
+    states[active] = y
+    iterations[active] = step
+    residual[active] = step_residual
+    pt_min[active] = step_min
+    converged = (residual < tol) & (pt_min >= -tol)
+    return _DykstraRuns(states, converged, iterations, residual, pt_min)
 
 
 def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
@@ -138,37 +211,19 @@ def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
     find some intersection point, the corrections make the limit the nearest
     one.  Converged when one full cycle moves the iterate by less than `tol`
     in norm and the density-side iterate is PPT within `tol`.  A PPT input
-    is its own projection.
+    is its own projection.  The N=1 case of `_dykstra`.
 
     On iteration exhaustion the result carries `converged=False`, the last
     density-side iterate and the final residual.
     """
     dim_a, dim_b = rho.dim_a, rho.dim_b
-    x = rho.entries.copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    y = x
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = _project_density(x + p)
-        p = x + p - y
-        x_next = _project_pt_psd(y + q, dim_a, dim_b)
-        q = y + q - x_next
-        residual = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if residual < tol:
-            pt_min = _min_pt_eigenvalue(y, dim_a, dim_b)
-            if pt_min >= -tol:
-                break
-    else:
-        pt_min = _min_pt_eigenvalue(y, dim_a, dim_b)
+    run = _dykstra(rho.entries[None], dim_a, dim_b, tol, max_iter)
     return NearestPptResult(
-        state=DensityMatrix(BipartiteOperator(dim_a, dim_b, y)),
-        converged=bool(residual < tol and pt_min >= -tol),
-        iterations=iterations,
-        residual=residual,
-        min_pt_eigenvalue=pt_min,
+        state=DensityMatrix(BipartiteOperator(dim_a, dim_b, run.states[0])),
+        converged=bool(run.converged[0]),
+        iterations=int(run.iterations[0]),
+        residual=float(run.residual[0]),
+        min_pt_eigenvalue=float(run.min_pt_eigenvalue[0]),
     )
 
 

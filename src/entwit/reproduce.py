@@ -5,6 +5,24 @@ independent route (bisection against closed forms, numeric eigensolves
 against formulas, sampling against certificates) and reported as a
 CheckResult.  The acceptance test suite and the `reproduce` CLI command both
 run this battery.
+
+The checks that cover many witnesses or states run them as 9x9 stacks, a
+few calls per check, through the stacked kernels whose N=1 cases are the
+public functions:
+
+* `closed_form_coefficients` and `certifications`: line witnesses built
+  from Bell traces, certified by `witness._certify_stack` (Weyl expansion
+  of the whole stack), against the closed-form coefficients and flags;
+* `gamma0_measures`: the closed-form measure of `witness._gamma0_nearest`
+  against the 9x9 norm distance to its closed-form nearest point and
+  against minus the region witness value;
+* `nearest_ppt_gamma0`: one Dykstra stack (`ppt._dykstra`) against the
+  closed-form nearest points;
+* `spectrum_closed_form`: `simplex_spectrum` on all parameter rows against
+  one stacked eigensolve of the Bell-projector build.
+
+Every state a check builds passes the density-matrix gates
+(`operators._density_gate`).
 """
 
 from __future__ import annotations
@@ -15,30 +33,32 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import PSD_TOL, hs_inner, hs_norm, identity
+from .operators import PSD_TOL, _density_gate, _hs_norms, hs_inner, identity
 from .weyl import bell_projector, max_entangled
 from .families import (
-    SimplexParams,
     horodecki_state,
     horodecki_to_simplex,
     simplex_spectrum,
     simplex_state,
+    _bell_diagonal,
     _family_weights,
+    _pt_minimum,
 )
 from .witness import (
     CROSSING_GAMMA,
     DETECTION_GAMMA,
-    certify_witness,
     detection_profile,
     horodecki_detection_range,
-    hs_measure_gamma0,
     line_witness,
     line_witness_coefficients,
-    nearest_separable_gamma0,
     region_witnesses,
+    _certify_stack,
+    _gamma0_nearest,
+    _line_pair,
     _measure_values,
+    _tangent_traces,
 )
-from .ppt import SamplerConfig, classify_ppt, min_separable_expectation, nearest_ppt
+from .ppt import SamplerConfig, classify_ppt, min_separable_expectation, _dykstra
 
 __all__ = ["CheckResult", "run_battery"]
 
@@ -245,24 +265,35 @@ def _random_region_points(rng, region: str, count: int):
     return points
 
 
+def _family_states(alpha, beta, gamma) -> np.ndarray:
+    """The family states at parameter arrays as an (N, 9, 9) stack, each
+    through the gates of `DensityMatrix`."""
+    mats = _bell_diagonal(_family_weights(alpha, beta, gamma))
+    _density_gate(mats)
+    return mats
+
+
 def check_gamma0_measures(seed: int) -> CheckResult:
+    """The closed-form gamma = 0 measure against the 9x9 norm distance to
+    the closed-form nearest point and against minus the region witness
+    value, at 100 seeded NPT points of each region (`_gamma0_nearest`)."""
     rng = np.random.default_rng(seed)
-    witness_one, witness_two = region_witnesses()
     worst = 0.0
-    for region, witness in (("I", witness_one), ("II", witness_two)):
-        for alpha, beta in _random_region_points(rng, region, 100):
-            rho = simplex_state(SimplexParams(alpha, beta, 0.0)).density()
-            nearest, found_region = nearest_separable_gamma0(alpha, beta)
-            measure, measure_region = hs_measure_gamma0(alpha, beta)
-            if not (found_region == region == measure_region):
-                return _check_flag("gamma0_measures", False, region,
-                                   f"region mismatch at ({alpha}, {beta})")
-            sigma = simplex_state(nearest).density()
-            worst = max(
-                worst,
-                abs(measure - hs_norm(sigma.op - rho.op)),
-                abs(measure + hs_inner(rho, witness.op).real),
-            )
+    for region, witness in zip(("I", "II"), region_witnesses()):
+        alpha, beta = np.array(_random_region_points(rng, region, 100)).T
+        measure, region_one, near_alpha, near_beta = _gamma0_nearest(alpha,
+                                                                     beta)
+        npt = _pt_minimum(_family_weights(alpha, beta, 0.0)) < -PSD_TOL
+        wrong = np.flatnonzero(~npt | (region_one != (region == "I")))
+        if wrong.size:
+            k = wrong[0]
+            return _check_flag("gamma0_measures", False, region,
+                               f"region mismatch at ({alpha[k]}, {beta[k]})")
+        rho = _family_states(alpha, beta, 0.0)
+        sigma = _family_states(near_alpha, near_beta, 0.0)
+        values = np.vecdot(rho.reshape(-1, 81), witness.op.entries.ravel())
+        worst = max(worst, float(np.abs(measure - _hs_norms(sigma - rho)).max()),
+                    float(np.abs(measure + values.real).max()))
     return _check("gamma0_measures", worst, 1e-12, 0.0, worst)
 
 
@@ -277,27 +308,38 @@ def _threshold_line_witnesses():
                  for gamma, lam in zip(gammas, lams))
 
 
-def check_certifications() -> list[CheckResult]:
-    regions_ok = all(certify_witness(w).certified for w in region_witnesses())
-    results = [_check_flag("region_witnesses_certified", regions_ok,
-                           "both certified", regions_ok)]
+def _line_operators(gammas: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The line witnesses at (gammas[k], lams[k]) as an (N, 9, 9) stack,
+    from their Bell traces."""
+    return _bell_diagonal(_tangent_traces(*_line_pair(gammas, lams))[0])
 
+
+def check_certifications() -> list[CheckResult]:
+    """One certification of the two region witnesses, the line witnesses at
+    lambda_min (those the sampler probes) and at 0.9 lambda_min."""
     lines = _threshold_line_witnesses()
-    at_threshold = []
-    below_threshold = []
-    for gamma, lam_min, witness in lines:
-        at_threshold.append(certify_witness(witness).certified)
-        witness_below, _ = line_witness(gamma, 0.9 * lam_min)
-        certificate = certify_witness(witness_below)
-        below_threshold.append(
-            not certificate.certified and certificate.max_abs_c > 1.0)
-    results.append(_check_flag(
-        "line_witnesses_certified", all(at_threshold),
-        f"{len(lines)} certified", f"{sum(at_threshold)} certified"))
-    results.append(_check_flag(
-        "line_witnesses_below_threshold_fail", all(below_threshold),
-        "all fail with max|c| > 1", f"{sum(below_threshold)} fail"))
-    return results
+    gammas = np.array([gamma for gamma, _, _ in lines])
+    lams = np.array([lam for _, lam, _ in lines])
+    mats = np.concatenate([
+        [witness.op.entries for witness in region_witnesses()],
+        [witness.op.entries for _, _, witness in lines],
+        _line_operators(gammas, 0.9 * lams),
+    ])
+    stack = _certify_stack(mats, 3, 3)
+    regions_ok = bool(stack.certified[:2].all())
+    at_threshold = stack.certified[2:2 + len(lines)]
+    below = slice(2 + len(lines), None)
+    below_threshold = ~stack.certified[below] & (stack.max_abs_c[below] > 1.0)
+    return [
+        _check_flag("region_witnesses_certified", regions_ok,
+                    "both certified", regions_ok),
+        _check_flag("line_witnesses_certified", at_threshold.all(),
+                    f"{len(lines)} certified",
+                    f"{int(at_threshold.sum())} certified"),
+        _check_flag("line_witnesses_below_threshold_fail",
+                    below_threshold.all(), "all fail with max|c| > 1",
+                    f"{int(below_threshold.sum())} fail"),
+    ]
 
 
 def check_sampler_floor(samples: int, seed: int) -> CheckResult:
@@ -318,46 +360,50 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
 
 def check_closed_form_coefficients() -> CheckResult:
     """Certificates of the line witnesses, whose operators are built from
-    Bell weights, against the closed-form a, c1 and c2."""
+    Bell weights, against the closed-form a, c1 and c2, on a 20 x 20 grid
+    of gamma and lambda."""
     gammas = np.concatenate([
         np.linspace(-3 / 7, -1 / 7 - 1e-3, 10),
         np.linspace(1 / 7 + 1e-3, 3 / 7, 10),
     ])
     lams = np.linspace(0.1, 0.95, 20)
-    worst = 0.0
-    for gamma in gammas:
-        for lam in lams:
-            witness, coeff = line_witness(gamma, lam)
-            certificate = certify_witness(witness)
-            if not certificate.in_certifiable_form:
-                return _check_flag("closed_form_coefficients", False,
-                                   "in certifiable form",
-                                   f"off-form at gamma={gamma}, lambda={lam}")
-            table = certificate.c_table
-            dev = abs(certificate.a - coeff.a)
-            for n in range(3):
-                for m in (1, 2):
-                    dev = max(dev, abs(table[n, m] - coeff.c1))
-            dev = max(dev, abs(table[1, 0] - coeff.c2),
-                      abs(table[2, 0] - np.conj(coeff.c2)))
-            worst = max(worst, dev)
+    gammas, lams = (grid.ravel() for grid in np.meshgrid(gammas, lams,
+                                                          indexing="ij"))
+    stack = _certify_stack(_line_operators(gammas, lams), 3, 3)
+    off_form = np.flatnonzero(~stack.in_certifiable_form)
+    if off_form.size:
+        k = off_form[0]
+        return _check_flag("closed_form_coefficients", False,
+                           "in certifiable form",
+                           f"off-form at gamma={gammas[k]}, lambda={lams[k]}")
+    coeff = line_witness_coefficients(gammas, lams)
+    table = stack.c_table
+    worst = max(
+        float(np.abs(stack.a - coeff.a).max()),
+        float(np.abs(table[:, :, 1:] - coeff.c1[:, None, None]).max()),
+        float(np.abs(table[:, 1, 0] - coeff.c2).max()),
+        float(np.abs(table[:, 2, 0] - np.conj(coeff.c2)).max()),
+    )
     return _check("closed_form_coefficients", worst, 1e-10, 0.0, worst)
 
 
 def check_nearest_ppt(seed: int) -> CheckResult:
+    """Dykstra's nearest PPT states of 10 seeded NPT points of each
+    gamma = 0 region, run as one stack, against the closed-form nearest
+    points (`_gamma0_nearest`)."""
     rng = np.random.default_rng(seed)
-    points = _random_region_points(rng, "I", 10) + \
-        _random_region_points(rng, "II", 10)
-    worst = 0.0
-    for alpha, beta in points:
-        rho = simplex_state(SimplexParams(alpha, beta, 0.0)).density()
-        result = nearest_ppt(rho)
-        if not result.converged:
-            return _check_flag("nearest_ppt_gamma0", False,
-                               "converged", f"stalled at ({alpha}, {beta})")
-        analytic, _ = nearest_separable_gamma0(alpha, beta)
-        target = simplex_state(analytic).density()
-        worst = max(worst, hs_norm(result.state.op - target.op))
+    alpha, beta = np.array(_random_region_points(rng, "I", 10)
+                           + _random_region_points(rng, "II", 10)).T
+    runs = _dykstra(_family_states(alpha, beta, 0.0), 3, 3, PSD_TOL, 10000)
+    stalled = np.flatnonzero(~runs.converged)
+    if stalled.size:
+        k = stalled[0]
+        return _check_flag("nearest_ppt_gamma0", False,
+                           "converged", f"stalled at ({alpha[k]}, {beta[k]})")
+    _density_gate(runs.states)
+    _, _, near_alpha, near_beta = _gamma0_nearest(alpha, beta)
+    target = _family_states(near_alpha, near_beta, 0.0)
+    worst = float(_hs_norms(runs.states - target).max())
     return _check("nearest_ppt_gamma0", worst, 1e-6, 0.0, worst)
 
 
@@ -372,8 +418,7 @@ def check_spectrum_closed_form(seed: int) -> CheckResult:
             + beta / 2.0 * (p[1, 0] + p[2, 0])
             + gamma / 3.0 * (p[0, 1] + p[1, 1] + p[2, 1]))
     numeric = np.linalg.eigvalsh(mats)
-    worst = max(float(np.abs(simplex_spectrum(w) - spectrum).max())
-                for w, spectrum in zip(params, numeric))
+    worst = float(np.abs(simplex_spectrum(params) - numeric).max())
     return _check("spectrum_closed_form", worst, 1e-12, 0.0, worst)
 
 

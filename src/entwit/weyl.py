@@ -65,10 +65,12 @@ def _weyl_stack(d: int) -> np.ndarray:
     return stack
 
 
-def _realign(mat: np.ndarray, d: int) -> np.ndarray:
-    """R(X)[(a c), (b e)] = X[(a b), (c e)] on d^2 x d^2 matrices; R is an
-    involution, and R(A (x) B) is the outer product of flattened A and B."""
-    return mat.reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
+def _realign(mats: np.ndarray, d: int) -> np.ndarray:
+    """R(X)[(a c), (b e)] = X[(a b), (c e)] on a d^2 x d^2 matrix or a stack
+    of them; R is an involution, and R(A (x) B) is the outer product of
+    flattened A and B."""
+    blocks = mats.reshape(mats.shape[:-2] + (d, d, d, d))
+    return blocks.swapaxes(-3, -2).reshape(mats.shape)
 
 
 def weyl_operator(d: int, idx) -> np.ndarray:
@@ -146,18 +148,28 @@ class WeylExpansion:
         return out
 
 
+def _weyl_coefficients(mats: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """U (x) U coefficient tables of a stack (N, d^2, d^2) of operators.
+
+    Entry [i, (n m), (l k)] is <U_{n,m} (x) U_{l,k}, mats[i]>/d^2, which is
+    entry ((n m), (l k)) of u R(x) u^T / d^2 with u the conjugated Weyl basis
+    as rows; every operator of the stack takes the same arithmetic as a
+    stack of one.
+    """
+    if dim_a != dim_b:
+        raise ValueError("Weyl expansion requires equal subsystem dimensions")
+    d = dim_a
+    basis = _weyl_stack(d).reshape(d * d, d * d).conj()
+    return basis @ _realign(mats, d) @ basis.T / (d * d)
+
+
 def weyl_expand(x) -> WeylExpansion:
     """Expand a bipartite operator with d1 = d2 = d in the U (x) U basis.
 
-    The coefficient of U_{n,m} (x) U_{l,k} is <U_{n,m} (x) U_{l,k}, x>/d^2,
-    which is entry ((n m), (l k)) of u R(x) u^T / d^2 with u the conjugated
-    Weyl basis as rows; the reconstruction reproduces the input to machine
-    precision.
+    The N=1 case of `_weyl_coefficients`; the reconstruction reproduces the
+    input to machine precision.
     """
     op = _as_operator(x)
-    if op.dim_a != op.dim_b:
-        raise ValueError("Weyl expansion requires equal subsystem dimensions")
     d = op.dim_a
-    basis = _weyl_stack(d).reshape(d * d, d * d).conj()
-    coeffs = basis @ _realign(op.entries, d) @ basis.T / (d * d)
+    coeffs = _weyl_coefficients(op.entries[None], d, op.dim_b)[0]
     return WeylExpansion(d, coeffs.reshape(d, d, d, d))

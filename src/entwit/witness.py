@@ -35,12 +35,13 @@ from .operators import (
     BipartiteOperator,
     DensityMatrix,
     _as_operator,
+    _hermiticity_defect,
     hs_inner,
     hs_norm,
 )
-from .families import (SimplexParams, horodecki_to_simplex, simplex_state,
-                       _bell_diagonal, _family_weights, _pt_minimum)
-from .weyl import weyl_expand
+from .families import (SimplexParams, simplex_state, _bell_diagonal,
+                       _family_weights, _horodecki_params, _pt_minimum)
+from .weyl import _weyl_coefficients
 
 __all__ = [
     "GeometricWitness",
@@ -179,9 +180,66 @@ def geometric_witness(sigma: DensityMatrix, rho: DensityMatrix,
     )
 
 
-def _certifies(a: float, max_abs_c: float) -> bool:
-    """The certificate of a Weyl-form operator with scale a and max |c|."""
-    return bool(a > 0 and max_abs_c <= 1.0 + CERTIFICATE_SLACK)
+def _certifies(a, max_abs_c):
+    """The certificate of a Weyl-form operator with scale a and max |c|,
+    elementwise over arrays."""
+    return (a > 0) & (max_abs_c <= 1.0 + CERTIFICATE_SLACK)
+
+
+class _Certificates(NamedTuple):
+    """`WitnessCertificate` fields of a stack of N operators, as arrays with
+    a leading axis of N."""
+
+    in_certifiable_form: np.ndarray
+    a: np.ndarray
+    c_table: np.ndarray
+    max_abs_c: np.ndarray
+    certified: np.ndarray
+    off_form_residual: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _paired_entries(d: int) -> np.ndarray:
+    """Flat indices of the paired entries of a d^2 x d^2 coefficient table.
+
+    Row d n + m holds the coefficients of U_{n,m} (x) U_{l,k}; its pair
+    sits in column d (-n mod d) + m, and the identity pair comes first.
+    """
+    rows = np.arange(d * d)
+    n, m = np.divmod(rows, d)
+    index = rows * d * d + (-n) % d * d + m
+    index.setflags(write=False)
+    return index
+
+
+def _certify_stack(mats: np.ndarray, dim_a: int, dim_b: int) -> _Certificates:
+    """The Weyl-coefficient criterion on a stack (N, D, D) of operators.
+
+    Each operator goes through the gates of `certify_witness`, which is the
+    N=1 case, with the arithmetic of a stack of one: ValueError when any
+    operator is not Hermitian within OPERATOR_HERMITICITY_TOL.
+    """
+    if not _hermiticity_defect(mats) <= OPERATOR_HERMITICITY_TOL:
+        raise ValueError("certification requires a Hermitian operator")
+    d = dim_a
+    coeffs = _weyl_coefficients(mats, dim_a, dim_b).reshape(len(mats), -1)
+    pairs = _paired_entries(d)
+    paired = coeffs[:, pairs]
+    off = np.abs(coeffs)
+    off[:, pairs] = 0.0
+
+    id_coeff = paired[:, 0]
+    a = id_coeff.real / (d - 1)
+    off_form = np.maximum(np.abs(id_coeff.imag), off.max(axis=1))
+    positive = a > 0
+    c_table = paired / np.where(positive, a, 1.0)[:, None]
+    c_table[~positive] = 0.0
+    c_table[:, 0] = 0.0
+
+    in_form = (off_form <= COEFF_ZERO_TOL) & (id_coeff.real > 0)
+    max_abs_c = np.abs(c_table).max(axis=1)
+    return _Certificates(in_form, a, c_table.reshape(-1, d, d), max_abs_c,
+                         in_form & _certifies(a, max_abs_c), off_form)
 
 
 def certify_witness(w) -> WitnessCertificate:
@@ -192,54 +250,36 @@ def certify_witness(w) -> WitnessCertificate:
     identity coefficient.  The leading scale is a = (identity
     coefficient)/(d-1), the table entries are the paired coefficients
     divided by a, off-form coefficients must be within COEFF_ZERO_TOL of 0,
-    and certification requires max |c| <= 1 + CERTIFICATE_SLACK.
+    and certification requires max |c| <= 1 + CERTIFICATE_SLACK.  The N=1
+    case of `_certify_stack`.
     """
     op = _as_operator(w)
-    if not op.is_hermitian(OPERATOR_HERMITICITY_TOL):
-        raise ValueError("certification requires a Hermitian operator")
-    expansion = weyl_expand(op)
-    d = expansion.d
-    coeffs = expansion.coeffs.reshape(d * d, d * d)
-    # row d n + m holds the coefficients of U_{n,m} (x) U_{l,k}; its pair
-    # sits in column d (-n mod d) + m
-    rows = np.arange(d * d)
-    n, m = np.divmod(rows, d)
-    partners = (-n) % d * d + m
-    paired = coeffs[rows, partners]
-    off = np.abs(coeffs)
-    off[rows, partners] = 0.0
-
-    id_coeff = paired[0]
-    a = id_coeff.real / (d - 1)
-    off_form = max(abs(id_coeff.imag), off.max())
-    c_table = paired / a if a > 0 else np.zeros(d * d, dtype=complex)
-    c_table[0] = 0.0
-    c_table = c_table.reshape(d, d)
-
-    in_form = bool(off_form <= COEFF_ZERO_TOL and id_coeff.real > 0)
-    max_abs_c = float(np.abs(c_table).max())
-    certified = in_form and _certifies(a, max_abs_c)
+    stack = _certify_stack(op.entries[None], op.dim_a, op.dim_b)
+    c_table = stack.c_table[0]
     c_table.setflags(write=False)
     return WitnessCertificate(
-        in_certifiable_form=in_form,
-        a=float(a),
+        in_certifiable_form=bool(stack.in_certifiable_form[0]),
+        a=float(stack.a[0]),
         c_table=c_table,
-        max_abs_c=max_abs_c,
-        certified=certified,
-        off_form_residual=float(off_form),
+        max_abs_c=float(stack.max_abs_c[0]),
+        certified=bool(stack.certified[0]),
+        off_form_residual=float(stack.off_form_residual[0]),
     )
 
 
 def _tangent_traces(reference: SimplexParams, target: SimplexParams,
-                    normalize: bool = False) -> tuple[np.ndarray, float]:
+                    normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(t, ||sigma - rho||) of the tangent witness sum_k t_k P_k of two family
     states with Bell weights s and r: t = s - r - s . (s - r), over the
-    distance when `normalize`, since the P_k are orthonormal and sum to 1."""
+    distance when `normalize`, since the P_k are orthonormal and sum to 1.
+
+    Parameters that broadcast to N pairs give traces (N, 9) and N distances,
+    each with the dot products of one pair."""
     s = _family_weights(*reference)
     diff = s - _family_weights(*target)
-    dist = float(np.linalg.norm(diff))
-    traces = diff - s @ diff
-    return (traces / dist if normalize else traces), dist
+    dist = np.sqrt(np.vecdot(diff, diff))
+    traces = diff - np.vecdot(s, diff)[..., None]
+    return (traces / dist[..., None] if normalize else traces), dist
 
 
 def _family_witness(reference: SimplexParams, target: SimplexParams,
@@ -288,24 +328,34 @@ def _gamma0_pt_minimum(alpha: float, beta: float) -> float:
     return float(_pt_minimum(weights[None])[0])
 
 
-def _gamma0_measure(alpha: float, beta: float) -> tuple[float, str]:
-    """(distance measure, region) of a valid NPT point of the gamma = 0 slice."""
-    # the distance formulas are positive exactly on their own region; both
-    # positive cannot happen for valid states, smaller distance would win
+def _gamma0_nearest(alpha, beta):
+    """(measure, in region I, nearest alpha, nearest beta) of NPT points of
+    the gamma = 0 slice, elementwise over arrays.
+
+    The measure is the larger of the two region distances, each positive
+    exactly on its own region; the nearest separable point is
+    (1/4 + beta/8, beta) in region I and
+    ((-2 + 20 alpha + 5 beta)/24, (2 + 4 alpha + beta)/6) in region II.
+    ValueError for a point outside both region formulas.
+    """
     d_one, d_two = _measure_values(alpha, beta)
-    if d_one <= 0 and d_two <= 0:
-        raise ValueError(
-            f"NPT state ({alpha}, {beta}) outside both region formulas"
-        )
-    return (d_one, "I") if d_one >= d_two else (d_two, "II")
+    outside = np.flatnonzero((d_one <= 0) & (d_two <= 0))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"NPT state ({np.ravel(alpha)[k]}, "
+                         f"{np.ravel(beta)[k]}) outside both region formulas")
+    region_one = d_one >= d_two
+    return (np.where(region_one, d_one, d_two), region_one,
+            np.where(region_one, 0.25 + beta / 8,
+                     (-2 + 20 * alpha + 5 * beta) / 24),
+            np.where(region_one, beta, (2 + 4 * alpha + beta) / 6))
 
 
 def nearest_separable_gamma0(alpha: float, beta: float):
     """Nearest separable state to an NPT point of the gamma = 0 slice.
 
     On this slice the PPT states coincide with the separable states, and the
-    nearest point has the closed form (1/4 + beta/8, beta) in region I and
-    ((-2 + 20 alpha + 5 beta)/24, (2 + 4 alpha + beta)/6) in region II.
+    nearest point has the closed form of `_gamma0_nearest`.
 
     Returns (SimplexParams, region) with region "I" or "II".  Rejects inputs
     that are not PSD or that are already PPT.
@@ -314,14 +364,9 @@ def nearest_separable_gamma0(alpha: float, beta: float):
         raise ValueError(
             "state is PPT, hence separable on this slice; distance 0"
         )
-    _, region = _gamma0_measure(alpha, beta)
-    if region == "I":
-        params = SimplexParams(0.25 + beta / 8, beta, 0.0)
-    else:
-        params = SimplexParams(
-            (-2 + 20 * alpha + 5 * beta) / 24, (2 + 4 * alpha + beta) / 6, 0.0
-        )
-    return params, region
+    _, region_one, near_alpha, near_beta = _gamma0_nearest(alpha, beta)
+    return (SimplexParams(float(near_alpha), float(near_beta), 0.0),
+            "I" if region_one else "II")
 
 
 def hs_measure_gamma0(alpha: float, beta: float) -> tuple[float, str]:
@@ -333,17 +378,19 @@ def hs_measure_gamma0(alpha: float, beta: float) -> tuple[float, str]:
     """
     if _gamma0_pt_minimum(alpha, beta) >= -PSD_TOL:
         return 0.0, "separable"
-    return _gamma0_measure(alpha, beta)
+    measure, region_one, _, _ = _gamma0_nearest(alpha, beta)
+    return float(measure), "I" if region_one else "II"
 
 
 def line_witness_coefficients(gamma: float, lam: float) -> LineWitnessCoefficients:
-    """Closed-form (a, c1, c2) of the line witness, any gamma, lambda > 0.
+    """Closed-form (a, c1, c2) of the line witness, any gamma, lambda > 0;
+    elementwise over arrays that broadcast.
 
     a = (1 + 3 gamma^2)/36 * lambda (1 - lambda),
     c1 = -8 / (7 lambda (1 + 3 gamma^2)),
     c2 = 2 (1 - 7 sqrt(3) gamma i) / (7 lambda (1 + 3 gamma^2)).
     """
-    if lam <= 0:
+    if (np.asarray(lam) <= 0).any():
         raise ValueError("lambda must be positive; coefficients diverge at 0")
     denom = 1.0 + 3.0 * gamma * gamma
     a = -denom / 36.0 * lam * (lam - 1.0)
@@ -352,18 +399,27 @@ def line_witness_coefficients(gamma: float, lam: float) -> LineWitnessCoefficien
     return LineWitnessCoefficients(a=a, c1=c1, c2=c2)
 
 
-def _line_pair(gamma: float, lam: float) -> tuple[SimplexParams, SimplexParams]:
+def _line_pair(gamma, lam) -> tuple[SimplexParams, SimplexParams]:
     """(reference, anchor) of the line witness: the Horodecki state at
     b = (5 - 7 gamma)/2 and the family member at lam times its parameters,
-    lam*anchor + (1-lam)/9 * 1; rejects gamma and lambda as `line_witness`."""
-    if not 1 / 7 < abs(gamma) <= _ANCHOR_GAMMA_MAX:
+    lam*anchor + (1-lam)/9 * 1; rejects gamma and lambda as `line_witness`.
+    Elementwise over arrays that broadcast, naming the first rejected one."""
+    # a scalar becomes a numpy scalar, whose arithmetic is cheaper than a
+    # 0-d array's
+    gamma = np.asarray(gamma, dtype=float)[()]
+    lam = np.asarray(lam, dtype=float)[()]
+    magnitude = abs(gamma)
+    gamma_inside = (1 / 7 < magnitude) & (magnitude <= _ANCHOR_GAMMA_MAX)
+    lam_inside = (0.0 < lam) & (lam <= 1.0)
+    if not (gamma_inside & lam_inside).all():
+        if not gamma_inside.all():
+            raise ValueError(
+                f"gamma={np.extract(~gamma_inside, gamma)[0]} outside the "
+                "anchor windows [-3/7, -1/7) and (1/7, 3/7]"
+            )
         raise ValueError(
-            f"gamma={gamma} outside the anchor windows [-3/7, -1/7) and (1/7, 3/7]"
-        )
-    lam = float(lam)
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda={lam} outside (0, 1]")
-    anchor = horodecki_to_simplex((5.0 - 7.0 * gamma) / 2.0)
+            f"lambda={np.extract(~lam_inside, lam)[0]} outside (0, 1]")
+    anchor = _horodecki_params((5.0 - 7.0 * gamma) / 2.0)
     return SimplexParams(*(lam * x for x in anchor)), anchor
 
 

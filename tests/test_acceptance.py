@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` for one pass/fail line per
 criterion; `entwit reproduce` prints the same battery from the CLI.
 """
 
+import pytest
+
+from entwit import reproduce, witness
 from entwit.reproduce import (
     check_bell_orthonormality,
     check_certifications,
@@ -80,3 +83,53 @@ def test_criterion_11_nearest_ppt_oracle():
 
 def test_criterion_12_spectrum_and_bell_basis():
     _report(12, [check_spectrum_closed_form(SEED), check_bell_orthonormality()])
+
+
+# Each stacked check still catches a fault in the formula it cross-checks:
+# the formula is perturbed past the check's unchanged tolerance.
+
+
+def _shift_c2(coefficients):
+    def faulty(gamma, lam):
+        coeff = coefficients(gamma, lam)
+        return coeff._replace(c2=coeff.c2 + 1e-9)
+    return faulty
+
+
+def _shift_nearest_point(nearest, shift):
+    def faulty(alpha, beta):
+        measure, region_one, near_alpha, near_beta = nearest(alpha, beta)
+        return measure, region_one, near_alpha + shift, near_beta
+    return faulty
+
+
+def _shift_measures(measures):
+    def faulty(alpha, beta):
+        d_one, d_two = measures(alpha, beta)
+        return d_one + 1e-11, d_two + 1e-11
+    return faulty
+
+
+@pytest.mark.parametrize("owner, name, fault, check", [
+    (reproduce, "line_witness_coefficients", _shift_c2,
+     check_closed_form_coefficients),
+    (reproduce, "_gamma0_nearest",
+     lambda formula: _shift_nearest_point(formula, 1e-11),
+     lambda: check_gamma0_measures(SEED)),
+    (witness, "_measure_values", _shift_measures,
+     lambda: check_gamma0_measures(SEED)),
+    (reproduce, "_gamma0_nearest",
+     lambda formula: _shift_nearest_point(formula, 1e-5),
+     lambda: check_nearest_ppt(SEED)),
+    (reproduce, "simplex_spectrum",
+     lambda formula: lambda params: formula(params) + 1e-11,
+     lambda: check_spectrum_closed_form(SEED)),
+], ids=["closed_form_coefficients", "gamma0_measures-nearest_point",
+        "gamma0_measures-measure", "nearest_ppt_gamma0", "spectrum_closed_form"])
+def test_stacked_check_fails_on_injected_fault(owner, name, fault, check,
+                                               monkeypatch):
+    assert check().passed
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    result = check()
+    assert not result.passed, result.line()
+    assert result.deviation > result.tolerance

@@ -298,6 +298,22 @@ def test_cli_rejects_bad_tol(argv, capsys):
     assert "argument --tol: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["reproduce"],
+                                     ["witness-check", "operator.json"]])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "argument --seed: must be >= 0, got -1"),
+    ("--seed", "1.5", "argument --seed: invalid int value: '1.5'"),
+    ("--samples", "0", "argument --samples: must be >= 1, got 0"),
+    ("--samples", "-5", "argument --samples: must be >= 1, got -5"),
+])
+def test_cli_rejects_bad_seed_and_samples(command, flag, value, message,
+                                          capsys):
+    # rejected while parsing, before any file is read or sample drawn
+    assert main(command + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_cli_rejects_non_finite_gamma_range(capsys):
     for bounds in (["nan", "0.4"], ["0.2", "inf"]):
         assert main(["lambda-scan", "--gamma-range", *bounds]) == 1

@@ -235,7 +235,8 @@ def test_label_path_builds_no_nine_by_nine_matrix(monkeypatch):
     counting(BipartiteOperator, "__post_init__")
     counting(DensityMatrix, "__init__")
     counting(entwit.weyl, "weyl_expand")
-    counting(entwit.witness, "weyl_expand")
+    counting(entwit.weyl, "_weyl_coefficients")
+    counting(entwit.witness, "_weyl_coefficients")
     # the Horodecki anchor of the slice
     sample = classify_point(SimplexParams(0.63 / 6, -7.59 / 21, -0.37))
     assert sample.label == LABEL_BOUND

@@ -71,9 +71,11 @@ def test_simplex_spectrum_examples():
 
 def test_simplex_spectrum_matches_numeric():
     rng = np.random.default_rng(19)
-    for _ in range(300):
-        params = SimplexParams(*rng.uniform(-1, 1, 3))
-        closed = simplex_spectrum(params)
+    rows = rng.uniform(-1, 1, (300, 3))
+    stacked = simplex_spectrum(rows)
+    for params, row in zip(rows, stacked):
+        closed = simplex_spectrum(SimplexParams(*params))
+        assert np.array_equal(closed, row)
         numeric = hermitian_spectrum(simplex_state(params).op)
         assert np.abs(closed - numeric).max() < 1e-12
 

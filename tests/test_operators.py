@@ -22,7 +22,7 @@ from entwit import (
     weyl_operator,
 )
 from entwit.families import _bell_diagonal, _family_weights
-from entwit.operators import _pt_array
+from entwit.operators import _density_gate, _hs_norms, _pt_array
 
 
 def random_operator(rng, d1=3, d2=3):
@@ -227,6 +227,25 @@ def test_density_matrix_gates():
         DensityMatrix(BipartiteOperator(3, 3, indefinite))
     rho = maximally_mixed(3, 3)
     assert rho.min_eigenvalue == pytest.approx(1 / 9)
+
+
+def test_density_gate_stack_rows_equal_single_matrices():
+    rng = np.random.default_rng(37)
+    vecs = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    mats = np.einsum("ni,nj->nij", vecs, vecs.conj()) * 0.5 + np.eye(9) / 18
+    min_eigs = _density_gate(mats)
+    norms = _hs_norms(mats - mats[::-1])
+    for i, mat in enumerate(mats):
+        op = BipartiteOperator(3, 3, mat)
+        assert DensityMatrix(op).min_eigenvalue == min_eigs[i], i
+        assert hs_norm(op - BipartiteOperator(3, 3, mats[5 - i])) == norms[i], i
+    # one bad matrix anywhere in a stack fails the gate it breaks
+    for bad, message in ((identity(3, 3).entries, "trace is"),
+                         (np.diag([0.5, 0.6] + [0.0] * 6 + [-0.1]),
+                          "not positive semidefinite")):
+        with pytest.raises(ValueError, match=message):
+            _density_gate(np.concatenate([mats, [bad]]))
 
 
 def test_density_spectra_are_normalized():

@@ -75,6 +75,35 @@ def test_nearest_ppt_reports_non_convergence():
     assert result.state.op.trace().real == pytest.approx(1)
 
 
+def _dykstra_inputs():
+    """NPT states of both gamma = 0 regions and off the slice, PPT states,
+    and a Horodecki state, as one stack."""
+    params = [(0.5, 0.0, 0.0), (0.0, 0.8, 0.0), (0.7, 0.1, 0.0),
+              (0.3, 0.1, 0.2), (0.6, -0.2, -0.3), (0.1, 0.5, 0.3),
+              (0.1, 0.05, 0.0), (0.0, 0.0, 0.0)]
+    states = [simplex_state(SimplexParams(*p)).density() for p in params]
+    return states + [horodecki_state(0.5), horodecki_state(2.5)]
+
+
+@pytest.mark.parametrize("max_iter", [10000, 12, 1])
+def test_dykstra_stack_rows_equal_single_runs(max_iter):
+    states = _dykstra_inputs()
+    runs = ppt._dykstra(np.stack([rho.entries for rho in states]), 3, 3,
+                        1e-10, max_iter)
+    for i, rho in enumerate(states):
+        single = nearest_ppt(rho, max_iter=max_iter)
+        assert np.array_equal(single.state.entries, runs.states[i]), i
+        assert single.iterations == runs.iterations[i], i
+        assert single.residual == runs.residual[i], i
+        assert single.converged == runs.converged[i], i
+        assert single.min_pt_eigenvalue == runs.min_pt_eigenvalue[i], i
+    if max_iter == 12:
+        # the PPT inputs leave the stack early, the NPT ones run out
+        assert runs.converged.any() and not runs.converged.all()
+        assert set(runs.iterations[~runs.converged]) == {12}
+        assert runs.iterations[runs.converged].max() < 12
+
+
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, count=0)

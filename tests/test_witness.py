@@ -29,7 +29,10 @@ from entwit import (
     weyl_expand,
     weyl_operator,
 )
+from entwit import reproduce
 from entwit.operators import BipartiteOperator
+from entwit.weyl import _weyl_coefficients
+from entwit.witness import _certify_stack, _gamma0_nearest
 
 
 def u_combos():
@@ -204,6 +207,59 @@ def test_certify_scaled_region_witness_absolute_zero_tol():
         assert certificate.in_certifiable_form == (k <= 4), k
 
 
+def _battery_witnesses():
+    """The 442 operators the battery certifies: the 42 of `certifications`
+    and the 400 of the `closed_form_coefficients` grid."""
+    lines = reproduce._threshold_line_witnesses()
+    gammas = np.array([gamma for gamma, _, _ in lines])
+    lams = np.array([lam for _, lam, _ in lines])
+    grid = np.meshgrid(np.concatenate([np.linspace(-3 / 7, -1 / 7 - 1e-3, 10),
+                                       np.linspace(1 / 7 + 1e-3, 3 / 7, 10)]),
+                       np.linspace(0.1, 0.95, 20), indexing="ij")
+    return np.concatenate([
+        [w.op.entries for w in region_witnesses()],
+        [w.op.entries for _, _, w in lines],
+        reproduce._line_operators(gammas, 0.9 * lams),
+        reproduce._line_operators(grid[0].ravel(), grid[1].ravel()),
+    ])
+
+
+def test_certify_stack_rows_equal_single_certificates():
+    rng = np.random.default_rng(29)
+    raw = rng.standard_normal((12, 9, 9)) + 1j * rng.standard_normal((12, 9, 9))
+    off = tensor(weyl_operator(3, (1, 0)), weyl_operator(3, (1, 0))).entries
+    w_one = region_witnesses()[0].op.entries
+    battery = _battery_witnesses()
+    assert len(battery) == 442
+    mats = np.concatenate([
+        battery,
+        raw + raw.conj().swapaxes(1, 2),
+        [np.eye(9) + off + off.conj().T],
+        [10.0 ** k * w_one for k in range(-8, 9)],
+    ])
+    stack = _certify_stack(mats, 3, 3)
+    coeffs = _weyl_coefficients(mats, 3, 3)
+    assert stack.certified[:2].all() and not stack.in_certifiable_form[442:454].any()
+    for i, mat in enumerate(mats):
+        single = certify_witness(BipartiteOperator(3, 3, mat))
+        assert single.in_certifiable_form == stack.in_certifiable_form[i], i
+        assert single.certified == stack.certified[i], i
+        assert single.a == stack.a[i], i
+        assert single.max_abs_c == stack.max_abs_c[i], i
+        assert single.off_form_residual == stack.off_form_residual[i], i
+        assert np.array_equal(single.c_table, stack.c_table[i]), i
+        assert np.array_equal(
+            weyl_expand(BipartiteOperator(3, 3, mat)).coeffs.reshape(9, 9),
+            coeffs[i]), i
+
+
+def test_certify_stack_rejects_any_non_hermitian_operator():
+    mats = np.stack([np.eye(9, dtype=complex)] * 3)
+    mats[1, 0, 1] += 1.1e-10
+    with pytest.raises(ValueError, match="Hermitian"):
+        _certify_stack(mats, 3, 3)
+
+
 def test_operator_wrappers_coerce_alike():
     rho = simplex_state(SimplexParams(0.5, 0.0, 0.0)).density()
     wrapped = [rho.op, rho,
@@ -257,8 +313,8 @@ def test_hs_measure_gamma0_values():
 def test_hs_measure_gamma0_equals_distance_and_violation():
     rng = np.random.default_rng(17)
     witness_one, witness_two = region_witnesses()
-    checked = 0
-    while checked < 20:
+    points = []
+    while len(points) < 20:
         alpha = rng.uniform(-1 / 6, 1.0)
         beta = rng.uniform(-1 / 3, 1.0)
         state = simplex_state(SimplexParams(alpha, beta, 0))
@@ -268,13 +324,20 @@ def test_hs_measure_gamma0_equals_distance_and_violation():
             nearest, region = nearest_separable_gamma0(alpha, beta)
         except ValueError:
             continue
-        checked += 1
         measure, _ = hs_measure_gamma0(alpha, beta)
         sigma = simplex_state(nearest).density()
         assert measure == pytest.approx(hs_norm(sigma.op - state.op), abs=1e-12)
         witness = witness_one if region == "I" else witness_two
         assert measure == pytest.approx(-hs_inner(state.op, witness.op).real,
                                         abs=1e-12)
+        points.append((alpha, beta, measure, region, nearest))
+    # the closed forms on all points at once give the one-point values
+    alphas, betas = np.array([point[:2] for point in points]).T
+    measures, region_one, near_alphas, near_betas = _gamma0_nearest(alphas,
+                                                                    betas)
+    for i, (_, _, measure, region, nearest) in enumerate(points):
+        assert measures[i] == measure and region_one[i] == (region == "I")
+        assert (near_alphas[i], near_betas[i]) == nearest[:2]
 
 
 def test_line_witness_coefficient_values():
