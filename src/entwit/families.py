@@ -68,9 +68,18 @@ class SimplexState:
 
 def _bell_diagonal(weights) -> np.ndarray:
     """sum_k w_k P_k: one 9x9 matrix for weights of shape (9,), a stack of
-    them for shape (N, 9)."""
-    flat = weights @ _bell_stack(3).reshape(9, 81)
-    return flat.reshape(*weights.shape[:-1], 9, 9)
+    them for shape (N, 9).
+
+    Summed elementwise in index order, so a row of a stack is bit for bit
+    the matrix of its weights alone; a matrix product sums in an order that
+    depends on the shape.
+    """
+    weights = weights[..., None, None]
+    projectors = _bell_stack(3)
+    mats = weights[..., 0, :, :] * projectors[0]
+    for k in range(1, 9):
+        mats += weights[..., k, :, :] * projectors[k]
+    return mats
 
 
 @lru_cache(maxsize=None)

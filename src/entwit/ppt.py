@@ -3,12 +3,21 @@
 Partial transposition is always applied to subsystem 2; the choice does not
 affect spectra (the two partial transposes differ by a full transposition)
 and fixing it keeps results bit-reproducible.
+
+The probe works in real Bloch coordinates.  For an orthonormal Hermitian
+basis {G_p} of the d x d matrices (`_bloch_basis`), a pure product state has
+<a (x) b|W|a (x) b> = A^T T B, with A_p = <a|G_p|a>, B_q = <b|G_q|b> and
+the real d^2 x d^2 table T_pq = Tr(W (G_p (x) G_q)), built once per
+operator.  The pool is one real matrix product of the tables against the
+outer products A (x) B; the seesaw's reduced operators are T B and A^T T
+expanded in the basis.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +30,7 @@ from .operators import (
     _hs_norms,
     _pt_array,
 )
+from .weyl import _realign
 
 __all__ = [
     "PptVerdict",
@@ -242,69 +252,151 @@ def _pool_blocks(d: int, config: SamplerConfig):
         yield z[:, 0], z[:, 1]
 
 
-def _product_expectations(columns: np.ndarray, left: np.ndarray,
-                          right: np.ndarray) -> np.ndarray:
-    """<v|W|v> of the product vectors v = left (x) right, one row per witness.
+@lru_cache(maxsize=None)
+def _bloch_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs j < k of the off-diagonal basis elements, in basis order."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
-    One real matrix product: the real view of conj(v) (x) v against the
-    witnesses' columns (Re W, -Im W), since <v|W|v> = sum_ab W_ab conj(v_a)
-    v_b is real.  Its temporaries die on return, so a pool's blocks never
-    hold two of them at once.
+
+@lru_cache(maxsize=None)
+def _bloch_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis {G_p} of the d x d matrices, Tr(G_p G_q) =
+    delta_pq, as a read-only (d^2, d^2) array of flattened G_p.
+
+    The d units |j><j|, then (|j><k| + |k><j|)/sqrt(2) and
+    (-i|j><k| + i|k><j|)/sqrt(2) for j < k: the symmetric and antisymmetric
+    generalized Gell-Mann matrices of Bertlmann & Krammer, J. Phys. A 41,
+    235303 (2008), scaled to unit norm, with the diagonal units in place of
+    their diagonal ones.
     """
-    vecs = (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
-    features = (vecs.conj()[:, :, None] * vecs[:, None, :]).view(np.float64)
-    return columns @ features.reshape(len(vecs), -1).T
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    diagonal = np.arange(d)
+    basis[diagonal, diagonal, diagonal] = 1.0
+    j, k = _bloch_pairs(d)
+    sym = np.arange(d, d + len(j))
+    anti = sym + len(j)
+    basis[sym, j, k] = basis[sym, k, j] = 1 / np.sqrt(2)
+    basis[anti, j, k], basis[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+    flat = basis.reshape(d * d, d * d)
+    flat.setflags(write=False)
+    return flat
 
 
-def _pool_starts(mats: np.ndarray, d: int, config: SamplerConfig):
-    """The `_SEESAW_STARTS` lowest pool states of each of the K Hermitian `mats`.
+def _bloch_coordinates(vecs: np.ndarray) -> np.ndarray:
+    """Real coordinates A_p = <v|G_p|v> of each vector of a stack (N, d), one
+    column per vector, so that |v><v| = sum_p A_p G_p; shape (d^2, N).
+
+    In the order of `_bloch_basis`: |v_j|^2, then sqrt(2) Re(conj(v_j) v_k)
+    and sqrt(2) Im(conj(v_j) v_k) for j < k.
+    """
+    # real and imaginary parts as contiguous (d, N) rows
+    re, im = np.stack([vecs.T.real, vecs.T.imag])
+    j, k = _bloch_pairs(len(re))
+    sym = re[j] * re[k] + im[j] * im[k]
+    anti = re[j] * im[k] - im[j] * re[k]
+    return np.concatenate([re * re + im * im, np.sqrt(2) * sym,
+                           np.sqrt(2) * anti])
+
+
+def _bloch_tables(mats: np.ndarray, d: int) -> np.ndarray:
+    """T_pq = Re Tr(W (G_p (x) G_q)) of each operator W of a stack (K, d^2, d^2).
+
+    Then <a (x) b|W|a (x) b> = A^T T B for the coordinates A of a and B of b.
+    Re Tr(W X) = Tr(H X) for Hermitian X and H the Hermitian part of W, so
+    the table is that of the form the probe minimizes.  Entry (p, q) is the
+    inner product of G_p (x) G_q with W: g R(W) g^T with g the conjugated
+    basis as rows and R the realignment (`weyl._realign`).
+    """
+    basis = _bloch_basis(d).conj()
+    return (basis @ _realign(mats, d) @ basis.T).real
+
+
+def _product_expectations(tables: np.ndarray, left: np.ndarray,
+                          right: np.ndarray) -> np.ndarray:
+    """<v|W|v> of the product vectors v = left (x) right, one row per table.
+
+    One real matrix product: the (K, d^4) tables against the outer products
+    A (x) B of the factors' coordinates, since <v|W|v> = A^T T B.  The
+    coordinates run along the rows, so the outer product is formed one long
+    row at a time.
+    """
+    coords_a, coords_b = _bloch_coordinates(left), _bloch_coordinates(right)
+    features = coords_a[:, None, :] * coords_b[None, :, :]
+    return tables.reshape(len(tables), -1) @ features.reshape(-1, len(left))
+
+
+def _merge_lowest(best: np.ndarray, best_right: np.ndarray,
+                  values: np.ndarray, right: np.ndarray):
+    """The s lowest of each row of `best` (K, s) and `values` (K, n), with
+    their right factors.
+
+    Only entries below their row's current s-th lowest can enter, so just
+    those are gathered; each row's s lowest come first in a sort by (row,
+    value) of the gathered entries and the current ones.
+    """
+    below = np.flatnonzero(values < best.max(axis=1, keepdims=True))
+    if not below.size:
+        return best, best_right
+    rows, cols = np.divmod(below, values.shape[1])
+    k, s = best.shape
+    owners = np.concatenate([np.repeat(np.arange(k), s), rows])
+    pooled = np.concatenate([best.ravel(), values[rows, cols]])
+    factors = np.concatenate([best_right.reshape(k * s, -1), right[cols]])
+    order = np.lexsort((pooled, owners))
+    # every row owns at least its s current entries
+    first = np.searchsorted(owners[order], np.arange(k))
+    keep = order[first[:, None] + np.arange(s)]
+    return pooled[keep], factors[keep]
+
+
+def _pool_starts(tables: np.ndarray, d: int, config: SamplerConfig):
+    """The `_SEESAW_STARTS` lowest pool states of each of the K `tables`.
 
     Returns the values (K, s) and the right factors (K, s, d) of the
-    s = min(_SEESAW_STARTS, count) lowest states per witness; the seesaw's
-    first half-step replaces the left factors.
+    s = min(_SEESAW_STARTS, count) lowest states per table; the seesaw's
+    first half-step replaces the left factors.  The first block is
+    partitioned; later blocks are merged by `_merge_lowest`.
     """
-    k = len(mats)
-    columns = np.stack([mats.real, -mats.imag], axis=-1).reshape(k, -1)
-    best = np.empty((k, 0))
-    best_right = np.empty((k, 0, d), dtype=complex)
+    best = best_right = None
     for left, right in _pool_blocks(d, config):
-        values = _product_expectations(columns, left, right)
-        top = _lowest(values, _SEESAW_STARTS)
-        best = np.concatenate([best, np.take_along_axis(values, top, 1)], 1)
-        best_right = np.concatenate([best_right, right[top]], 1)
-        keep = _lowest(best, _SEESAW_STARTS)
-        best = np.take_along_axis(best, keep, 1)
-        best_right = np.take_along_axis(best_right, keep[..., None], 1)
+        values = _product_expectations(tables, left, right)
+        if best is None:
+            starts = min(_SEESAW_STARTS, values.shape[1])
+            top = np.argpartition(values, starts - 1, axis=1)[:, :starts]
+            best, best_right = np.take_along_axis(values, top, 1), right[top]
+        else:
+            best, best_right = _merge_lowest(best, best_right, values, right)
     return best, best_right
 
 
-def _lowest(values: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the `count` lowest entries of each row, in no order."""
-    count = min(count, values.shape[1])
-    return np.argpartition(values, count - 1, axis=1)[:, :count]
-
-
-def _seesaw(forms: np.ndarray, right: np.ndarray,
+def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
             values: np.ndarray) -> np.ndarray:
     """Alternating exact minimization over the two factors, batched over starts.
 
-    Start n minimizes the form of forms[n], a Hermitian operator as a
-    (d, d, d, d) array, from the right factor right[n] and its value
-    values[n].  With one factor fixed the expectation is a Hermitian form in
-    the other, minimized by the lowest eigenvector of the reduced d x d
-    matrix, so no half-step raises a start's value.  A start stops once a
-    sweep lowers it by no more than _SEESAW_TOL, and every start after
+    Start n minimizes A^T T B for T = tables[owner[n]], from the right factor
+    right[n] and its value values[n].  With one factor fixed the expectation
+    is a Hermitian form in the other: sum_p (T B)_p G_p on the left factor,
+    sum_q (A^T T)_q G_q on the right, minimized by its lowest eigenvector,
+    so no half-step raises a start's value.  A start stops once a sweep
+    lowers it by no more than _SEESAW_TOL, and every start after
     _SEESAW_SWEEPS sweeps; each start's path depends on no other start.
     """
     values, right = values.copy(), right.copy()
-    active = np.arange(len(values))
+    n, d = right.shape
+    basis = _bloch_basis(d)
+    # B @ on_left[k] is sum_p (T B)_p G_p and A @ on_right[k] is
+    # sum_q (A^T T)_q G_q, flattened
+    on_left, on_right = tables.swapaxes(1, 2) @ basis, tables @ basis
+    active = np.arange(n)
     for _ in range(_SEESAW_SWEEPS):
-        w4, rights = forms[active], right[active]
-        _, vecs = np.linalg.eigh(
-            np.einsum("nj,nijkm,nm->nik", rights.conj(), w4, rights))
-        lefts = vecs[:, :, 0]
-        vals, vecs = np.linalg.eigh(
-            np.einsum("ni,nijkm,nk->njm", lefts.conj(), w4, lefts))
+        k = owner[active]
+        coords = _bloch_coordinates(right[active]).T[:, None, :]
+        _, vecs = np.linalg.eigh((coords @ on_left[k]).reshape(-1, d, d))
+        coords = _bloch_coordinates(vecs[:, :, 0]).T[:, None, :]
+        vals, vecs = np.linalg.eigh((coords @ on_right[k]).reshape(-1, d, d))
         right[active] = vecs[:, :, 0]
         moving = values[active] - vals[:, 0] > _SEESAW_TOL
         values[active] = vals[:, 0]
@@ -322,11 +414,13 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     operator and an array of the K minima for a sequence.
 
     Probes the extreme points of the separable set (pure products); mixtures
-    cannot fall below them.  The pool of `config.count` Haar samples is drawn
-    and evaluated `_POOL_BLOCK` states at a time; the eight lowest samples of
-    each operator are run to convergence by the seesaw: alternating lowest
-    eigenvectors of W reduced to one factor (Lewenstein et al., PRA 62,
-    052310 (2000)).
+    cannot fall below them.  Every expectation is read in real Bloch
+    coordinates, <a (x) b|W|a (x) b> = A^T T B, from one real d^2 x d^2
+    table per operator (`_bloch_tables`).  The pool of `config.count` Haar
+    samples is drawn and evaluated `_POOL_BLOCK` states at a time; the eight
+    lowest samples of each operator are run to convergence by the seesaw:
+    alternating lowest eigenvectors of W reduced to one factor (Lewenstein
+    et al., PRA 62, 052310 (2000)).
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting
@@ -342,13 +436,11 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     d = ops[0].dim_a
     if any(op.dim_a != d for op in ops):
         raise ValueError("sampler requires operators of one dimension")
-    mats = np.stack([op.entries for op in ops])
-    # Re <v|W|v> is the form of the Hermitian part, which eigh needs
-    mats = _hermitian_part(mats)
+    tables = _bloch_tables(np.stack([op.entries for op in ops]), d)
 
-    pooled, right = _pool_starts(mats, d, config)
+    pooled, right = _pool_starts(tables, d, config)
     k, starts = pooled.shape
-    forms = np.repeat(mats.reshape(k, d, d, d, d), starts, axis=0)
-    refined = _seesaw(forms, right.reshape(k * starts, d), pooled.ravel())
+    owner = np.repeat(np.arange(k), starts)
+    refined = _seesaw(tables, owner, right.reshape(k * starts, d), pooled.ravel())
     floors = np.minimum(pooled.min(axis=1), refined.reshape(k, starts).min(axis=1))
     return float(floors[0]) if single else floors

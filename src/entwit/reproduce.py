@@ -19,7 +19,13 @@ public functions:
 * `nearest_ppt_gamma0`: one Dykstra stack (`ppt._dykstra`) against the
   closed-form nearest points;
 * `spectrum_closed_form`: `simplex_spectrum` on all parameter rows against
-  one stacked eigensolve of the Bell-projector build.
+  one stacked eigensolve of the Bell-projector build;
+* `embedding` and `pt_sign_changes`: Horodecki states as one stack, 51
+  against their sigma+/sigma- build, and the two PT bisection brackets
+  through one stacked 9x9 eigensolve per halving.
+
+Each bisection runs its brackets in one call (`_bisect`) and stops at the
+first halving that moves none of them.
 
 Every state a check builds passes the density-matrix gates
 (`operators._density_gate`).
@@ -37,11 +43,10 @@ from .operators import PSD_TOL, _density_gate, _hs_norms, hs_inner, identity
 from .weyl import bell_projector, max_entangled
 from .families import (
     horodecki_state,
-    horodecki_to_simplex,
     simplex_spectrum,
-    simplex_state,
     _bell_diagonal,
     _family_weights,
+    _horodecki_params,
     _pt_minimum,
 )
 from .witness import (
@@ -58,7 +63,13 @@ from .witness import (
     _measure_values,
     _tangent_traces,
 )
-from .ppt import SamplerConfig, classify_ppt, min_separable_expectation, _dykstra
+from .ppt import (
+    SamplerConfig,
+    classify_ppt,
+    min_separable_expectation,
+    _dykstra,
+    _min_pt_eigenvalues,
+)
 
 __all__ = ["CheckResult", "run_battery"]
 
@@ -111,13 +122,22 @@ def _coeff_moduli(gammas: np.ndarray, lams: np.ndarray):
 
 
 def _bisect(f, lo, hi, iters: int):
-    """Sign change of f in [lo, hi] after `iters` halvings; elementwise."""
+    """Sign change of f in [lo, hi] after `iters` halvings; elementwise.
+
+    A halving that moves no bracket leaves every later one where it is, so
+    the loop stops there with the roots of all `iters` halvings.  A bracket
+    without a sign change moves its low end up to the high one, as a loop of
+    `iters` halvings would.
+    """
     positive_lo = f(lo) > 0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         same_side = (f(mid) > 0) == positive_lo
-        lo = np.where(same_side, mid, lo)
-        hi = np.where(same_side, hi, mid)
+        next_lo = np.where(same_side, mid, lo)
+        next_hi = np.where(same_side, hi, mid)
+        if np.array_equal(next_lo, lo) and np.array_equal(next_hi, hi):
+            break
+        lo, hi = next_lo, next_hi
     return 0.5 * (lo + hi)
 
 
@@ -185,17 +205,17 @@ def check_detection_boundary() -> CheckResult:
                        f"at +eps: {inside}, at -eps: {outside}")
 
 
-def _b_excess(b: float) -> float:
+def _b_excess(b):
     # max coefficient modulus of the line witness at lambda = 1, minus 1
     coeff = line_witness_coefficients((5.0 - 2.0 * b) / 7.0, 1.0)
-    return max(abs(coeff.c1), abs(coeff.c2)) - 1.0
+    return np.maximum(np.abs(coeff.c1), np.abs(coeff.c2)) - 1.0
 
 
 def check_detection_endpoints() -> CheckResult:
     root = math.sqrt(21.0)
     targets = ((15.0 - root) / 6.0, (15.0 + root) / 6.0)
-    bisected = (_bisect(_b_excess, 1.0, 2.5, 80),
-                _bisect(_b_excess, 2.5, 4.0, 80))
+    bisected = _bisect(_b_excess, np.array([1.0, 2.5]), np.array([2.5, 4.0]),
+                       80)
     (low_iv, high_iv) = horodecki_detection_range()
     dev = max(
         abs(bisected[0] - targets[0]),
@@ -218,19 +238,22 @@ def check_horodecki_pt_classes() -> CheckResult:
                        "NPT <1, PPT [1,4], NPT >4", wrong or "all as stated")
 
 
-def _min_pt_eig_b(b: float) -> float:
-    return classify_ppt(horodecki_state(b)).min_pt_eigenvalue
+def _min_pt_eig_b(b: np.ndarray) -> np.ndarray:
+    """Minimum PT eigenvalue of the Horodecki state at each b, from one
+    stacked 9x9 eigensolve."""
+    return _min_pt_eigenvalues(_family_states(*_horodecki_params(b)), 3, 3)
 
 
 def check_pt_sign_changes() -> CheckResult:
-    signs_ok = (_min_pt_eig_b(0.99) < 0 < _min_pt_eig_b(1.01)
-                and _min_pt_eig_b(4.01) < 0 < _min_pt_eig_b(3.99))
-    if not signs_ok:
+    below, above, past, before = _min_pt_eig_b(np.array([0.99, 1.01, 4.01,
+                                                         3.99]))
+    if not (below < 0 < above and past < 0 < before):
         return _check_flag("pt_sign_changes", False, "(1, 4)",
                            "no sign change inside brackets")
     # 25 halvings take the 0.02 brackets below a width of 1e-9
-    root_low = _bisect(lambda b: -_min_pt_eig_b(b), 0.99, 1.01, 25)
-    root_high = _bisect(lambda b: -_min_pt_eig_b(b), 3.99, 4.01, 25)
+    root_low, root_high = _bisect(lambda b: -_min_pt_eig_b(b),
+                                  np.array([0.99, 3.99]),
+                                  np.array([1.01, 4.01]), 25)
     dev = max(abs(root_low - 1.0), abs(root_high - 4.0))
     return _check("pt_sign_changes", dev, 1e-8, "(1, 4)",
                   f"({root_low:.10f}, {root_high:.10f})")
@@ -241,28 +264,47 @@ def check_embedding() -> CheckResult:
     2/7 |phi+><phi+| + b/7 sigma+ + (5-b)/7 sigma-, with sigma+ uniform on
     |01>, |12>, |20> and sigma- on |10>, |21>, |02>."""
     phi = max_entangled(3)
-    worst = 0.0
-    for b in np.linspace(0.0, 5.0, 51):
-        cycles = np.zeros(9)
-        cycles[[1, 5, 6]], cycles[[3, 7, 2]] = b / 21, (5 - b) / 21
-        rho_b = 2 / 7 * np.outer(phi, phi) + np.diag(cycles)
-        state = simplex_state(horodecki_to_simplex(b))
-        worst = max(worst, float(np.linalg.norm(state.op.entries - rho_b)))
+    b = np.linspace(0.0, 5.0, 51)
+    cycles = np.zeros((len(b), 9))
+    cycles[:, [1, 5, 6]] = (b / 21)[:, None]
+    cycles[:, [3, 7, 2]] = ((5 - b) / 21)[:, None]
+    rho_b = 2 / 7 * np.outer(phi, phi) + cycles[:, :, None] * np.eye(9)
+    states = _family_states(*_horodecki_params(b))
+    worst = float(np.linalg.norm(states - rho_b, axis=(1, 2)).max())
     return _check("embedding_residual", worst, 1e-12, 0.0, worst)
 
 
+#: Candidate (alpha, beta) pairs drawn at a time by `_random_region_points`.
+_REGION_DRAW = 1024
+
+
 def _random_region_points(rng, region: str, count: int):
-    points = []
-    while len(points) < count:
-        alpha = rng.uniform(-1 / 6, 1.0)
-        beta = rng.uniform(-1 / 3, 1.0)
-        if _family_weights(alpha, beta, 0.0).min() < -PSD_TOL:
-            continue
-        d_one, d_two = _measure_values(alpha, beta)
+    """(alpha, beta) arrays of `count` seeded valid points of the gamma = 0
+    slice whose own region distance exceeds 1e-6 and whose other one does not.
+
+    The points, and the state of `rng` afterwards, are those of drawing one
+    pair at a time until `count` are accepted: candidates are drawn and
+    tested `_REGION_DRAW` at a time, and the last block is redrawn from its
+    saved state up to the pair that completes the count.
+    """
+    low, high = (-1 / 6, -1 / 3), (1.0, 1.0)
+    alpha, beta = [], []
+    found = 0
+    while found < count:
+        state = rng.bit_generator.state
+        pairs = rng.uniform(low, high, (_REGION_DRAW, 2))
+        valid = _family_weights(*pairs.T, 0.0).min(axis=1) >= -PSD_TOL
+        d_one, d_two = _measure_values(*pairs.T)
         own, other = (d_one, d_two) if region == "I" else (d_two, d_one)
-        if own > 1e-6 >= max(other, 0):
-            points.append((alpha, beta))
-    return points
+        hits = np.flatnonzero(valid & (own > 1e-6) & (np.maximum(other, 0) <= 1e-6))
+        if found + len(hits) >= count:
+            hits = hits[:count - found]
+            rng.bit_generator.state = state
+            rng.uniform(low, high, (hits[-1] + 1, 2))
+        alpha.append(pairs[hits, 0])
+        beta.append(pairs[hits, 1])
+        found += len(hits)
+    return np.concatenate(alpha), np.concatenate(beta)
 
 
 def _family_states(alpha, beta, gamma) -> np.ndarray:
@@ -280,7 +322,7 @@ def check_gamma0_measures(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for region, witness in zip(("I", "II"), region_witnesses()):
-        alpha, beta = np.array(_random_region_points(rng, region, 100)).T
+        alpha, beta = _random_region_points(rng, region, 100)
         measure, region_one, near_alpha, near_beta = _gamma0_nearest(alpha,
                                                                      beta)
         npt = _pt_minimum(_family_weights(alpha, beta, 0.0)) < -PSD_TOL
@@ -392,8 +434,8 @@ def check_nearest_ppt(seed: int) -> CheckResult:
     gamma = 0 region, run as one stack, against the closed-form nearest
     points (`_gamma0_nearest`)."""
     rng = np.random.default_rng(seed)
-    alpha, beta = np.array(_random_region_points(rng, "I", 10)
-                           + _random_region_points(rng, "II", 10)).T
+    alpha, beta = np.concatenate([_random_region_points(rng, "I", 10),
+                                  _random_region_points(rng, "II", 10)], axis=1)
     runs = _dykstra(_family_states(alpha, beta, 0.0), 3, 3, PSD_TOL, 10000)
     stalled = np.flatnonzero(~runs.converged)
     if stalled.size:

@@ -4,9 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` for one pass/fail line per
 criterion; `entwit reproduce` prints the same battery from the CLI.
 """
 
+import numpy as np
 import pytest
 
 from entwit import reproduce, witness
+from entwit.families import _family_weights
 from entwit.reproduce import (
     check_bell_orthonormality,
     check_certifications,
@@ -133,3 +135,58 @@ def test_stacked_check_fails_on_injected_fault(owner, name, fault, check,
     result = check()
     assert not result.passed, result.line()
     assert result.deviation > result.tolerance
+
+
+def _region_points_one_at_a_time(rng, region, count):
+    # the reference draw: one (alpha, beta) pair per step until count accepted
+    points = []
+    while len(points) < count:
+        alpha = rng.uniform(-1 / 6, 1.0)
+        beta = rng.uniform(-1 / 3, 1.0)
+        if _family_weights(alpha, beta, 0.0).min() < -1e-10:
+            continue
+        d_one, d_two = witness._measure_values(alpha, beta)
+        own, other = (d_one, d_two) if region == "I" else (d_two, d_one)
+        if own > 1e-6 >= max(other, 0):
+            points.append((alpha, beta))
+    return np.array(points).T
+
+
+@pytest.mark.parametrize("seed", [5, 7, SEED])
+def test_region_points_in_blocks_equal_one_pair_at_a_time(seed):
+    blocked, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for region, count in [("I", 100), ("II", 100), ("I", 1), ("II", 150)]:
+        alpha, beta = reproduce._random_region_points(blocked, region, count)
+        want = _region_points_one_at_a_time(reference, region, count)
+        assert np.array_equal(np.stack([alpha, beta]), want)
+        assert blocked.bit_generator.state == reference.bit_generator.state
+
+
+def _bisect_fixed(f, lo, hi, iters):
+    positive_lo = f(lo) > 0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        same_side = (f(mid) > 0) == positive_lo
+        lo = np.where(same_side, mid, lo)
+        hi = np.where(same_side, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([0.5, 0.0, -3.0], [2.0, 0.75, 0.25]),  # sign changes
+    ([2.0, -1.0], [3.0, -0.5]),  # no sign change: same side throughout
+    ([3.0], [2.0]),  # reversed bracket
+    (0.5, 2.0),  # scalar bracket
+])
+def test_bisect_stops_with_the_roots_of_all_halvings(lo, hi):
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return np.cos(x) - 0.3 * x
+
+    lo, hi = np.array(lo), np.array(hi)
+    roots = reproduce._bisect(f, lo, hi, 80)
+    early = len(calls)
+    assert np.array_equal(roots, _bisect_fixed(f, lo, hi, 80))
+    assert early < 81

@@ -119,6 +119,20 @@ def test_bell_diagonal_equals_family_formula():
     assert 0 < valid < len(params)
 
 
+def test_bell_diagonal_stack_rows_equal_single_builds():
+    # a row of a stack is bit for bit the matrix of its weights alone, for
+    # family weights (through simplex_state) and for arbitrary weights
+    params = np.random.default_rng(61).uniform(-1.0, 1.0, (200, 3))
+    stack = _bell_diagonal(_family_weights(*params.T))
+    for p, mat in zip(params, stack):
+        assert np.array_equal(simplex_state(p).op.entries, mat)
+    weights = np.random.default_rng(62).standard_normal((50, 9))
+    stack = _bell_diagonal(weights)
+    assert stack.shape == (50, 9, 9)
+    for w, mat in zip(weights, stack):
+        assert np.array_equal(_bell_diagonal(w), mat)
+
+
 def test_horodecki_state_structure():
     for b in (0.0, 1.3, 2.5, 4.0, 5.0):
         assert np.abs(horodecki_state(b).entries - reference_horodecki(b)).max() < 1e-14

@@ -23,7 +23,14 @@ from entwit import (
     simplex_state,
 )
 from entwit import ppt
-from entwit.ppt import _pool_blocks, _pool_starts
+from entwit.ppt import (
+    _bloch_basis,
+    _bloch_coordinates,
+    _bloch_tables,
+    _pool_blocks,
+    _pool_starts,
+    _product_expectations,
+)
 
 
 def test_classify_ppt_examples():
@@ -110,7 +117,8 @@ def test_sampler_config_validation():
 
 
 def _raw_pool_minimum(witness, config):
-    values, _ = _pool_starts(np.asarray(witness.op.entries)[None], 3, config)
+    values, _ = _pool_starts(_bloch_tables(witness.op.entries[None], 3), 3,
+                             config)
     return float(values.min())
 
 
@@ -241,5 +249,71 @@ def test_pool_blocks_extend_one_draw():
         # the running eight lowest over the blocks are those of the whole pool
         vecs = np.einsum("ni,nj->nij", pool[:, 0], pool[:, 1]).reshape(count, 9)
         values = np.einsum("na,ab,nb->n", vecs.conj(), witness, vecs).real
-        lowest, _ = _pool_starts(witness[None], 3, config)
+        lowest, _ = _pool_starts(_bloch_tables(witness[None], 3), 3, config)
         assert np.abs(np.sort(lowest[0]) - np.sort(values)[:8]).max() <= 1e-12
+
+
+def _random_hermitian(rng, count, dim):
+    z = rng.standard_normal((count, dim, dim, 2)).view(complex)[..., 0]
+    return (z + z.conj().swapaxes(-1, -2)) / 2
+
+
+def _random_vectors(rng, count, dim):
+    z = rng.standard_normal((count, dim, 2)).view(complex)[..., 0]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def test_bloch_basis_orthonormal_and_coordinates_span_projectors():
+    basis = _bloch_basis(3).reshape(9, 3, 3)
+    assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
+    gram = np.einsum("pij,qji->pq", basis, basis)
+    assert np.abs(gram - np.eye(9)).max() <= 1e-15
+    vecs = _random_vectors(np.random.default_rng(1), 20, 3)
+    coords = _bloch_coordinates(vecs)
+    assert coords.shape == (9, 20)
+    projectors = np.einsum("ni,nj->nij", vecs, vecs.conj())
+    assert np.abs(np.einsum("pn,pij->nij", coords, basis)
+                  - projectors).max() <= 1e-15
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_bloch_expectation_matches_brute_force(count):
+    # random complex Hermitian operators, not Bell-diagonal
+    rng = np.random.default_rng(count)
+    mats = _random_hermitian(rng, count, 9)
+    left, right = _random_vectors(rng, 500, 3), _random_vectors(rng, 500, 3)
+    values = _product_expectations(_bloch_tables(mats, 3), left, right)
+    vecs = np.einsum("ni,nj->nij", left, right).reshape(500, 9)
+    brute = np.einsum("na,kab,nb->kn", vecs.conj(), mats, vecs).real
+    scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
+    assert values.shape == (count, 500)
+    assert (np.abs(values - brute) <= 1e-14 * scale).all()
+
+
+def test_bloch_table_of_product_operator_is_outer_product():
+    rng = np.random.default_rng(3)
+    p, q = _random_hermitian(rng, 2, 3)
+    table = _bloch_tables(np.kron(p, q)[None], 3)[0]
+    # Tr(X G_p) of a Hermitian X is the inner product of G_p with X
+    coords_p, coords_q = (_bloch_basis(3).conj() @ x.ravel() for x in (p, q))
+    assert np.abs(coords_p.imag).max() <= 1e-15
+    assert np.abs(table - np.outer(coords_p.real, coords_q.real)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("count", [5, ppt._POOL_BLOCK - 1, ppt._POOL_BLOCK,
+                                   ppt._POOL_BLOCK + 3, 2 * ppt._POOL_BLOCK + 1])
+def test_running_selection_keeps_lowest_of_whole_pool(count):
+    tables = _bloch_tables(_random_hermitian(np.random.default_rng(8), 3, 9), 3)
+    config = SamplerConfig(seed=12, count=count)
+    blocks = list(_pool_blocks(3, config))
+    values = np.concatenate([_product_expectations(tables, left, right)
+                             for left, right in blocks], axis=1)
+    pool_right = np.concatenate([right for _, right in blocks])
+    lowest, lowest_right = _pool_starts(tables, 3, config)
+    starts = min(count, 8)
+    assert lowest.shape == (3, starts) and lowest_right.shape == (3, starts, 3)
+    for k in range(3):
+        order = np.argsort(lowest[k])
+        assert np.array_equal(lowest[k][order], np.sort(values[k])[:starts])
+        where = np.argsort(values[k])[:starts]
+        assert np.array_equal(lowest_right[k][order], pool_right[where])
