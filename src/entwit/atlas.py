@@ -294,9 +294,13 @@ def _classify_slice(alphas: np.ndarray, betas: np.ndarray, gamma: float,
         _line_witness_for_slice(gamma, line_lambda))
     measure = np.full(len(label), math.nan)
     if gamma == 0.0:
-        # the PT test of the label is the one hs_measure_gamma0 would repeat
+        # the PT test of the label is the one hs_measure_gamma0 would repeat;
+        # a measure is attached only where it is positive, since a small tol
+        # lets round-off label NPT a PPT point outside both region formulas
         npt = (label == LABEL_NPT_I) | (label == LABEL_NPT_II)
-        measure[npt] = np.maximum(*_measure_values(alphas[npt], betas[npt]))
+        distance = np.maximum(*_measure_values(alphas, betas))
+        attach = npt & (distance > 0)
+        measure[attach] = distance[attach]
     return SliceColumns(alphas, betas, gamma, valid, min_pt_eig, label,
                         values, measure)
 
@@ -310,7 +314,7 @@ def classify_point(params, tol: float = PSD_TOL,
     the tag is the sign rule there).  PPT points become
     "PPT-detected-bound-entangled" only when a certified witness is
     negative on them; otherwise "PPT-unresolved".  The distance measure is
-    attached on the gamma = 0 slice for NPT points.
+    attached on the gamma = 0 slice for NPT points where it is positive.
 
     `line_lambda` overrides the segment parameter of the line witness
     (default: lambda_min of the slice); an uncertified override is still

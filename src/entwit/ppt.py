@@ -127,7 +127,7 @@ def _project_spectra_to_simplex(vals: np.ndarray) -> np.ndarray:
     # order, the first entry above its reversed theta
     thetas = (np.cumsum(vals[:, ::-1], axis=1) - 1.0) / np.arange(1, d + 1)
     first = (vals > thetas[:, ::-1]).argmax(axis=1)
-    theta = thetas.ravel()[np.arange(d - 1, n * d, d) - first]
+    theta = thetas[np.arange(n), d - 1 - first]
     return np.maximum(vals - theta[:, None], 0.0)
 
 
@@ -162,11 +162,12 @@ class _DykstraRuns(NamedTuple):
 
 def _dykstra(mats: np.ndarray, dim_a: int, dim_b: int, tol: float,
              max_iter: int) -> _DykstraRuns:
-    """The iteration of `nearest_ppt` on each matrix of a stack (N, D, D).
+    """The iteration of `nearest_ppt` on each matrix of a stack (N, D, D),
+    for max_iter >= 1.
 
-    Every run takes the arithmetic of a stack of one and stops on its own.
-    The working arrays are compacted only when some runs converge while
-    others go on, so a stack of one never indexes before it stops.
+    Each run stops on its own, when it converges or after `max_iter`
+    cycles, and its row is bit for bit the result of `nearest_ppt` on that
+    matrix alone.
     """
     n = len(mats)
     states = np.empty_like(mats)
@@ -174,9 +175,7 @@ def _dykstra(mats: np.ndarray, dim_a: int, dim_b: int, tol: float,
     residual = np.empty(n)
     pt_min = np.empty(n)
     active = np.arange(n)
-    x, p, q, y = mats, np.zeros_like(mats), np.zeros_like(mats), mats
-    step_residual, step_min = np.full(n, np.inf), None
-    step = 0
+    x, p, q = mats, np.zeros_like(mats), np.zeros_like(mats)
     for step in range(1, max_iter + 1):
         x_p = x + p
         y = _project_density(x_p)
@@ -186,28 +185,23 @@ def _dykstra(mats: np.ndarray, dim_a: int, dim_b: int, tol: float,
         q = y_q - x_next
         step_residual = _hs_norms(x_next - x)
         x = x_next
-        step_min = None
-        if step_residual.min() >= tol:
+        if step_residual.min() >= tol and step < max_iter:
             continue
         step_min = _min_pt_eigenvalues(y, dim_a, dim_b)
-        done = (step_residual < tol) & (step_min >= -tol)
-        if done.all():
+        stop = ((step_residual < tol) & (step_min >= -tol)) | (step == max_iter)
+        if not stop.any():
+            continue
+        finished = active[stop]
+        states[finished] = y[stop]
+        iterations[finished] = step
+        residual[finished] = step_residual[stop]
+        pt_min[finished] = step_min[stop]
+        if stop.all():
             break
-        if done.any():
-            finished = active[done]
-            states[finished] = y[done]
-            iterations[finished] = step
-            residual[finished] = step_residual[done]
-            pt_min[finished] = step_min[done]
-            left = ~done
-            active, x, p, q, y = active[left], x[left], p[left], q[left], y[left]
-            step_residual, step_min = step_residual[left], step_min[left]
-    if step_min is None:
-        step_min = _min_pt_eigenvalues(y, dim_a, dim_b)
-    states[active] = y
-    iterations[active] = step
-    residual[active] = step_residual
-    pt_min[active] = step_min
+        # reached only while some runs go on, so a stack of one never indexes
+        # its working arrays
+        left = ~stop
+        active, x, p, q = active[left], x[left], p[left], q[left]
     converged = (residual < tol) & (pt_min >= -tol)
     return _DykstraRuns(states, converged, iterations, residual, pt_min)
 
@@ -224,8 +218,11 @@ def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
     is its own projection.  The N=1 case of `_dykstra`.
 
     On iteration exhaustion the result carries `converged=False`, the last
-    density-side iterate and the final residual.
+    density-side iterate and the final residual.  ValueError when `max_iter`
+    is below 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     dim_a, dim_b = rho.dim_a, rho.dim_b
     run = _dykstra(rho.entries[None], dim_a, dim_b, tol, max_iter)
     return NearestPptResult(

@@ -6,29 +6,12 @@ against formulas, sampling against certificates) and reported as a
 CheckResult.  The acceptance test suite and the `reproduce` CLI command both
 run this battery.
 
-The checks that cover many witnesses or states run them as 9x9 stacks, a
-few calls per check, through the stacked kernels whose N=1 cases are the
-public functions:
-
-* `closed_form_coefficients` and `certifications`: line witnesses built
-  from Bell traces, certified by `witness._certify_stack` (Weyl expansion
-  of the whole stack), against the closed-form coefficients and flags;
-* `gamma0_measures`: the closed-form measure of `witness._gamma0_nearest`
-  against the 9x9 norm distance to its closed-form nearest point and
-  against minus the region witness value;
-* `nearest_ppt_gamma0`: one Dykstra stack (`ppt._dykstra`) against the
-  closed-form nearest points;
-* `spectrum_closed_form`: `simplex_spectrum` on all parameter rows against
-  one stacked eigensolve of the Bell-projector build;
-* `embedding` and `pt_sign_changes`: Horodecki states as one stack, 51
-  against their sigma+/sigma- build, and the two PT bisection brackets
-  through one stacked 9x9 eigensolve per halving.
-
-Each bisection runs its brackets in one call (`_bisect`) and stops at the
-first halving that moves none of them.
-
-Every state a check builds passes the density-matrix gates
-(`operators._density_gate`).
+Checks that cover many witnesses or states run them as 9x9 stacks,
+through the batch kernels whose single-item calls are the public functions
+(`certify_witness`, `line_witness`, `nearest_ppt`, `DensityMatrix`), so each
+row is bit for bit what that call returns.  Every state a check builds
+passes the density-matrix gates, and the report of a given seed and sample
+count is byte-stable.
 """
 
 from __future__ import annotations
@@ -39,10 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import PSD_TOL, _density_gate, _hs_norms, hs_inner, identity
+from .operators import (PSD_TOL, BipartiteOperator, _density_gate, _hs_norms,
+                        hs_inner, identity)
 from .weyl import bell_projector, max_entangled
 from .families import (
-    horodecki_state,
     simplex_spectrum,
     _bell_diagonal,
     _family_weights,
@@ -54,7 +37,6 @@ from .witness import (
     DETECTION_GAMMA,
     detection_profile,
     horodecki_detection_range,
-    line_witness,
     line_witness_coefficients,
     region_witnesses,
     _certify_stack,
@@ -65,7 +47,6 @@ from .witness import (
 )
 from .ppt import (
     SamplerConfig,
-    classify_ppt,
     min_separable_expectation,
     _dykstra,
     _min_pt_eigenvalues,
@@ -103,14 +84,8 @@ def _check(name, deviation, tolerance, target, computed) -> CheckResult:
 
 
 def _check_flag(name, ok, target, computed) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(ok),
-        target=str(target),
-        computed=str(computed),
-        tolerance=0.0,
-        deviation=0.0 if ok else 1.0,
-    )
+    """A pass/fail check: deviation 0 or 1 against tolerance 0."""
+    return _check(name, 0.0 if ok else 1.0, 0.0, target, computed)
 
 
 def _coeff_moduli(gammas: np.ndarray, lams: np.ndarray):
@@ -229,11 +204,11 @@ def check_detection_endpoints() -> CheckResult:
 
 
 def check_horodecki_pt_classes() -> CheckResult:
-    expectations = [(b, "NPT") for b in (0.0, 0.5, 0.99)] + \
-        [(b, "PPT") for b in (1.0, 2.0, 3.0, 4.0)] + \
-        [(b, "NPT") for b in (4.01, 4.5, 5.0)]
-    wrong = [(b, want, label) for b, want in expectations
-             if (label := classify_ppt(horodecki_state(b)).label) != want]
+    b = np.array([0.0, 0.5, 0.99, 1.0, 2.0, 3.0, 4.0, 4.01, 4.5, 5.0])
+    want = np.where((1.0 <= b) & (b <= 4.0), "PPT", "NPT")
+    label = np.where(_min_pt_eig_b(b) < -PSD_TOL, "NPT", "PPT")
+    bad = want != label
+    wrong = list(zip(b[bad].tolist(), want[bad].tolist(), label[bad].tolist()))
     return _check_flag("horodecki_pt_classes", not wrong,
                        "NPT <1, PPT [1,4], NPT >4", wrong or "all as stated")
 
@@ -340,14 +315,15 @@ def check_gamma0_measures(seed: int) -> CheckResult:
 
 
 @lru_cache(maxsize=None)
-def _threshold_line_witnesses():
-    """(gamma, lambda_min, line witness at lambda_min) at 20 detecting
-    gammas, 10 of each sign."""
+def _threshold_lines() -> tuple[np.ndarray, np.ndarray]:
+    """(gammas, lambda_min) of the line witnesses at 20 detecting gammas,
+    10 of each sign, as read-only arrays."""
     magnitudes = np.linspace(DETECTION_GAMMA + 1e-3, 3 / 7, 10)
     gammas = np.concatenate([-magnitudes[::-1], magnitudes])
-    lams = [detection_profile(gamma).lambda_min for gamma in gammas]
-    return tuple((gamma, lam, line_witness(gamma, lam)[0])
-                 for gamma, lam in zip(gammas, lams))
+    lams = np.array([detection_profile(gamma).lambda_min for gamma in gammas])
+    for array in (gammas, lams):
+        array.setflags(write=False)
+    return gammas, lams
 
 
 def _line_operators(gammas: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -359,24 +335,21 @@ def _line_operators(gammas: np.ndarray, lams: np.ndarray) -> np.ndarray:
 def check_certifications() -> list[CheckResult]:
     """One certification of the two region witnesses, the line witnesses at
     lambda_min (those the sampler probes) and at 0.9 lambda_min."""
-    lines = _threshold_line_witnesses()
-    gammas = np.array([gamma for gamma, _, _ in lines])
-    lams = np.array([lam for _, lam, _ in lines])
+    gammas, lams = _threshold_lines()
     mats = np.concatenate([
         [witness.op.entries for witness in region_witnesses()],
-        [witness.op.entries for _, _, witness in lines],
-        _line_operators(gammas, 0.9 * lams),
+        _line_operators(np.tile(gammas, 2), np.concatenate([lams, 0.9 * lams])),
     ])
     stack = _certify_stack(mats, 3, 3)
     regions_ok = bool(stack.certified[:2].all())
-    at_threshold = stack.certified[2:2 + len(lines)]
-    below = slice(2 + len(lines), None)
+    at_threshold = stack.certified[2:2 + len(gammas)]
+    below = slice(2 + len(gammas), None)
     below_threshold = ~stack.certified[below] & (stack.max_abs_c[below] > 1.0)
     return [
         _check_flag("region_witnesses_certified", regions_ok,
                     "both certified", regions_ok),
         _check_flag("line_witnesses_certified", at_threshold.all(),
-                    f"{len(lines)} certified",
+                    f"{len(gammas)} certified",
                     f"{int(at_threshold.sum())} certified"),
         _check_flag("line_witnesses_below_threshold_fail",
                     below_threshold.all(), "all fail with max|c| > 1",
@@ -392,7 +365,8 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     lowest states of each (`min_separable_expectation`).
     """
     witnesses = list(region_witnesses())
-    witnesses += [witness for _, _, witness in _threshold_line_witnesses()]
+    witnesses += [BipartiteOperator(3, 3, mat)
+                  for mat in _line_operators(*_threshold_lines())]
     config = SamplerConfig(seed=seed, count=samples)
     floor = float(min_separable_expectation(witnesses, config).min())
     deviation = max(0.0, -floor)

@@ -274,9 +274,10 @@ def _tangent_traces(reference: SimplexParams, target: SimplexParams,
     distance when `normalize`, since the P_k are orthonormal and sum to 1.
 
     Parameters that broadcast to N pairs give traces (N, 9) and N distances,
-    each with the dot products of one pair."""
-    s = _family_weights(*reference)
-    diff = s - _family_weights(*target)
+    each with the dot products of one pair: the weight rows are made
+    contiguous, since `np.vecdot` sums a strided row in another order."""
+    s = np.ascontiguousarray(_family_weights(*reference))
+    diff = np.ascontiguousarray(s - _family_weights(*target))
     dist = np.sqrt(np.vecdot(diff, diff))
     traces = diff - np.vecdot(s, diff)[..., None]
     return (traces / dist[..., None] if normalize else traces), dist

@@ -352,6 +352,24 @@ def test_classify_point_gamma0_measure_matches_hs_measure():
                 assert sample.label == f"NPT-{region}"
 
 
+def test_gamma0_measure_only_where_positive(capsys):
+    # with --tol 0 the corner (-1/6, -1/3) of the gamma = 0 triangle, a PPT
+    # point outside both region formulas, is labelled NPT by a PT minimum of
+    # -1e-32 round-off; it gets the label but no distance measure
+    assert main(["classify", "--alpha=-0.16666666666666666",
+                 "--beta=-0.3333333333333333", "--tol", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "label: NPT-II" in out and "distance measure" not in out
+    assert main(["slice", "--gamma", "0", "--grid", "80", "--tol", "0"]) == 0
+    rows = [line.split(",") for line in
+            capsys.readouterr().out.splitlines()[1:]]
+    assert rows[0][5] == LABEL_NPT_II and rows[0][9] == ""
+    measures = [float(row[9]) for row in rows if row[9]]
+    assert measures and min(measures) > 0
+    npt = sum(row[5] in (LABEL_NPT_I, LABEL_NPT_II) for row in rows)
+    assert npt == len(measures) + 1
+
+
 def _reference_sample(alpha, beta, gamma, tol=1e-10):
     """(valid, PT minimum, label, witness values, measure), point by point."""
     state = simplex_state(SimplexParams(alpha, beta, gamma), psd_tol=tol)
@@ -519,10 +537,19 @@ def test_cli_witness_check_uncertified_probe(tmp_path, capsys):
 
 
 def test_cli_witness_check_bad_file(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["witness-check", str(path)]) == 1
-    capsys.readouterr()
+    # a missing file, malformed JSON and an operator of 0 entries each fail
+    # through main's handler, with its prefix and nothing on stdout
+    broken, empty = tmp_path / "broken.json", tmp_path / "empty.json"
+    broken.write_text("{not json")
+    empty.write_text(json.dumps({"dim_a": 3, "dim_b": 3, "entries": []}))
+    for path, message in ((tmp_path / "missing.json", "No such file"),
+                          (broken, "Expecting property name"),
+                          (empty, "entries has 0 elements, expected 81")):
+        assert main(["witness-check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entwit witness-check: ")
+        assert captured.err.count("\n") == 1 and message in captured.err
 
 
 def test_cli_witness_check_non_finite_entries(tmp_path, capsys):

@@ -82,6 +82,13 @@ def test_nearest_ppt_reports_non_convergence():
     assert result.state.op.trace().real == pytest.approx(1)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_nearest_ppt_rejects_max_iter_below_one(max_iter):
+    rho = simplex_state(SimplexParams(0.5, 0, 0)).density()
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        nearest_ppt(rho, max_iter=max_iter)
+
+
 def _dykstra_inputs():
     """NPT states of both gamma = 0 regions and off the slice, PPT states,
     and a Horodecki state, as one stack."""

@@ -32,7 +32,8 @@ from entwit import (
 from entwit import reproduce
 from entwit.operators import BipartiteOperator
 from entwit.weyl import _weyl_coefficients
-from entwit.witness import _certify_stack, _gamma0_nearest
+from entwit.witness import (_certify_stack, _gamma0_nearest, _line_pair,
+                            _tangent_traces)
 
 
 def u_combos():
@@ -207,21 +208,48 @@ def test_certify_scaled_region_witness_absolute_zero_tol():
         assert certificate.in_certifiable_form == (k <= 4), k
 
 
-def _battery_witnesses():
-    """The 442 operators the battery certifies: the 42 of `certifications`
-    and the 400 of the `closed_form_coefficients` grid."""
-    lines = reproduce._threshold_line_witnesses()
-    gammas = np.array([gamma for gamma, _, _ in lines])
-    lams = np.array([lam for _, lam, _ in lines])
+def _battery_line_grids():
+    """(gammas, lambdas) of the battery's line witnesses: the 20 at
+    lambda_min, the 20 at 0.9 lambda_min and the 400 of the
+    `closed_form_coefficients` grid."""
+    gammas, lams = reproduce._threshold_lines()
     grid = np.meshgrid(np.concatenate([np.linspace(-3 / 7, -1 / 7 - 1e-3, 10),
                                        np.linspace(1 / 7 + 1e-3, 3 / 7, 10)]),
                        np.linspace(0.1, 0.95, 20), indexing="ij")
-    return np.concatenate([
-        [w.op.entries for w in region_witnesses()],
-        [w.op.entries for _, _, w in lines],
-        reproduce._line_operators(gammas, 0.9 * lams),
-        reproduce._line_operators(grid[0].ravel(), grid[1].ravel()),
-    ])
+    return [(gammas, lams), (gammas, 0.9 * lams),
+            (grid[0].ravel(), grid[1].ravel())]
+
+
+def _battery_witnesses():
+    """The 442 operators the battery certifies: the 42 of `certifications`
+    and the 400 of the `closed_form_coefficients` grid."""
+    return np.concatenate(
+        [[w.op.entries for w in region_witnesses()]]
+        + [reproduce._line_operators(*grid) for grid in _battery_line_grids()])
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_line_operator_rows_equal_line_witness(which):
+    gammas, lams = _battery_line_grids()[which]
+    rows = reproduce._line_operators(gammas, lams)
+    for k, (gamma, lam) in enumerate(zip(gammas, lams)):
+        assert np.array_equal(rows[k], line_witness(gamma, lam)[0].op.entries), k
+
+
+def test_tangent_traces_of_a_stack_equal_single_pairs():
+    gammas, lams = np.concatenate(
+        [np.stack(grid) for grid in _battery_line_grids()], axis=1)
+    references, anchors = _line_pair(gammas, lams)
+    traces, dist = _tangent_traces(references, anchors)
+    normalized, _ = _tangent_traces(references, anchors, normalize=True)
+    for k in range(len(gammas)):
+        pair = [SimplexParams(*(float(x[k]) for x in params))
+                for params in (references, anchors)]
+        single, single_dist = _tangent_traces(*pair)
+        assert np.array_equal(traces[k], single), k
+        assert dist[k] == single_dist, k
+        assert np.array_equal(normalized[k],
+                              _tangent_traces(*pair, normalize=True)[0]), k
 
 
 def test_certify_stack_rows_equal_single_certificates():
