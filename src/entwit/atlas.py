@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .operators import PSD_TOL
-from .families import SimplexParams, _family_weights, _pt_minimum
+from .families import (SimplexParams, _family_pt_minimum, _family_weights,
+                       _pt_minimum)
 from .witness import (
     DETECTION_GAMMA,
     _ANCHOR_GAMMA_MAX,
@@ -120,6 +121,26 @@ def _witness_values(weights: np.ndarray, traces: np.ndarray) -> np.ndarray:
     return values
 
 
+def _label_points(weights: np.ndarray, min_pt_eig: np.ndarray, tol: float,
+                  line) -> tuple:
+    """The labelling rule, shared by `classify_weights` and `_classify_slice`:
+    (valid, min_pt_eig, label, witness_values) of the states with Bell
+    weights (N, 9) and PT minima (N,), as `classify_weights` returns them."""
+    valid = weights.min(axis=1) >= -tol
+    traces = list(_region_traces())
+    if line is not None:
+        traces.append(line[0])
+    table = _witness_values(weights, np.array(traces))
+    values = dict(zip(("region_I", "region_II", "line"), table))
+    # some certified witness below -tol (NaN hides one only on invalid rows)
+    detected = (table if line is not None and line[1]
+                else table[:2]).min(axis=0) < -tol
+    npt_tag = np.where(values["region_I"] <= values["region_II"], 1, 2)
+    code = np.where(valid, np.where(min_pt_eig < -tol, npt_tag,
+                                    np.where(detected, 3, 4)), 0)
+    return valid, min_pt_eig, _LABELS[code], values
+
+
 def classify_weights(weights, tol: float = PSD_TOL, line=None):
     """Classify Bell-diagonal two-qutrit states rho = sum_k w_k P_k.
 
@@ -134,26 +155,16 @@ def classify_weights(weights, tol: float = PSD_TOL, line=None):
     NPT-I or NPT-II by the more violated region witness; valid PPT states
     become "PPT-detected-bound-entangled" only when a certified witness is
     below -tol on them, otherwise "PPT-unresolved".  No 9x9 matrix is
-    formed: the PT minimum comes from one 3x3 block
-    (`families._pt_minimum`) and each witness value is w . t.
+    formed.  General weights have no closed-form PT spectrum, so the PT
+    minimum is the numeric one of a stacked 3x3 `eigvalsh`
+    (`families._pt_minimum`); family points, which `_classify_slice`
+    labels by the same rule, take the closed form
+    (`families._family_pt_minimum`) instead.  Each witness value is w . t.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != 9:
         raise ValueError(f"weights must have shape (N, 9), got {weights.shape}")
-    valid = weights.min(axis=1) >= -tol
-    min_pt_eig = _pt_minimum(weights)
-    traces = list(_region_traces())
-    if line is not None:
-        traces.append(line[0])
-    table = _witness_values(weights, np.array(traces))
-    values = dict(zip(("region_I", "region_II", "line"), table))
-    # some certified witness below -tol (NaN hides one only on invalid rows)
-    detected = (table if line is not None and line[1]
-                else table[:2]).min(axis=0) < -tol
-    npt_tag = np.where(values["region_I"] <= values["region_II"], 1, 2)
-    code = np.where(valid, np.where(min_pt_eig < -tol, npt_tag,
-                                    np.where(detected, 3, 4)), 0)
-    return valid, min_pt_eig, _LABELS[code], values
+    return _label_points(weights, _pt_minimum(weights), tol, line)
 
 
 def _csv_rows(columns: SliceColumns, width: int):
@@ -288,9 +299,18 @@ class SliceColumns:
 
 def _classify_slice(alphas: np.ndarray, betas: np.ndarray, gamma: float,
                     tol: float, line_lambda: float | None) -> SliceColumns:
-    """Classify the points (alphas[k], betas[k], gamma) of a slice at once."""
-    valid, min_pt_eig, label, values = classify_weights(
-        _family_weights(alphas, betas, gamma), tol,
+    """Classify the points (alphas[k], betas[k], gamma) of a slice at once.
+
+    The labelling rule is that of `classify_weights`, on the family's Bell
+    weights, but the PT minimum is the exact closed form of the family
+    (`families._family_pt_minimum`), with no eigensolve.  It agrees with
+    the numeric route of `classify_weights` to round-off; where the exact
+    minimum is 0, as at the corner (-1/6, -1/3, 0), it is exactly 0, so
+    only a `tol` of 0 can tell the two routes apart.
+    """
+    valid, min_pt_eig, label, values = _label_points(
+        _family_weights(alphas, betas, gamma),
+        _family_pt_minimum(alphas, betas, gamma), tol,
         _line_witness_for_slice(gamma, line_lambda))
     measure = np.full(len(label), math.nan)
     if gamma == 0.0:

@@ -10,8 +10,9 @@ Three families appear throughout:
   the member at lam*(alpha, beta, gamma).
 
 The family is defined once, by its Bell weights (rho = sum_k w_k P_k), and
-every family state is built from them; the weights-to-matrix map and the PT
-minimum from one 3x3 block live here with them.
+every family state is built from them; the weights-to-matrix map, the PT
+minimum of general weights from one 3x3 block and its closed form on the
+family live here with them.
 """
 
 from __future__ import annotations
@@ -120,6 +121,33 @@ def _family_weights(alpha, beta, gamma):
     # each entry carries base, hence the full broadcast shape
     a, b, g = base + alpha, base + beta / 2.0, base + gamma / 3.0
     return np.array([a, g, base, b, g, base, b, g, base]).T
+
+
+def _family_pt_minimum(alpha, beta, gamma):
+    """Minimum PT eigenvalue of the family member, elementwise over
+    parameters that broadcast; exact, with no eigensolve.
+
+    With the weights of `_family_weights` (a on P00, b on P10 and P20, g on
+    P01, P11 and P21, e = (1-alpha-beta-gamma)/9 on P02, P12 and P22), the
+    block of `_pt_block_table` on |00>, |12>, |21> is
+
+        [[(a + 2b)/3, 0,         0        ],
+         [0,          e,         (a - b)/3],
+         [0,          (a - b)/3, g        ]].
+
+    Its (0, 1) and (0, 2) entries are g (1 + w + conj w)/3 and
+    e (1 + conj w + w)/3 with w = exp(2 pi i/3), so they vanish, and the
+    (1, 2) entry (a + b (w + conj w))/3 = (a - b)/3 is real: the block
+    splits into a 1x1 block e + (alpha + beta)/3 and a real symmetric 2x2
+    block with mean e + gamma/6, half-gap gamma/6 and off-diagonal
+    (alpha - beta/2)/3.
+    The minimum is the smaller of the 1x1 entry and the 2x2 block's lower
+    eigenvalue.
+    """
+    base = (1.0 - alpha - beta - gamma) / 9.0
+    return np.minimum(base + (alpha + beta) / 3.0,
+                      base + gamma / 6.0
+                      - np.hypot(gamma / 6.0, (alpha - beta / 2.0) / 3.0))
 
 
 def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:

@@ -288,13 +288,20 @@ def operator_to_dict(x) -> dict:
 
 def operator_from_dict(obj: dict) -> BipartiteOperator:
     """Parse the shared JSON operator object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed operator object: expected a JSON object "
+                         f"with keys dim_a, dim_b and entries, got "
+                         f"{type(obj).__name__}")
+    for key in ("dim_a", "dim_b", "entries"):
+        if key not in obj:
+            raise ValueError(f"malformed operator object: missing key '{key}'")
+    dims, pairs = (obj["dim_a"], obj["dim_b"]), obj["entries"]
     try:
-        dims = obj["dim_a"], obj["dim_b"]
         dim_a, dim_b = map(int, dims)
-        pairs = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed operator object: {exc}") from exc
-    if (dim_a, dim_b) != dims:
+        integral = (dim_a, dim_b) == dims
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
         raise ValueError(f"dim_a and dim_b must be integers, got {dims}")
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"dim_a and dim_b must be positive, got {dims}")

@@ -28,9 +28,9 @@ from .weyl import bell_projector, max_entangled
 from .families import (
     simplex_spectrum,
     _bell_diagonal,
+    _family_pt_minimum,
     _family_weights,
     _horodecki_params,
-    _pt_minimum,
 )
 from .witness import (
     CROSSING_GAMMA,
@@ -204,11 +204,18 @@ def check_detection_endpoints() -> CheckResult:
 
 
 def check_horodecki_pt_classes() -> CheckResult:
+    """PT classes of 10 Horodecki states from the 9x9 eigensolve, whose
+    minima must also equal the family's closed form within 1e-12."""
     b = np.array([0.0, 0.5, 0.99, 1.0, 2.0, 3.0, 4.0, 4.01, 4.5, 5.0])
     want = np.where((1.0 <= b) & (b <= 4.0), "PPT", "NPT")
-    label = np.where(_min_pt_eig_b(b) < -PSD_TOL, "NPT", "PPT")
+    min_pt_eig = _min_pt_eig_b(b)
+    label = np.where(min_pt_eig < -PSD_TOL, "NPT", "PPT")
     bad = want != label
     wrong = list(zip(b[bad].tolist(), want[bad].tolist(), label[bad].tolist()))
+    closed_form = np.abs(min_pt_eig
+                         - _family_pt_minimum(*_horodecki_params(b))).max()
+    if closed_form > 1e-12:
+        wrong.append(f"closed-form PT minimum off by {closed_form:.3e}")
     return _check_flag("horodecki_pt_classes", not wrong,
                        "NPT <1, PPT [1,4], NPT >4", wrong or "all as stated")
 
@@ -300,7 +307,7 @@ def check_gamma0_measures(seed: int) -> CheckResult:
         alpha, beta = _random_region_points(rng, region, 100)
         measure, region_one, near_alpha, near_beta = _gamma0_nearest(alpha,
                                                                      beta)
-        npt = _pt_minimum(_family_weights(alpha, beta, 0.0)) < -PSD_TOL
+        npt = _family_pt_minimum(alpha, beta, 0.0) < -PSD_TOL
         wrong = np.flatnonzero(~npt | (region_one != (region == "I")))
         if wrong.size:
             k = wrong[0]

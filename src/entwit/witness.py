@@ -40,7 +40,7 @@ from .operators import (
     hs_norm,
 )
 from .families import (SimplexParams, simplex_state, _bell_diagonal,
-                       _family_weights, _horodecki_params, _pt_minimum)
+                       _family_pt_minimum, _family_weights, _horodecki_params)
 from .weyl import _weyl_coefficients
 
 __all__ = [
@@ -326,7 +326,7 @@ def _gamma0_pt_minimum(alpha: float, beta: float) -> float:
             f"({alpha}, {beta}, 0) is not a state: min eigenvalue "
             f"{min_eig:.3e}"
         )
-    return float(_pt_minimum(weights[None])[0])
+    return float(_family_pt_minimum(alpha, beta, 0.0))
 
 
 def _gamma0_nearest(alpha, beta):

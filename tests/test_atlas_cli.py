@@ -353,17 +353,22 @@ def test_classify_point_gamma0_measure_matches_hs_measure():
 
 
 def test_gamma0_measure_only_where_positive(capsys):
-    # with --tol 0 the corner (-1/6, -1/3) of the gamma = 0 triangle, a PPT
-    # point outside both region formulas, is labelled NPT by a PT minimum of
-    # -1e-32 round-off; it gets the label but no distance measure
+    # the corner (-1/6, -1/3) of the gamma = 0 triangle, a PPT point outside
+    # both region formulas, has the exact PT minimum 0, which the closed
+    # form gives exactly, so even --tol 0 labels it PPT, with no measure
     assert main(["classify", "--alpha=-0.16666666666666666",
                  "--beta=-0.3333333333333333", "--tol", "0"]) == 0
     out = capsys.readouterr().out
-    assert "label: NPT-II" in out and "distance measure" not in out
-    assert main(["slice", "--gamma", "0", "--grid", "80", "--tol", "0"]) == 0
+    assert "min partial-transpose eigenvalue: 0\n" in out
+    assert "label: PPT-unresolved" in out and "distance measure" not in out
+    # (-1/27, 10/27), cell 167 of the 37 x 37 grid, is PPT with the exact
+    # PT minimum 0 on the border of region II, but -1.4e-17 by round-off:
+    # with --tol 0 it is labelled NPT and gets the label but no measure
+    assert main(["slice", "--gamma", "0", "--grid", "37", "--tol", "0"]) == 0
     rows = [line.split(",") for line in
             capsys.readouterr().out.splitlines()[1:]]
-    assert rows[0][5] == LABEL_NPT_II and rows[0][9] == ""
+    assert float(rows[167][4]) < 0
+    assert rows[167][5] == LABEL_NPT_II and rows[167][9] == ""
     measures = [float(row[9]) for row in rows if row[9]]
     assert measures and min(measures) > 0
     npt = sum(row[5] in (LABEL_NPT_I, LABEL_NPT_II) for row in rows)
@@ -587,6 +592,23 @@ def test_cli_witness_check_malformed_operator(fields, message, tmp_path,
     assert main(["witness-check", str(path)]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dim_a": 3}, "malformed operator object: missing key 'dim_b'"),
+    ([], "malformed operator object: expected a JSON object with keys "
+         "dim_a, dim_b and entries, got list"),
+    ("x", "malformed operator object: expected a JSON object with keys "
+          "dim_a, dim_b and entries, got str"),
+])
+def test_cli_witness_check_names_the_expected_object(doc, message, tmp_path,
+                                                     capsys):
+    path = tmp_path / "not_an_operator.json"
+    path.write_text(json.dumps(doc))
+    assert main(["witness-check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"entwit witness-check: {message}\n"
 
 
 def test_cli_nearest_ppt(capsys):

@@ -38,10 +38,12 @@ from entwit.atlas import (
     _region_traces,
     classify_point,
     classify_weights,
+    positivity_vertices,
     slice_sweep,
 )
 from entwit.cli import main
-from entwit.families import _family_weights, _pt_block_table
+from entwit.families import (_family_pt_minimum, _family_weights,
+                             _pt_block_table, _pt_minimum)
 from entwit.operators import _pt_array
 
 BELL = np.array([bell_projector(3, (n, m)).entries
@@ -114,6 +116,78 @@ def test_block_test_weights_hit_degenerate_blocks():
     assert np.all(gaps[:, 0] <= 1e-12)      # a double lowest eigenvalue
     spectrum = np.linalg.eigvalsh((mixed @ table).reshape(3, 3))
     assert np.abs(spectrum - 1 / 9).max() <= 1e-15   # 1/9 three times
+
+
+def _full_pt_minimum(alpha, beta, gamma):
+    """Minimum eigenvalue of the whole 9x9 partial transpose of each family
+    member, built as a matrix from its Bell weights."""
+    states = _states(np.atleast_2d(_family_weights(alpha, beta, gamma)))
+    return np.linalg.eigvalsh(_pt_array(states, 3, 3, 2))[:, 0]
+
+
+def _crossing_points(rng, count):
+    """(alpha, beta, gamma) where the 1x1 block e + (alpha + beta)/3 equals
+    the lower eigenvalue of the 2x2 block: with u = (alpha + beta)/3 < 0,
+    gamma > 3u and (alpha - beta/2)/3 = +-sqrt(u (u - gamma/3))."""
+    u = rng.uniform(-0.3, -0.01, count)
+    gamma = rng.uniform(3 * u, 1.0)
+    d = rng.choice([-1.0, 1.0], count) * np.sqrt(u * (u - gamma / 3))
+    beta = 2 * (u - d)
+    return 3 * u - beta, beta, gamma
+
+
+def test_family_pt_minimum_equals_full_partial_transpose():
+    rng = np.random.default_rng(515)
+    seeded = rng.uniform(-1.0, 1.0, (3, 2000))
+    beta = rng.uniform(-1.0, 1.0, 200)
+    off_diagonal_zero = (beta / 2, beta, rng.uniform(-1.0, 1.0, 200))
+    gamma_zero = (*rng.uniform(-1.0, 1.0, (2, 200)), np.zeros(200))
+    crossing = _crossing_points(rng, 200)
+    vertices = [(a, b, gamma) for gamma in np.linspace(-0.49, 0.99, 25)
+                for a, b in positivity_vertices(gamma)]
+    loci = [seeded, off_diagonal_zero, gamma_zero, crossing,
+            np.array(vertices).T, np.zeros((3, 1))]
+    for alpha, beta, gamma in loci:
+        closed = _family_pt_minimum(alpha, beta, gamma)
+        assert np.abs(closed - _full_pt_minimum(alpha, beta, gamma)).max() \
+            <= 1e-12
+    # the crossing: both branches of the closed form give the minimum
+    alpha, beta, gamma = crossing
+    base = (1 - alpha - beta - gamma) / 9
+    one = base + (alpha + beta) / 3
+    two = base + gamma / 6 - np.hypot(gamma / 6, (alpha - beta / 2) / 3)
+    assert np.abs(one - two).max() <= 1e-15
+    # the maximally mixed point: 1/9, exactly
+    assert _family_pt_minimum(0.0, 0.0, 0.0) == 1 / 9
+
+
+def test_family_pt_minimum_broadcasts_as_the_weights():
+    alpha, beta = np.linspace(-0.2, 0.8, 6), np.linspace(-0.3, 0.6, 6)
+    closed = _family_pt_minimum(alpha[:, None], beta, 0.25)
+    assert closed.shape == (6, 6)
+    numeric = _pt_minimum(_family_weights(np.repeat(alpha, 6),
+                                          np.tile(beta, 6), 0.25))
+    assert np.abs(closed.ravel() - numeric).max() <= 1e-15
+    assert np.ndim(_family_pt_minimum(0.1, 0.2, 0.3)) == 0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, -0.3, 0.18, 0.05, -0.4, 0.41,
+                                   0.6, -0.49])
+def test_closed_form_and_numeric_routes_label_alike(gamma):
+    """`slice_sweep` (closed form) against `classify_weights` (3x3
+    eigvalsh) on the same grid, with the same line witness, at the default
+    tol: the same labels, validity and witness values, and PT minima within
+    1e-15."""
+    columns = slice_sweep(gamma, 41).columns
+    valid, min_pt_eig, label, values = classify_weights(
+        _family_weights(columns.alpha, columns.beta, gamma),
+        line=_line_witness_for_slice(gamma))
+    assert np.array_equal(label, columns.label)
+    assert np.array_equal(valid, columns.valid)
+    assert np.abs(min_pt_eig - columns.min_pt_eig).max() <= 1e-15
+    assert values.keys() == columns.witness_values.keys()
+    for name, column in values.items():
+        assert np.array_equal(column, columns.witness_values[name])
 
 
 def _weight_witnesses():
@@ -205,17 +279,19 @@ def test_label_path_builds_no_nine_by_nine_matrix(monkeypatch):
         return solver(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    # family points take the closed-form PT minimum: no eigensolve at all
     for gamma in (0.0, -0.3, 0.18):
         slice_sweep(gamma, 12)
         classify_point(SimplexParams(0.1, -0.05, gamma))
-    calls = len(shapes)
     # the gamma = 0 measure and nearest point: NPT in each region, and PPT
     for alpha, beta in ((0.5, 0.0), (0.0, 0.8), (0.2, 0.2)):
         hs_measure_gamma0(alpha, beta)
     nearest_separable_gamma0(0.5, 0.0)
     nearest_separable_gamma0(0.0, 0.8)
-    assert len(shapes) == calls + 5
-    assert shapes and set(shapes) == {(3, 3)}
+    assert shapes == []
+    # general weights go through one stacked eigensolve of 3x3 blocks
+    classify_weights(np.full((5, 9), 1 / 9))
+    assert shapes == [(3, 3)]
 
     # a fresh detecting gamma with the witness caches cleared: no 9x9
     # operator is created and no Weyl expansion is made
@@ -242,7 +318,7 @@ def test_label_path_builds_no_nine_by_nine_matrix(monkeypatch):
     assert sample.label == LABEL_BOUND
     assert "line" in sample.witness_values
     assert created == []
-    assert set(shapes) == {(3, 3)}
+    assert shapes == [(3, 3)]
 
 
 def _gamma0_border_points(count):

@@ -272,14 +272,18 @@ def test_operator_json_round_trip():
 def test_operator_json_rejects_malformed():
     with pytest.raises(ValueError):
         operator_from_dict({"dim_a": 3, "dim_b": 3, "entries": [[0.0, 0.0]] * 5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="missing key 'dim_b'"):
         operator_from_dict({"dim_a": 3})
+    for doc in ([], "x", None, 3.0):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            operator_from_dict(doc)
     with pytest.raises(ValueError, match="number pairs"):
         operator_from_dict({"dim_a": 1, "dim_b": 1, "entries": [["a", 0.0]]})
     # non-integral dimensions are not truncated
     entries = [[0.0, 0.0]] * 81
-    for dims in ((3.9, 3.2), (3, 3.5), ("3", 3), (math.inf, 3), (math.nan, 3)):
-        with pytest.raises(ValueError):
+    for dims in ((3.9, 3.2), (3, 3.5), ("3", 3), (math.inf, 3), (math.nan, 3),
+                 (None, None), ([3], 3)):
+        with pytest.raises(ValueError, match="must be integers"):
             operator_from_dict(dict(zip(("dim_a", "dim_b"), dims),
                                     entries=entries))
     op = operator_from_dict({"dim_a": 3.0, "dim_b": 3, "entries": entries})
