@@ -22,10 +22,10 @@ from .families import (SimplexParams, _family_pt_minimum, _family_weights,
 from .witness import (
     DETECTION_GAMMA,
     _ANCHOR_GAMMA_MAX,
-    _REGION_PAIRS,
     _certifies,
     _line_pair,
     _measure_values,
+    _region_traces,
     _tangent_traces,
     detection_profile,
     line_witness_coefficients,
@@ -81,13 +81,6 @@ _SWEEP_BLOCK = 512
 def format_float(x: float) -> str:
     """Fixed 15-significant-digit rendering used in all CSV/JSON output."""
     return _FLOAT % float(x)
-
-
-@lru_cache(maxsize=None)
-def _region_traces() -> tuple[np.ndarray, np.ndarray]:
-    """Bell traces of the two region witnesses (`region_witnesses`)."""
-    return tuple(_tangent_traces(sigma, rho, normalize=True)[0]
-                 for sigma, rho in _REGION_PAIRS)
 
 
 @lru_cache(maxsize=64)

@@ -4,18 +4,31 @@ Partial transposition is always applied to subsystem 2; the choice does not
 affect spectra (the two partial transposes differ by a full transposition)
 and fixing it keeps results bit-reproducible.
 
-The probe works in real Bloch coordinates.  For an orthonormal Hermitian
-basis {G_p} of the d x d matrices (`_bloch_basis`), a pure product state has
-<a (x) b|W|a (x) b> = A^T T B, with A_p = <a|G_p|a>, B_q = <b|G_q|b> and
-the real d^2 x d^2 table T_pq = Tr(W (G_p (x) G_q)), built once per
-operator.  The pool is one real matrix product of the tables against the
-outer products A (x) B; the seesaw's reduced operators are T B and A^T T
-expanded in the basis.
+The separable-minimum probe reads <a (x) b|W|a (x) b> through a feature
+map: real features of the product state, linear in |a><a| (x) |b><b|,
+against one real weight row per operator.  One pool, one running merge of
+the lowest states and one seesaw serve two maps:
+
+* the Bloch map (`_bloch_map`), for any operator.  For an orthonormal
+  Hermitian basis {G_p} of the d x d matrices (`_bloch_basis`),
+  <a (x) b|W|a (x) b> = A^T T B, with A_p = <a|G_p|a>, B_q = <b|G_q|b> and
+  the real d^2 x d^2 table T_pq = Tr(W (G_p (x) G_q)): d^4 features A_p B_q.
+  `min_separable_expectation` probes through it;
+* the Bell map (`_bell_map`), for a Bell-diagonal W = sum_k t_k P_k, read
+  from its d^2 Bell traces t alone: <a (x) b|P_k|a (x) b> =
+  |a^dag U_k conj(b)|^2/d for the Weyl operators U_k, so there are d^2
+  features, which are >= 0 and sum to 1.  The battery probes the geometric
+  witnesses of the magic simplex through it.
+
+Either way the pool is one real matrix product per block, and the seesaw's
+reduced operators are the Hermitian forms of W in one factor with the
+other fixed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -30,7 +43,7 @@ from .operators import (
     _hs_norms,
     _pt_array,
 )
-from .weyl import _realign
+from .weyl import _realign, _weyl_stack
 
 __all__ = [
     "PptVerdict",
@@ -237,16 +250,36 @@ def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
 def _pool_blocks(d: int, config: SamplerConfig):
     """Seeded Haar-random factors (left, right), `_POOL_BLOCK` states at a time.
 
-    Normalized complex-normal draws; the blocks concatenate to the pool of
-    one draw of `config.count` states, so a longer run extends a shorter one
-    with the same seed.
+    Complex-normal draws, each factor normalized in its float view (a
+    complex division would promote the norm to complex); the blocks
+    concatenate to the pool of one draw of `config.count` states, so a
+    longer run extends a shorter one with the same seed.
     """
     rng = np.random.default_rng(config.seed)
     for start in range(0, config.count, _POOL_BLOCK):
         size = min(_POOL_BLOCK, config.count - start)
-        z = rng.standard_normal((size, 2, d, 2)).view(np.complex128)[..., 0]
-        z /= np.linalg.norm(z, axis=2, keepdims=True)
+        x = rng.standard_normal((size, 2, d, 2))
+        # each factor as one contiguous row of 2d floats
+        rows = x.reshape(-1, 2 * d)
+        rows /= np.sqrt(np.vecdot(rows, rows))[:, None]
+        z = x.view(np.complex128)[..., 0]
         yield z[:, 0], z[:, 1]
+
+
+class _FeatureMap(NamedTuple):
+    """How the probe reads <a (x) b|W|a (x) b> for K operators on C^d (x) C^d.
+
+    `values(left, right)` gives the (K, N) expectations of the N product
+    vectors left (x) right, `(N, d)` each.  `on_left(owner, right)` gives,
+    for each of n starts, the d x d Hermitian form of operator owner[n] in
+    the left factor with the right one fixed, shape (n, d, d);
+    `on_right(owner, left)` is its mirror.
+    """
+
+    d: int
+    values: Callable
+    on_left: Callable
+    on_right: Callable
 
 
 @lru_cache(maxsize=None)
@@ -311,18 +344,78 @@ def _bloch_tables(mats: np.ndarray, d: int) -> np.ndarray:
     return (basis @ _realign(mats, d) @ basis.T).real
 
 
-def _product_expectations(tables: np.ndarray, left: np.ndarray,
-                          right: np.ndarray) -> np.ndarray:
-    """<v|W|v> of the product vectors v = left (x) right, one row per table.
+def _bloch_map(mats: np.ndarray, d: int) -> _FeatureMap:
+    """The Bloch map of a stack (K, d^2, d^2) of arbitrary operators: the d^4
+    features A (x) B against the flattened tables T (`_bloch_tables`).
 
-    One real matrix product: the (K, d^4) tables against the outer products
-    A (x) B of the factors' coordinates, since <v|W|v> = A^T T B.  The
-    coordinates run along the rows, so the outer product is formed one long
-    row at a time.
+    The values are one real matrix product; the reduced forms are
+    sum_p (T B)_p G_p on the left factor and sum_q (A^T T)_q G_q on the
+    right.
     """
-    coords_a, coords_b = _bloch_coordinates(left), _bloch_coordinates(right)
-    features = coords_a[:, None, :] * coords_b[None, :, :]
-    return tables.reshape(len(tables), -1) @ features.reshape(-1, len(left))
+    tables = _bloch_tables(mats, d)
+    flat = tables.reshape(len(tables), -1)
+    # B @ to_left[k] is sum_p (T B)_p G_p and A @ to_right[k] is
+    # sum_q (A^T T)_q G_q, flattened
+    basis = _bloch_basis(d)
+    to_left, to_right = tables.swapaxes(1, 2) @ basis, tables @ basis
+
+    def values(left, right):
+        # the coordinates run along the rows, so the outer product is
+        # formed one long row at a time
+        coords_a, coords_b = _bloch_coordinates(left), _bloch_coordinates(right)
+        features = coords_a[:, None, :] * coords_b[None, :, :]
+        return flat @ features.reshape(-1, len(left))
+
+    def reduced(forms):
+        def form(owner, vecs):
+            coords = _bloch_coordinates(vecs).T[:, None, :]
+            return (coords @ forms[owner]).reshape(-1, d, d)
+        return form
+
+    return _FeatureMap(d, values, reduced(to_left), reduced(to_right))
+
+
+def _bell_map(traces: np.ndarray) -> _FeatureMap:
+    """The Bell map of K Bell-diagonal operators W = sum_k t_k P_k, from their
+    traces (K, d^2), t[:, d n + m] on P_{n,m}: d^2 features per state.
+
+    P_{n,m} projects onto vec(U_{n,m})/sqrt(d), so <a b|P_{n,m}|a b> =
+    |a^dag U_{n,m} conj(b)|^2/d.  With U_{n,m}[i, (i - m) mod d] =
+    phase[n, i] that is |sum_i conj(phase[n, i]) c^m_i|^2/d for
+    c^m_i = a_i b_{(i - m) mod d}: one d-point DFT per shift m.  The
+    features come out in (m, n) order, so the traces are permuted to it
+    once.  The reduced forms are sum_k (t_k/d) (U_k conj(b))(U_k conj(b))^dag
+    on the left factor and sum_k (t_k/d) (U_k^T conj(a))(U_k^T conj(a))^dag
+    on the right.
+    """
+    k, d2 = traces.shape
+    d = math.isqrt(d2)
+    # weights and Weyl operators in the (m, n) order of the features
+    weights = traces.reshape(k, d, d).swapaxes(1, 2).reshape(k, d2)
+    weyl = _weyl_stack(d).swapaxes(0, 1).reshape(d2, d, d)
+    # the unitary DFT: conj(phase)/sqrt(d) squares to the 1/d
+    dft = weyl[:d].diagonal(axis1=1, axis2=2).conj() / np.sqrt(d)
+    shifted = (np.arange(d) - np.arange(d)[:, None]) % d
+    scaled = weights / d
+
+    def values(left, right):
+        # left and right factors as contiguous (d, N) rows
+        rows_a, rows_b = np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)
+        amplitudes = dft @ (rows_a * rows_b[shifted])
+        features = amplitudes.real ** 2 + amplitudes.imag ** 2
+        return weights @ features.reshape(d2, -1)
+
+    def reduced(transfer):
+        # conj(v) @ transfer holds the d^2 vectors U_k conj(v) (left form,
+        # transfer[j, (k, i)] = U_k[i, j]) or U_k^T conj(v) (right form,
+        # transfer[i, (k, j)] = U_k[i, j]) in one row
+        def form(owner, vecs):
+            rows = (vecs.conj() @ transfer).reshape(-1, d2, d)
+            return (rows.swapaxes(1, 2) * scaled[owner][:, None, :]) @ rows.conj()
+        return form
+
+    return _FeatureMap(d, values, reduced(weyl.transpose(2, 0, 1).reshape(d, -1)),
+                       reduced(weyl.transpose(1, 0, 2).reshape(d, -1)))
 
 
 def _merge_lowest(best: np.ndarray, best_right: np.ndarray,
@@ -349,17 +442,17 @@ def _merge_lowest(best: np.ndarray, best_right: np.ndarray,
     return pooled[keep], factors[keep]
 
 
-def _pool_starts(tables: np.ndarray, d: int, config: SamplerConfig):
-    """The `_SEESAW_STARTS` lowest pool states of each of the K `tables`.
+def _pool_starts(fmap: _FeatureMap, config: SamplerConfig):
+    """The `_SEESAW_STARTS` lowest pool states of each operator of `fmap`.
 
     Returns the values (K, s) and the right factors (K, s, d) of the
-    s = min(_SEESAW_STARTS, count) lowest states per table; the seesaw's
+    s = min(_SEESAW_STARTS, count) lowest states per operator; the seesaw's
     first half-step replaces the left factors.  The first block is
     partitioned; later blocks are merged by `_merge_lowest`.
     """
     best = best_right = None
-    for left, right in _pool_blocks(d, config):
-        values = _product_expectations(tables, left, right)
+    for left, right in _pool_blocks(fmap.d, config):
+        values = fmap.values(left, right)
         if best is None:
             starts = min(_SEESAW_STARTS, values.shape[1])
             top = np.argpartition(values, starts - 1, axis=1)[:, :starts]
@@ -369,31 +462,24 @@ def _pool_starts(tables: np.ndarray, d: int, config: SamplerConfig):
     return best, best_right
 
 
-def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
+def _seesaw(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray,
             values: np.ndarray) -> np.ndarray:
     """Alternating exact minimization over the two factors, batched over starts.
 
-    Start n minimizes A^T T B for T = tables[owner[n]], from the right factor
-    right[n] and its value values[n].  With one factor fixed the expectation
-    is a Hermitian form in the other: sum_p (T B)_p G_p on the left factor,
-    sum_q (A^T T)_q G_q on the right, minimized by its lowest eigenvector,
-    so no half-step raises a start's value.  A start stops once a sweep
-    lowers it by no more than _SEESAW_TOL, and every start after
-    _SEESAW_SWEEPS sweeps; each start's path depends on no other start.
+    Start n minimizes the expectation of operator owner[n] of `fmap`, from
+    the right factor right[n] and its value values[n].  With one factor
+    fixed the expectation is a Hermitian form in the other, minimized by its
+    lowest eigenvector, so no half-step raises a start's value.  A start
+    stops once a sweep lowers it by no more than _SEESAW_TOL, and every
+    start after _SEESAW_SWEEPS sweeps; each start's path depends on no other
+    start.
     """
     values, right = values.copy(), right.copy()
-    n, d = right.shape
-    basis = _bloch_basis(d)
-    # B @ on_left[k] is sum_p (T B)_p G_p and A @ on_right[k] is
-    # sum_q (A^T T)_q G_q, flattened
-    on_left, on_right = tables.swapaxes(1, 2) @ basis, tables @ basis
-    active = np.arange(n)
+    active = np.arange(len(right))
     for _ in range(_SEESAW_SWEEPS):
         k = owner[active]
-        coords = _bloch_coordinates(right[active]).T[:, None, :]
-        _, vecs = np.linalg.eigh((coords @ on_left[k]).reshape(-1, d, d))
-        coords = _bloch_coordinates(vecs[:, :, 0]).T[:, None, :]
-        vals, vecs = np.linalg.eigh((coords @ on_right[k]).reshape(-1, d, d))
+        _, vecs = np.linalg.eigh(fmap.on_left(k, right[active]))
+        vals, vecs = np.linalg.eigh(fmap.on_right(k, vecs[:, :, 0]))
         right[active] = vecs[:, :, 0]
         moving = values[active] - vals[:, 0] > _SEESAW_TOL
         values[active] = vals[:, 0]
@@ -401,6 +487,17 @@ def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
         if not active.size:
             break
     return values
+
+
+def _separable_floors(fmap: _FeatureMap, config: SamplerConfig) -> np.ndarray:
+    """Lowest sampled-and-refined value of each of the K operators of `fmap`:
+    the pool's eight lowest states of each run through one batched seesaw."""
+    pooled, right = _pool_starts(fmap, config)
+    k, starts = pooled.shape
+    owner = np.repeat(np.arange(k), starts)
+    refined = _seesaw(fmap, owner, right.reshape(k * starts, fmap.d),
+                      pooled.ravel())
+    return np.minimum(pooled.min(axis=1), refined.reshape(k, starts).min(axis=1))
 
 
 def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
@@ -411,13 +508,13 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     operator and an array of the K minima for a sequence.
 
     Probes the extreme points of the separable set (pure products); mixtures
-    cannot fall below them.  Every expectation is read in real Bloch
-    coordinates, <a (x) b|W|a (x) b> = A^T T B, from one real d^2 x d^2
-    table per operator (`_bloch_tables`).  The pool of `config.count` Haar
-    samples is drawn and evaluated `_POOL_BLOCK` states at a time; the eight
-    lowest samples of each operator are run to convergence by the seesaw:
-    alternating lowest eigenvectors of W reduced to one factor (Lewenstein
-    et al., PRA 62, 052310 (2000)).
+    cannot fall below them.  Every expectation is read through the Bloch
+    map, <a (x) b|W|a (x) b> = A^T T B, from one real d^2 x d^2 table per
+    operator (`_bloch_tables`), so any operator can be probed.  The pool of
+    `config.count` Haar samples is drawn and evaluated `_POOL_BLOCK` states
+    at a time; the eight lowest samples of each operator are run to
+    convergence by the seesaw: alternating lowest eigenvectors of W reduced
+    to one factor (Lewenstein et al., PRA 62, 052310 (2000)).
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting
@@ -433,11 +530,6 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     d = ops[0].dim_a
     if any(op.dim_a != d for op in ops):
         raise ValueError("sampler requires operators of one dimension")
-    tables = _bloch_tables(np.stack([op.entries for op in ops]), d)
-
-    pooled, right = _pool_starts(tables, d, config)
-    k, starts = pooled.shape
-    owner = np.repeat(np.arange(k), starts)
-    refined = _seesaw(tables, owner, right.reshape(k * starts, d), pooled.ravel())
-    floors = np.minimum(pooled.min(axis=1), refined.reshape(k, starts).min(axis=1))
+    floors = _separable_floors(
+        _bloch_map(np.stack([op.entries for op in ops]), d), config)
     return float(floors[0]) if single else floors

@@ -9,7 +9,10 @@ run this battery.
 Checks that cover many witnesses or states run them as 9x9 stacks,
 through the batch kernels whose single-item calls are the public functions
 (`certify_witness`, `line_witness`, `nearest_ppt`, `DensityMatrix`), so each
-row is bit for bit what that call returns.  Every state a check builds
+row is bit for bit what that call returns.  The sampler floor probes the
+witnesses from their Bell traces (the Bell map of `entwit.ppt`), which
+agrees with `min_separable_expectation` on their 9x9 operators to
+round-off.  Every state a check builds
 passes the density-matrix gates, and the report of a given seed and sample
 count is byte-stable.
 """
@@ -22,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import (PSD_TOL, BipartiteOperator, _density_gate, _hs_norms,
-                        hs_inner, identity)
+from .operators import (PSD_TOL, _density_gate, _hs_norms, hs_inner,
+                        identity)
 from .weyl import bell_projector, max_entangled
 from .families import (
     simplex_spectrum,
@@ -43,13 +46,15 @@ from .witness import (
     _gamma0_nearest,
     _line_pair,
     _measure_values,
+    _region_traces,
     _tangent_traces,
 )
 from .ppt import (
     SamplerConfig,
-    min_separable_expectation,
+    _bell_map,
     _dykstra,
     _min_pt_eigenvalues,
+    _separable_floors,
 )
 
 __all__ = ["CheckResult", "run_battery"]
@@ -367,15 +372,21 @@ def check_certifications() -> list[CheckResult]:
 def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     """Lowest separable expectation of the battery's witnesses, >= -1e-9.
 
-    The two region witnesses and the line witnesses at lambda_min share one
-    seeded pool of `samples` product states and one batched seesaw from the
-    lowest states of each (`min_separable_expectation`).
+    The two region witnesses and the line witnesses at lambda_min are
+    Bell-diagonal, W = sum_k t_k P_k, so they are probed through the Bell
+    map of `entwit.ppt` from their 9 Bell traces alone: <a b|W|a b> =
+    sum_k t_k v_k with v_k = |a^dag U_k conj(b)|^2/3, 9 features per
+    product state where the Bloch map of `min_separable_expectation` forms
+    81.  They share one seeded pool of `samples` product states and one
+    batched seesaw from the lowest states of each, the same pool and
+    seesaw that `min_separable_expectation` runs.
     """
-    witnesses = list(region_witnesses())
-    witnesses += [BipartiteOperator(3, 3, mat)
-                  for mat in _line_operators(*_threshold_lines())]
+    traces = np.concatenate([
+        np.array(_region_traces()),
+        _tangent_traces(*_line_pair(*_threshold_lines()))[0],
+    ])
     config = SamplerConfig(seed=seed, count=samples)
-    floor = float(min_separable_expectation(witnesses, config).min())
+    floor = float(_separable_floors(_bell_map(traces), config).min())
     deviation = max(0.0, -floor)
     return _check("sampler_floor", deviation, 1e-9,
                   ">= -1e-9", floor)

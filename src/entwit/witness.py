@@ -312,6 +312,13 @@ def region_witnesses() -> tuple[GeometricWitness, GeometricWitness]:
                  for sigma, rho in _REGION_PAIRS)
 
 
+@lru_cache(maxsize=None)
+def _region_traces() -> tuple[np.ndarray, np.ndarray]:
+    """Bell traces of the two region witnesses (`region_witnesses`)."""
+    return tuple(_tangent_traces(sigma, rho, normalize=True)[0]
+                 for sigma, rho in _REGION_PAIRS)
+
+
 def _measure_values(alpha: float, beta: float) -> tuple[float, float]:
     d_one = 2 * math.sqrt(2) / 3 * (alpha - 0.25 - beta / 8)
     d_two = math.sqrt(2) / 3 * (-alpha - 0.5 + 1.25 * beta)

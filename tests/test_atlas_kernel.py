@@ -35,7 +35,6 @@ from entwit.atlas import (
     SweepReport,
     _classify_slice,
     _line_witness_for_slice,
-    _region_traces,
     classify_point,
     classify_weights,
     positivity_vertices,
@@ -45,6 +44,7 @@ from entwit.cli import main
 from entwit.families import (_family_pt_minimum, _family_weights,
                              _pt_block_table, _pt_minimum)
 from entwit.operators import _pt_array
+from entwit.witness import _region_traces
 
 BELL = np.array([bell_projector(3, (n, m)).entries
                  for n in range(3) for m in range(3)])

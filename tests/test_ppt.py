@@ -6,8 +6,10 @@ import pytest
 from entwit import (
     CROSSING_GAMMA,
     DETECTION_GAMMA,
+    BipartiteOperator,
     SamplerConfig,
     SimplexParams,
+    bell_projector,
     certify_witness,
     classify_ppt,
     detection_profile,
@@ -23,14 +25,19 @@ from entwit import (
     simplex_state,
 )
 from entwit import ppt
+from entwit.families import _bell_diagonal
 from entwit.ppt import (
+    _bell_map,
     _bloch_basis,
     _bloch_coordinates,
+    _bloch_map,
     _bloch_tables,
     _pool_blocks,
     _pool_starts,
-    _product_expectations,
+    _separable_floors,
 )
+from entwit.reproduce import _threshold_lines
+from entwit.witness import _line_pair, _region_traces, _tangent_traces
 
 
 def test_classify_ppt_examples():
@@ -124,8 +131,7 @@ def test_sampler_config_validation():
 
 
 def _raw_pool_minimum(witness, config):
-    values, _ = _pool_starts(_bloch_tables(witness.op.entries[None], 3), 3,
-                             config)
+    values, _ = _pool_starts(_bloch_map(witness.op.entries[None], 3), config)
     return float(values.min())
 
 
@@ -247,8 +253,9 @@ def test_pool_blocks_extend_one_draw():
         blocks = list(_pool_blocks(3, config))
         assert all(len(left) == block for left, _ in blocks[:-1])
         z = np.random.default_rng(6).standard_normal((count, 2, 3, 2))
+        rows = z.reshape(-1, 6)
+        rows /= np.sqrt(np.vecdot(rows, rows))[:, None]
         pool = z[..., 0] + 1j * z[..., 1]
-        pool /= np.linalg.norm(pool, axis=2, keepdims=True)
         assert np.array_equal(np.concatenate([left for left, _ in blocks]),
                               pool[:, 0])
         assert np.array_equal(np.concatenate([right for _, right in blocks]),
@@ -256,7 +263,7 @@ def test_pool_blocks_extend_one_draw():
         # the running eight lowest over the blocks are those of the whole pool
         vecs = np.einsum("ni,nj->nij", pool[:, 0], pool[:, 1]).reshape(count, 9)
         values = np.einsum("na,ab,nb->n", vecs.conj(), witness, vecs).real
-        lowest, _ = _pool_starts(_bloch_tables(witness[None], 3), 3, config)
+        lowest, _ = _pool_starts(_bloch_map(witness[None], 3), config)
         assert np.abs(np.sort(lowest[0]) - np.sort(values)[:8]).max() <= 1e-12
 
 
@@ -289,7 +296,7 @@ def test_bloch_expectation_matches_brute_force(count):
     rng = np.random.default_rng(count)
     mats = _random_hermitian(rng, count, 9)
     left, right = _random_vectors(rng, 500, 3), _random_vectors(rng, 500, 3)
-    values = _product_expectations(_bloch_tables(mats, 3), left, right)
+    values = _bloch_map(mats, 3).values(left, right)
     vecs = np.einsum("ni,nj->nij", left, right).reshape(500, 9)
     brute = np.einsum("na,kab,nb->kn", vecs.conj(), mats, vecs).real
     scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
@@ -310,13 +317,13 @@ def test_bloch_table_of_product_operator_is_outer_product():
 @pytest.mark.parametrize("count", [5, ppt._POOL_BLOCK - 1, ppt._POOL_BLOCK,
                                    ppt._POOL_BLOCK + 3, 2 * ppt._POOL_BLOCK + 1])
 def test_running_selection_keeps_lowest_of_whole_pool(count):
-    tables = _bloch_tables(_random_hermitian(np.random.default_rng(8), 3, 9), 3)
+    fmap = _bloch_map(_random_hermitian(np.random.default_rng(8), 3, 9), 3)
     config = SamplerConfig(seed=12, count=count)
     blocks = list(_pool_blocks(3, config))
-    values = np.concatenate([_product_expectations(tables, left, right)
+    values = np.concatenate([fmap.values(left, right)
                              for left, right in blocks], axis=1)
     pool_right = np.concatenate([right for _, right in blocks])
-    lowest, lowest_right = _pool_starts(tables, 3, config)
+    lowest, lowest_right = _pool_starts(fmap, config)
     starts = min(count, 8)
     assert lowest.shape == (3, starts) and lowest_right.shape == (3, starts, 3)
     for k in range(3):
@@ -324,3 +331,65 @@ def test_running_selection_keeps_lowest_of_whole_pool(count):
         assert np.array_equal(lowest[k][order], np.sort(values[k])[:starts])
         where = np.argsort(values[k])[:starts]
         assert np.array_equal(lowest_right[k][order], pool_right[where])
+
+
+def _battery_traces():
+    """Bell traces of the 22 witnesses whose floor the battery samples."""
+    return np.concatenate([np.array(_region_traces()),
+                           _tangent_traces(*_line_pair(*_threshold_lines()))[0]])
+
+
+def _bell_weight_sets():
+    # the battery's witnesses, and random Bell weights of unit norm
+    rng = np.random.default_rng(17)
+    weights = rng.standard_normal((12, 9))
+    return [_battery_traces(),
+            weights / np.linalg.norm(weights, axis=1, keepdims=True)]
+
+
+@pytest.mark.parametrize("which", range(2))
+def test_bell_map_values_equal_bloch_map(which):
+    traces = _bell_weight_sets()[which]
+    bell, bloch = _bell_map(traces), _bloch_map(_bell_diagonal(traces), 3)
+    left, right = next(_pool_blocks(3, SamplerConfig(seed=which, count=3000)))
+    values = bell.values(left, right)
+    assert values.shape == (len(traces), 3000)
+    assert np.abs(values - bloch.values(left, right)).max() <= 1e-15
+
+
+def test_bell_features_are_overlaps_with_the_bell_states():
+    # unit traces pick out one feature each: |<a b|Phi_k>|^2 >= 0, and the
+    # nine of a state sum to 1 (Parseval: the Bell states are a basis)
+    left, right = next(_pool_blocks(3, SamplerConfig(seed=5, count=400)))
+    features = _bell_map(np.eye(9)).values(left, right)
+    assert (features >= 0).all()
+    assert np.abs(features.sum(axis=0) - 1).max() <= 1e-15
+    vecs = np.einsum("ni,nj->nij", left, right).reshape(400, 9)
+    bell = np.array([bell_projector(3, (n, m)).entries
+                     for n in range(3) for m in range(3)])
+    brute = np.einsum("na,kab,nb->kn", vecs.conj(), bell, vecs).real
+    assert np.abs(features - brute).max() <= 1e-15
+
+
+@pytest.mark.parametrize("which", range(2))
+def test_bell_map_reduced_forms_equal_bloch_map(which):
+    traces = _bell_weight_sets()[which]
+    bell, bloch = _bell_map(traces), _bloch_map(_bell_diagonal(traces), 3)
+    owner = np.random.default_rng(23).integers(0, len(traces), 200)
+    left, right = next(_pool_blocks(3, SamplerConfig(seed=23, count=200)))
+    for side, vecs in (("on_left", right), ("on_right", left)):
+        forms = getattr(bell, side)(owner, vecs)
+        assert forms.shape == (200, 3, 3)
+        assert np.abs(forms - getattr(bloch, side)(owner, vecs)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [3, 5, 77, 20240901])
+def test_bell_floors_equal_min_separable_expectation(seed):
+    # above one pool block, so the later blocks are merged
+    traces = _battery_traces()
+    config = SamplerConfig(seed=seed, count=2 * ppt._POOL_BLOCK + 500)
+    floors = _separable_floors(_bell_map(traces), config)
+    probed = min_separable_expectation(
+        [BipartiteOperator(3, 3, mat) for mat in _bell_diagonal(traces)], config)
+    assert floors.shape == (len(traces),)
+    assert np.abs(floors - probed).max() <= 1e-12
