@@ -71,13 +71,6 @@ _BOOL_CELLS = np.array(["false", "true"], dtype=object)
 _LABELS = np.array([LABEL_INVALID, LABEL_NPT_I, LABEL_NPT_II, LABEL_BOUND,
                     LABEL_UNRESOLVED], dtype=object)
 
-# points per `_classify_slice` call in a sweep.  In `perfbench` slice-atlas
-# runs (2-vCPU x86 host) one call per 80 x 80 grid, with its 0.9 MB stack of
-# complex PT blocks, had about 1.5 MB more peak RSS than blocks of 512 points,
-# which cost 2-3 % of the speed.
-_SWEEP_BLOCK = 512
-
-
 def format_float(x: float) -> str:
     """Fixed 15-significant-digit rendering used in all CSV/JSON output."""
     return _FLOAT % float(x)
@@ -263,22 +256,6 @@ class SliceColumns:
     def __len__(self) -> int:
         return len(self.label)
 
-    @classmethod
-    def concatenate(cls, parts: list) -> "SliceColumns":
-        """The points of several classified parts of one slice, in order."""
-
-        def join(columns):
-            return np.concatenate(list(columns))
-
-        first = parts[0]
-        return cls(join(p.alpha for p in parts), join(p.beta for p in parts),
-                   first.gamma, join(p.valid for p in parts),
-                   join(p.min_pt_eig for p in parts),
-                   join(p.label for p in parts),
-                   {name: join(p.witness_values[name] for p in parts)
-                    for name in first.witness_values},
-                   join(p.measure for p in parts))
-
     def lists(self, part: slice = slice(None)):
         """The columns of the points in `part` as plain lists (gamma stays
         one float), in the order of the fields."""
@@ -412,7 +389,7 @@ def slice_sweep(gamma: float, grid_n: int, tol: float = PSD_TOL) -> SweepReport:
 
     The grid covers the bounding box of the positivity triangle with
     `grid_n` points per axis, row-major in (alpha, beta), and is classified
-    `_SWEEP_BLOCK` points at a time.
+    in one `_classify_slice` call.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -422,10 +399,7 @@ def slice_sweep(gamma: float, grid_n: int, tol: float = PSD_TOL) -> SweepReport:
     alphas = np.linspace(low[0], high[0], grid_n)
     betas = np.linspace(low[1], high[1], grid_n)
     alpha_grid, beta_grid = np.repeat(alphas, grid_n), np.tile(betas, grid_n)
-    columns = SliceColumns.concatenate([
-        _classify_slice(alpha_grid[start:start + _SWEEP_BLOCK],
-                        beta_grid[start:start + _SWEEP_BLOCK], gamma, tol, None)
-        for start in range(0, grid_n * grid_n, _SWEEP_BLOCK)])
+    columns = _classify_slice(alpha_grid, beta_grid, gamma, tol, None)
     grid = {
         "gamma": gamma,
         "alpha_range": [float(alphas[0]), float(alphas[-1])],

@@ -34,7 +34,8 @@ from .reproduce import run_battery
 
 __all__ = ["main", "entry_point"]
 
-#: Largest |alpha|, |beta|, |gamma|: far outside the states, far below overflow.
+#: Largest |alpha|, |beta|, |gamma| and largest real or imaginary part of an
+#: operator entry: far outside the states, far below overflow.
 _PARAM_BOUND = 1e100
 
 
@@ -215,6 +216,11 @@ def _cmd_reproduce(args) -> int:
 def _cmd_witness_check(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         operator = operator_from_dict(json.load(fh))
+    for index, entry in enumerate(operator.entries.ravel().tolist()):
+        if max(abs(entry.real), abs(entry.imag)) > _PARAM_BOUND:
+            raise ValueError(
+                f"entries[{index}] = [{entry.real!r}, {entry.imag!r}] outside "
+                f"[-{_PARAM_BOUND:g}, {_PARAM_BOUND:g}]")
     certificate = certify_witness(operator)
     doc = {"certificate": certificate.to_dict()}
     lines = [

@@ -4,25 +4,23 @@ Partial transposition is always applied to subsystem 2; the choice does not
 affect spectra (the two partial transposes differ by a full transposition)
 and fixing it keeps results bit-reproducible.
 
-The separable-minimum probe reads <a (x) b|W|a (x) b> through a feature
-map: real features of the product state, linear in |a><a| (x) |b><b|,
-against one real weight row per operator.  One pool, one running merge of
+The separable-minimum probe reads <a (x) b|W|a (x) b> through a map
+(`_FeatureMap`) that gives the values of a block of product states against
+K operators, and the seesaw's reduced forms.  One pool, one running merge of
 the lowest states and one seesaw serve two maps:
 
-* the Bloch map (`_bloch_map`), for any operator.  For an orthonormal
-  Hermitian basis {G_p} of the d x d matrices (`_bloch_basis`),
-  <a (x) b|W|a (x) b> = A^T T B, with A_p = <a|G_p|a>, B_q = <b|G_q|b> and
-  the real d^2 x d^2 table T_pq = Tr(W (G_p (x) G_q)): d^4 features A_p B_q.
-  `min_separable_expectation` probes through it;
+* the direct map (`_matrix_map`), for any operator: with v = a (x) b,
+  <a (x) b|W|a (x) b> = Re(v^dag W v) = v^dag H v for H the Hermitian part
+  of W.  `min_separable_expectation` probes through it;
 * the Bell map (`_bell_map`), for a Bell-diagonal W = sum_k t_k P_k, read
   from its d^2 Bell traces t alone: <a (x) b|P_k|a (x) b> =
   |a^dag U_k conj(b)|^2/d for the Weyl operators U_k, so there are d^2
-  features, which are >= 0 and sum to 1.  The battery probes the geometric
-  witnesses of the magic simplex through it.
+  features, which are >= 0 and sum to 1, against one real weight row per
+  operator.  The battery probes the geometric witnesses of the magic
+  simplex through it.
 
-Either way the pool is one real matrix product per block, and the seesaw's
-reduced operators are the Hermitian forms of W in one factor with the
-other fixed.
+Either way the seesaw's reduced operators are the Hermitian forms of W in
+one factor with the other fixed.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +40,7 @@ from .operators import (
     _hs_norms,
     _pt_array,
 )
-from .weyl import _realign, _weyl_stack
+from .weyl import _weyl_stack
 
 __all__ = [
     "PptVerdict",
@@ -282,94 +279,32 @@ class _FeatureMap(NamedTuple):
     on_right: Callable
 
 
-@lru_cache(maxsize=None)
-def _bloch_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs j < k of the off-diagonal basis elements, in basis order."""
-    pairs = np.triu_indices(d, 1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
+def _matrix_map(mats: np.ndarray, d: int) -> _FeatureMap:
+    """The direct map of a stack (K, d^2, d^2) of arbitrary operators:
+    <a (x) b|W|a (x) b> = Re(v^dag W v) = v^dag H v for v = a (x) b and H
+    the Hermitian part of W.
 
-
-@lru_cache(maxsize=None)
-def _bloch_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis {G_p} of the d x d matrices, Tr(G_p G_q) =
-    delta_pq, as a read-only (d^2, d^2) array of flattened G_p.
-
-    The d units |j><j|, then (|j><k| + |k><j|)/sqrt(2) and
-    (-i|j><k| + i|k><j|)/sqrt(2) for j < k: the symmetric and antisymmetric
-    generalized Gell-Mann matrices of Bertlmann & Krammer, J. Phys. A 41,
-    235303 (2008), scaled to unit norm, with the diagonal units in place of
-    their diagonal ones.
+    The values of a block are one batched product H v and one conjugated
+    dot per state.  The reduced forms contract H with the fixed factor:
+    sum_{j,l} conj(b_j) H[(i j), (m l)] b_l on the left factor and
+    sum_{i,m} conj(a_i) H[(i j), (m l)] a_m on the right.
     """
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    diagonal = np.arange(d)
-    basis[diagonal, diagonal, diagonal] = 1.0
-    j, k = _bloch_pairs(d)
-    sym = np.arange(d, d + len(j))
-    anti = sym + len(j)
-    basis[sym, j, k] = basis[sym, k, j] = 1 / np.sqrt(2)
-    basis[anti, j, k], basis[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
-    flat = basis.reshape(d * d, d * d)
-    flat.setflags(write=False)
-    return flat
-
-
-def _bloch_coordinates(vecs: np.ndarray) -> np.ndarray:
-    """Real coordinates A_p = <v|G_p|v> of each vector of a stack (N, d), one
-    column per vector, so that |v><v| = sum_p A_p G_p; shape (d^2, N).
-
-    In the order of `_bloch_basis`: |v_j|^2, then sqrt(2) Re(conj(v_j) v_k)
-    and sqrt(2) Im(conj(v_j) v_k) for j < k.
-    """
-    # real and imaginary parts as contiguous (d, N) rows
-    re, im = np.stack([vecs.T.real, vecs.T.imag])
-    j, k = _bloch_pairs(len(re))
-    sym = re[j] * re[k] + im[j] * im[k]
-    anti = re[j] * im[k] - im[j] * re[k]
-    return np.concatenate([re * re + im * im, np.sqrt(2) * sym,
-                           np.sqrt(2) * anti])
-
-
-def _bloch_tables(mats: np.ndarray, d: int) -> np.ndarray:
-    """T_pq = Re Tr(W (G_p (x) G_q)) of each operator W of a stack (K, d^2, d^2).
-
-    Then <a (x) b|W|a (x) b> = A^T T B for the coordinates A of a and B of b.
-    Re Tr(W X) = Tr(H X) for Hermitian X and H the Hermitian part of W, so
-    the table is that of the form the probe minimizes.  Entry (p, q) is the
-    inner product of G_p (x) G_q with W: g R(W) g^T with g the conjugated
-    basis as rows and R the realignment (`weyl._realign`).
-    """
-    basis = _bloch_basis(d).conj()
-    return (basis @ _realign(mats, d) @ basis.T).real
-
-
-def _bloch_map(mats: np.ndarray, d: int) -> _FeatureMap:
-    """The Bloch map of a stack (K, d^2, d^2) of arbitrary operators: the d^4
-    features A (x) B against the flattened tables T (`_bloch_tables`).
-
-    The values are one real matrix product; the reduced forms are
-    sum_p (T B)_p G_p on the left factor and sum_q (A^T T)_q G_q on the
-    right.
-    """
-    tables = _bloch_tables(mats, d)
-    flat = tables.reshape(len(tables), -1)
-    # B @ to_left[k] is sum_p (T B)_p G_p and A @ to_right[k] is
-    # sum_q (A^T T)_q G_q, flattened
-    basis = _bloch_basis(d)
-    to_left, to_right = tables.swapaxes(1, 2) @ basis, tables @ basis
+    herm = _hermitian_part(mats)
+    transposed = herm.swapaxes(1, 2)
+    # rows (i m) and columns (j l) for the left form, the mirror for the
+    # right one, so that either form is the table times conj(v) (x) v
+    blocks = herm.reshape(-1, d, d, d, d)
+    to_left = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
+    to_right = blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d)
 
     def values(left, right):
-        # the coordinates run along the rows, so the outer product is
-        # formed one long row at a time
-        coords_a, coords_b = _bloch_coordinates(left), _bloch_coordinates(right)
-        features = coords_a[:, None, :] * coords_b[None, :, :]
-        return flat @ features.reshape(-1, len(left))
+        vecs = (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
+        return np.vecdot(vecs, vecs @ transposed).real
 
-    def reduced(forms):
+    def reduced(tables):
         def form(owner, vecs):
-            coords = _bloch_coordinates(vecs).T[:, None, :]
-            return (coords @ forms[owner]).reshape(-1, d, d)
+            pairs = vecs.conj()[:, :, None] * vecs[:, None, :]
+            return (tables[owner] @ pairs.reshape(-1, d * d, 1)).reshape(-1, d, d)
         return form
 
     return _FeatureMap(d, values, reduced(to_left), reduced(to_right))
@@ -508,13 +443,16 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     operator and an array of the K minima for a sequence.
 
     Probes the extreme points of the separable set (pure products); mixtures
-    cannot fall below them.  Every expectation is read through the Bloch
-    map, <a (x) b|W|a (x) b> = A^T T B, from one real d^2 x d^2 table per
-    operator (`_bloch_tables`), so any operator can be probed.  The pool of
-    `config.count` Haar samples is drawn and evaluated `_POOL_BLOCK` states
-    at a time; the eight lowest samples of each operator are run to
-    convergence by the seesaw: alternating lowest eigenvectors of W reduced
-    to one factor (Lewenstein et al., PRA 62, 052310 (2000)).
+    cannot fall below them.  Every expectation is read through the direct
+    map (`_matrix_map`), <a (x) b|W|a (x) b> = Re(v^dag W v) for v = a (x) b,
+    so any operator can be probed, and a non-Hermitian W is probed as its
+    Hermitian part.  The pool of `config.count` Haar samples is drawn and
+    evaluated `_POOL_BLOCK` states at a time; a block of a sequence of K
+    operators holds K complex products W v of its states, so memory grows
+    with K (the battery's witnesses go through the Bell map instead).  The
+    eight lowest samples of each operator are run to convergence by the
+    seesaw: alternating lowest eigenvectors of W reduced to one factor
+    (Lewenstein et al., PRA 62, 052310 (2000)).
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting
@@ -531,5 +469,5 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     if any(op.dim_a != d for op in ops):
         raise ValueError("sampler requires operators of one dimension")
     floors = _separable_floors(
-        _bloch_map(np.stack([op.entries for op in ops]), d), config)
+        _matrix_map(np.stack([op.entries for op in ops]), d), config)
     return float(floors[0]) if single else floors

@@ -375,11 +375,11 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     The two region witnesses and the line witnesses at lambda_min are
     Bell-diagonal, W = sum_k t_k P_k, so they are probed through the Bell
     map of `entwit.ppt` from their 9 Bell traces alone: <a b|W|a b> =
-    sum_k t_k v_k with v_k = |a^dag U_k conj(b)|^2/3, 9 features per
-    product state where the Bloch map of `min_separable_expectation` forms
-    81.  They share one seeded pool of `samples` product states and one
-    batched seesaw from the lowest states of each, the same pool and
-    seesaw that `min_separable_expectation` runs.
+    sum_k t_k v_k with v_k = |a^dag U_k conj(b)|^2/3, 9 real features per
+    product state where the direct map of `min_separable_expectation` forms
+    the complex product W v of each.  They share one seeded pool of
+    `samples` product states and one batched seesaw from the lowest states
+    of each, the same pool and seesaw that `min_separable_expectation` runs.
     """
     traces = np.concatenate([
         np.array(_region_traces()),

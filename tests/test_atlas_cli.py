@@ -10,6 +10,7 @@ import pytest
 
 from entwit import (
     DETECTION_GAMMA,
+    BipartiteOperator,
     SimplexParams,
     certify_witness,
     detection_profile,
@@ -529,8 +530,6 @@ def test_cli_witness_check_uncertified_probe(tmp_path, capsys):
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     herm = raw + raw.conj().T
-    from entwit import BipartiteOperator
-
     path = tmp_path / "random.json"
     path.write_text(json.dumps(operator_to_dict(
         BipartiteOperator(3, 3, herm))))
@@ -566,6 +565,19 @@ def test_cli_witness_check_non_finite_entries(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["witness-check", str(path)]) == 1
         assert "entries[10] is not finite" in capsys.readouterr().err
+
+
+def test_cli_witness_check_huge_entries(tmp_path, capsys):
+    # every entry finite, but far past the range certification and the
+    # probe can square without overflow
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(operator_to_dict(
+        BipartiteOperator(3, 3, np.full((9, 9), 1e308)))))
+    assert main(["witness-check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("entwit witness-check: entries[0] = [1e+308, 0.0] "
+                            "outside [-1e+100, 1e+100]\n")
 
 
 def test_cli_witness_check_non_integer_dimensions(tmp_path, capsys):

@@ -28,10 +28,7 @@ from entwit import ppt
 from entwit.families import _bell_diagonal
 from entwit.ppt import (
     _bell_map,
-    _bloch_basis,
-    _bloch_coordinates,
-    _bloch_map,
-    _bloch_tables,
+    _matrix_map,
     _pool_blocks,
     _pool_starts,
     _separable_floors,
@@ -131,7 +128,7 @@ def test_sampler_config_validation():
 
 
 def _raw_pool_minimum(witness, config):
-    values, _ = _pool_starts(_bloch_map(witness.op.entries[None], 3), config)
+    values, _ = _pool_starts(_matrix_map(witness.op.entries[None], 3), config)
     return float(values.min())
 
 
@@ -263,7 +260,7 @@ def test_pool_blocks_extend_one_draw():
         # the running eight lowest over the blocks are those of the whole pool
         vecs = np.einsum("ni,nj->nij", pool[:, 0], pool[:, 1]).reshape(count, 9)
         values = np.einsum("na,ab,nb->n", vecs.conj(), witness, vecs).real
-        lowest, _ = _pool_starts(_bloch_map(witness[None], 3), config)
+        lowest, _ = _pool_starts(_matrix_map(witness[None], 3), config)
         assert np.abs(np.sort(lowest[0]) - np.sort(values)[:8]).max() <= 1e-12
 
 
@@ -277,26 +274,13 @@ def _random_vectors(rng, count, dim):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def test_bloch_basis_orthonormal_and_coordinates_span_projectors():
-    basis = _bloch_basis(3).reshape(9, 3, 3)
-    assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
-    gram = np.einsum("pij,qji->pq", basis, basis)
-    assert np.abs(gram - np.eye(9)).max() <= 1e-15
-    vecs = _random_vectors(np.random.default_rng(1), 20, 3)
-    coords = _bloch_coordinates(vecs)
-    assert coords.shape == (9, 20)
-    projectors = np.einsum("ni,nj->nij", vecs, vecs.conj())
-    assert np.abs(np.einsum("pn,pij->nij", coords, basis)
-                  - projectors).max() <= 1e-15
-
-
 @pytest.mark.parametrize("count", [1, 4])
 def test_bloch_expectation_matches_brute_force(count):
     # random complex Hermitian operators, not Bell-diagonal
     rng = np.random.default_rng(count)
     mats = _random_hermitian(rng, count, 9)
     left, right = _random_vectors(rng, 500, 3), _random_vectors(rng, 500, 3)
-    values = _bloch_map(mats, 3).values(left, right)
+    values = _matrix_map(mats, 3).values(left, right)
     vecs = np.einsum("ni,nj->nij", left, right).reshape(500, 9)
     brute = np.einsum("na,kab,nb->kn", vecs.conj(), mats, vecs).real
     scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
@@ -304,20 +288,35 @@ def test_bloch_expectation_matches_brute_force(count):
     assert (np.abs(values - brute) <= 1e-14 * scale).all()
 
 
-def test_bloch_table_of_product_operator_is_outer_product():
-    rng = np.random.default_rng(3)
-    p, q = _random_hermitian(rng, 2, 3)
-    table = _bloch_tables(np.kron(p, q)[None], 3)[0]
-    # Tr(X G_p) of a Hermitian X is the inner product of G_p with X
-    coords_p, coords_q = (_bloch_basis(3).conj() @ x.ravel() for x in (p, q))
-    assert np.abs(coords_p.imag).max() <= 1e-15
-    assert np.abs(table - np.outer(coords_p.real, coords_q.real)).max() <= 1e-14
+def test_rank_one_offsets_reach_their_schmidt_floor():
+    # the largest overlap of a product state with a unit psi in C^3 (x) C^3
+    # is s1^2, s1 its largest Schmidt coefficient, so the separable minimum
+    # of c 1 - |psi><psi| is c - s1^2; an anti-Hermitian part changes nothing
+    rng = np.random.default_rng(31)
+    witnesses, floors = [], []
+    for _ in range(6):
+        psi = _random_vectors(rng, 1, 9)[0]
+        schmidt = np.linalg.svd(psi.reshape(3, 3), compute_uv=False)
+        witnesses.append(0.5 * np.eye(9) - np.outer(psi, psi.conj()))
+        floors.append(0.5 - schmidt[0] ** 2)
+    skew = _random_hermitian(rng, 1, 9)[0] * 1j
+    for seed in range(6):
+        config = SamplerConfig(seed=seed, count=200)
+        listed = min_separable_expectation(
+            [BipartiteOperator(3, 3, w) for w in witnesses], config)
+        assert np.abs(listed - floors).max() <= 1e-12
+        single = min_separable_expectation(
+            BipartiteOperator(3, 3, witnesses[seed]), config)
+        assert abs(single - floors[seed]) <= 1e-12
+        skewed = min_separable_expectation(
+            BipartiteOperator(3, 3, witnesses[seed] + skew), config)
+        assert abs(skewed - floors[seed]) <= 1e-12
 
 
 @pytest.mark.parametrize("count", [5, ppt._POOL_BLOCK - 1, ppt._POOL_BLOCK,
                                    ppt._POOL_BLOCK + 3, 2 * ppt._POOL_BLOCK + 1])
 def test_running_selection_keeps_lowest_of_whole_pool(count):
-    fmap = _bloch_map(_random_hermitian(np.random.default_rng(8), 3, 9), 3)
+    fmap = _matrix_map(_random_hermitian(np.random.default_rng(8), 3, 9), 3)
     config = SamplerConfig(seed=12, count=count)
     blocks = list(_pool_blocks(3, config))
     values = np.concatenate([fmap.values(left, right)
@@ -350,11 +349,11 @@ def _bell_weight_sets():
 @pytest.mark.parametrize("which", range(2))
 def test_bell_map_values_equal_bloch_map(which):
     traces = _bell_weight_sets()[which]
-    bell, bloch = _bell_map(traces), _bloch_map(_bell_diagonal(traces), 3)
+    bell, direct = _bell_map(traces), _matrix_map(_bell_diagonal(traces), 3)
     left, right = next(_pool_blocks(3, SamplerConfig(seed=which, count=3000)))
     values = bell.values(left, right)
     assert values.shape == (len(traces), 3000)
-    assert np.abs(values - bloch.values(left, right)).max() <= 1e-15
+    assert np.abs(values - direct.values(left, right)).max() <= 1e-15
 
 
 def test_bell_features_are_overlaps_with_the_bell_states():
@@ -374,13 +373,13 @@ def test_bell_features_are_overlaps_with_the_bell_states():
 @pytest.mark.parametrize("which", range(2))
 def test_bell_map_reduced_forms_equal_bloch_map(which):
     traces = _bell_weight_sets()[which]
-    bell, bloch = _bell_map(traces), _bloch_map(_bell_diagonal(traces), 3)
+    bell, direct = _bell_map(traces), _matrix_map(_bell_diagonal(traces), 3)
     owner = np.random.default_rng(23).integers(0, len(traces), 200)
     left, right = next(_pool_blocks(3, SamplerConfig(seed=23, count=200)))
     for side, vecs in (("on_left", right), ("on_right", left)):
         forms = getattr(bell, side)(owner, vecs)
         assert forms.shape == (200, 3, 3)
-        assert np.abs(forms - getattr(bloch, side)(owner, vecs)).max() <= 1e-15
+        assert np.abs(forms - getattr(direct, side)(owner, vecs)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [3, 5, 77, 20240901])
