@@ -338,7 +338,9 @@ def _build_parser() -> _Parser:
     reproduce.add_argument("--samples", type=_integer_at_least(1),
                            default=100000,
                            help="product states in the one pool that probes "
-                                "every witness (default 1e5)")
+                                "every witness: the first N pairs of a "
+                                "ceil(sqrt(N))-square grid of Haar factors "
+                                "(default 1e5)")
     reproduce.add_argument("--seed", type=_integer_at_least(0), default=20240901)
     reproduce.add_argument("--format", choices=("text", "csv", "json"),
                            default="text")
@@ -350,7 +352,10 @@ def _build_parser() -> _Parser:
         help="certify an operator file (shared JSON format); uncertified "
              "operators get a sampler probe")
     witness.add_argument("file")
-    witness.add_argument("--samples", type=_integer_at_least(1), default=20000)
+    witness.add_argument("--samples", type=_integer_at_least(1), default=20000,
+                         help="product states in the probe's pool: the first "
+                              "N pairs of a ceil(sqrt(N))-square grid of Haar "
+                              "factors (default 20000)")
     witness.add_argument("--seed", type=_integer_at_least(0), default=0)
     witness.add_argument("--format", choices=("text", "json"), default="text")
     witness.add_argument("--out", default=None)

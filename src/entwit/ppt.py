@@ -4,28 +4,35 @@ Partial transposition is always applied to subsystem 2; the choice does not
 affect spectra (the two partial transposes differ by a full transposition)
 and fixing it keeps results bit-reproducible.
 
-The separable-minimum probe reads <a (x) b|W|a (x) b> through a map
-(`_FeatureMap`) that gives the values of a block of product states against
-K operators, and the seesaw's reduced forms.  One pool, one running merge of
-the lowest states and one seesaw serve two maps:
+The separable-minimum probe scores pure product states a (x) b.  Its pool is
+a grid of seeded Haar factors a_0, ..., a_{m-1} and b_0, ..., b_{m-1},
+m = ceil(sqrt(count)), whose pairs are taken in shell order (shell s =
+max(i, j)) up to `count` of them, so a longer pool extends a shorter one.
+Each right factor b_j is scored by its best in-pool left partner,
+min_i <a_i b_j|W|a_i b_j> = min_i a_i^dag L(b_j) a_i, where L(b) is the
+Hermitian form of W in the left factor with b fixed; one real matrix product
+scores a block of right factors against every left factor.  The best right
+factors of each operator start a seesaw of alternating lowest eigenvectors
+of the reduced forms.  A map (`_FeatureMap`) gives those forms for K operators; one pool,
+one running merge of the lowest scores and one seesaw serve two maps:
 
 * the direct map (`_matrix_map`), for any operator: with v = a (x) b,
   <a (x) b|W|a (x) b> = Re(v^dag W v) = v^dag H v for H the Hermitian part
-  of W.  `min_separable_expectation` probes through it;
+  of W, whose forms contract H with the fixed factor.
+  `min_separable_expectation` probes through it;
 * the Bell map (`_bell_map`), for a Bell-diagonal W = sum_k t_k P_k, read
   from its d^2 Bell traces t alone: <a (x) b|P_k|a (x) b> =
-  |a^dag U_k conj(b)|^2/d for the Weyl operators U_k, so there are d^2
-  features, which are >= 0 and sum to 1, against one real weight row per
-  operator.  The battery probes the geometric witnesses of the magic
-  simplex through it.
+  |a^dag U_k conj(b)|^2/d for the Weyl operators U_k, so each form is a
+  weighted sum of d^2 rank-one terms.  The battery probes the geometric
+  witnesses of the magic simplex through it.
 
-Either way the seesaw's reduced operators are the Hermitian forms of W in
-one factor with the other fixed.
+Either way the result is an upper bound on the separable minimum.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -93,8 +100,9 @@ _SEESAW_STARTS = 8
 _SEESAW_SWEEPS = 100
 _SEESAW_TOL = 1e-15
 
-#: Product states drawn and evaluated at a time: bounds the probe's memory
-#: whatever `SamplerConfig.count` is.
+#: Pool pairs scored at a time: a block holds all m left factors of the grid
+#: against max(1, _POOL_BLOCK // m) right factors, which bounds the probe's
+#: memory whatever `SamplerConfig.count` is.
 _POOL_BLOCK = 4096
 
 
@@ -106,8 +114,12 @@ class SamplerConfig:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
+        for name, least in (("seed", 0), ("count", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _min_pt_eigenvalues(mats: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -244,37 +256,48 @@ def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
     )
 
 
-def _pool_blocks(d: int, config: SamplerConfig):
-    """Seeded Haar-random factors (left, right), `_POOL_BLOCK` states at a time.
+def _pool_factors(d: int, config: SamplerConfig):
+    """The seeded Haar-random factors of the pool: left a_i and right b_i,
+    (m, d) each, for m = ceil(sqrt(count)).
 
-    Complex-normal draws, each factor normalized in its float view (a
-    complex division would promote the norm to complex); the blocks
-    concatenate to the pool of one draw of `config.count` states, so a
-    longer run extends a shorter one with the same seed.
+    One complex-normal draw (m, 2, d) whose row i gives a_i and b_i, each
+    factor normalized in its float view (a complex division would promote
+    the norm to complex).  The draws of one seed extend each other, so the
+    factors of a shorter run are the first ones of a longer run.
     """
-    rng = np.random.default_rng(config.seed)
-    for start in range(0, config.count, _POOL_BLOCK):
-        size = min(_POOL_BLOCK, config.count - start)
-        x = rng.standard_normal((size, 2, d, 2))
-        # each factor as one contiguous row of 2d floats
-        rows = x.reshape(-1, 2 * d)
-        rows /= np.sqrt(np.vecdot(rows, rows))[:, None]
-        z = x.view(np.complex128)[..., 0]
-        yield z[:, 0], z[:, 1]
+    m = math.isqrt(config.count - 1) + 1
+    x = np.random.default_rng(config.seed).standard_normal((m, 2, d, 2))
+    # each factor as one contiguous row of 2d floats
+    rows = x.reshape(-1, 2 * d)
+    rows /= np.sqrt(np.vecdot(rows, rows))[:, None]
+    z = x.view(np.complex128)[..., 0]
+    return z[:, 0], z[:, 1]
+
+
+def _shell_ranks(rows: int, cols: np.ndarray) -> np.ndarray:
+    """Rank (rows, len(cols)) of each pair (a_i, b_j), i < rows, j in cols,
+    in the pool's shell order.
+
+    Shell s = max(i, j) holds (s, 0), ..., (s, s), then (0, s), ...,
+    (s - 1, s), at ranks s^2 to s^2 + 2s; the pool of `count` pairs is
+    those of rank below `count`, so it is a prefix of every longer pool.
+    """
+    i = np.arange(rows)[:, None]
+    return np.where(i >= cols, i * i + cols, cols * cols + cols + 1 + i)
 
 
 class _FeatureMap(NamedTuple):
-    """How the probe reads <a (x) b|W|a (x) b> for K operators on C^d (x) C^d.
+    """How the probe reads <a (x) b|W|a (x) b> for K = `operators` operators
+    on C^d (x) C^d.
 
-    `values(left, right)` gives the (K, N) expectations of the N product
-    vectors left (x) right, `(N, d)` each.  `on_left(owner, right)` gives,
-    for each of n starts, the d x d Hermitian form of operator owner[n] in
-    the left factor with the right one fixed, shape (n, d, d);
+    `on_left(owner, right)` gives, for each of n product states, the d x d
+    Hermitian form of operator owner[n] in the left factor with the right
+    one fixed, shape (n, d, d), so that <a b|W|a b> = a^dag L(b) a;
     `on_right(owner, left)` is its mirror.
     """
 
     d: int
-    values: Callable
+    operators: int
     on_left: Callable
     on_right: Callable
 
@@ -284,22 +307,15 @@ def _matrix_map(mats: np.ndarray, d: int) -> _FeatureMap:
     <a (x) b|W|a (x) b> = Re(v^dag W v) = v^dag H v for v = a (x) b and H
     the Hermitian part of W.
 
-    The values of a block are one batched product H v and one conjugated
-    dot per state.  The reduced forms contract H with the fixed factor:
+    The reduced forms contract H with the fixed factor:
     sum_{j,l} conj(b_j) H[(i j), (m l)] b_l on the left factor and
     sum_{i,m} conj(a_i) H[(i j), (m l)] a_m on the right.
     """
-    herm = _hermitian_part(mats)
-    transposed = herm.swapaxes(1, 2)
     # rows (i m) and columns (j l) for the left form, the mirror for the
     # right one, so that either form is the table times conj(v) (x) v
-    blocks = herm.reshape(-1, d, d, d, d)
+    blocks = _hermitian_part(mats).reshape(-1, d, d, d, d)
     to_left = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
     to_right = blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d)
-
-    def values(left, right):
-        vecs = (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
-        return np.vecdot(vecs, vecs @ transposed).real
 
     def reduced(tables):
         def form(owner, vecs):
@@ -307,38 +323,22 @@ def _matrix_map(mats: np.ndarray, d: int) -> _FeatureMap:
             return (tables[owner] @ pairs.reshape(-1, d * d, 1)).reshape(-1, d, d)
         return form
 
-    return _FeatureMap(d, values, reduced(to_left), reduced(to_right))
+    return _FeatureMap(d, len(mats), reduced(to_left), reduced(to_right))
 
 
 def _bell_map(traces: np.ndarray) -> _FeatureMap:
     """The Bell map of K Bell-diagonal operators W = sum_k t_k P_k, from their
-    traces (K, d^2), t[:, d n + m] on P_{n,m}: d^2 features per state.
+    traces (K, d^2), t[:, d n + m] on P_{n,m}.
 
     P_{n,m} projects onto vec(U_{n,m})/sqrt(d), so <a b|P_{n,m}|a b> =
-    |a^dag U_{n,m} conj(b)|^2/d.  With U_{n,m}[i, (i - m) mod d] =
-    phase[n, i] that is |sum_i conj(phase[n, i]) c^m_i|^2/d for
-    c^m_i = a_i b_{(i - m) mod d}: one d-point DFT per shift m.  The
-    features come out in (m, n) order, so the traces are permuted to it
-    once.  The reduced forms are sum_k (t_k/d) (U_k conj(b))(U_k conj(b))^dag
-    on the left factor and sum_k (t_k/d) (U_k^T conj(a))(U_k^T conj(a))^dag
-    on the right.
+    |a^dag U_{n,m} conj(b)|^2/d, and the reduced forms are
+    sum_k (t_k/d) (U_k conj(b))(U_k conj(b))^dag on the left factor and
+    sum_k (t_k/d) (U_k^T conj(a))(U_k^T conj(a))^dag on the right.
     """
     k, d2 = traces.shape
     d = math.isqrt(d2)
-    # weights and Weyl operators in the (m, n) order of the features
-    weights = traces.reshape(k, d, d).swapaxes(1, 2).reshape(k, d2)
-    weyl = _weyl_stack(d).swapaxes(0, 1).reshape(d2, d, d)
-    # the unitary DFT: conj(phase)/sqrt(d) squares to the 1/d
-    dft = weyl[:d].diagonal(axis1=1, axis2=2).conj() / np.sqrt(d)
-    shifted = (np.arange(d) - np.arange(d)[:, None]) % d
-    scaled = weights / d
-
-    def values(left, right):
-        # left and right factors as contiguous (d, N) rows
-        rows_a, rows_b = np.ascontiguousarray(left.T), np.ascontiguousarray(right.T)
-        amplitudes = dft @ (rows_a * rows_b[shifted])
-        features = amplitudes.real ** 2 + amplitudes.imag ** 2
-        return weights @ features.reshape(d2, -1)
+    weyl = _weyl_stack(d).reshape(d2, d, d)
+    scaled = traces / d
 
     def reduced(transfer):
         # conj(v) @ transfer holds the d^2 vectors U_k conj(v) (left form,
@@ -349,7 +349,7 @@ def _bell_map(traces: np.ndarray) -> _FeatureMap:
             return (rows.swapaxes(1, 2) * scaled[owner][:, None, :]) @ rows.conj()
         return form
 
-    return _FeatureMap(d, values, reduced(weyl.transpose(2, 0, 1).reshape(d, -1)),
+    return _FeatureMap(d, k, reduced(weyl.transpose(2, 0, 1).reshape(d, -1)),
                        reduced(weyl.transpose(1, 0, 2).reshape(d, -1)))
 
 
@@ -377,24 +377,53 @@ def _merge_lowest(best: np.ndarray, best_right: np.ndarray,
     return pooled[keep], factors[keep]
 
 
-def _pool_starts(fmap: _FeatureMap, config: SamplerConfig):
-    """The `_SEESAW_STARTS` lowest pool states of each operator of `fmap`.
+def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
+    """Each right factor's best score in the pool, `_POOL_BLOCK` pairs at a time.
 
-    Returns the values (K, s) and the right factors (K, s, d) of the
-    s = min(_SEESAW_STARTS, count) lowest states per operator; the seesaw's
-    first half-step replaces the left factors.  The first block is
-    partitioned; later blocks are merged by `_merge_lowest`.
+    Yields, per block of n right factors b_j, the (K, n) scores
+    min_i <a_i b_j|W|a_i b_j> over the left partners of b_j in the pool and
+    the (n, d) factors.  With L(b) the left form of `fmap`, <a b|W|a b> =
+    a^dag L(b) a = Re sum_pr conj(a_p) a_r L(b)_pr, so a block is one real
+    product of the (m, 2 d^2) rows [Re, -Im] of conj(a) (x) a with the
+    (2 d^2, K n) columns [Re; Im] of the forms.  Pairs outside the pool
+    score +inf; b_j first pairs (with a_j) at rank j^2 + j, so at most the
+    last right factor has no pair in the pool, and it is not scored.
     """
-    best = best_right = None
-    for left, right in _pool_blocks(fmap.d, config):
-        values = fmap.values(left, right)
-        if best is None:
-            starts = min(_SEESAW_STARTS, values.shape[1])
-            top = np.argpartition(values, starts - 1, axis=1)[:, :starts]
-            best, best_right = np.take_along_axis(values, top, 1), right[top]
-        else:
-            best, best_right = _merge_lowest(best, best_right, values, right)
-    return best, best_right
+    left, right = _pool_factors(fmap.d, config)
+    m, k = len(left), fmap.operators
+    # b_{m-1} has a pair only if its first, (m - 1)^2 + m - 1, is in the pool
+    right = right[:m - (m * (m - 1) >= config.count)]
+    pairs = left.conj()[:, :, None] * left[:, None, :]
+    rows = np.concatenate([pairs.real, -pairs.imag], axis=1).reshape(m, -1)
+    width = max(1, _POOL_BLOCK // m)
+    for start in range(0, len(right), width):
+        block = right[start:start + width]
+        n = len(block)
+        forms = fmap.on_left(np.repeat(np.arange(k), n), np.tile(block, (k, 1)))
+        cols = np.concatenate([forms.real, forms.imag], axis=1).reshape(k * n, -1)
+        values = (rows @ cols.T).reshape(m, k, n)
+        inside = _shell_ranks(m, np.arange(start, start + n)) < config.count
+        yield np.where(inside[:, None], values, np.inf).min(axis=0), block
+
+
+def _pool_starts(fmap: _FeatureMap, config: SamplerConfig):
+    """The `_SEESAW_STARTS` best-scored right factors of each operator of `fmap`.
+
+    Returns the scores (K, s) and the right factors (K, s, d) of the
+    s = min(_SEESAW_STARTS, scored factors) lowest per operator, lowest
+    first; the seesaw's first half-step replaces the left factors.  The
+    blocks of `_pool_scores` are merged by `_merge_lowest`, from s slots at
+    +inf, which no score leaves standing once s factors are scored.
+    """
+    k, d = fmap.operators, fmap.d
+    best = np.full((k, _SEESAW_STARTS), np.inf)
+    best_right = np.zeros((k, _SEESAW_STARTS, d), dtype=complex)
+    scored = 0
+    for scores, right in _pool_scores(fmap, config):
+        best, best_right = _merge_lowest(best, best_right, scores, right)
+        scored += len(right)
+    starts = min(_SEESAW_STARTS, scored)
+    return best[:, :starts], best_right[:, :starts]
 
 
 def _seesaw(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray,
@@ -446,18 +475,20 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     cannot fall below them.  Every expectation is read through the direct
     map (`_matrix_map`), <a (x) b|W|a (x) b> = Re(v^dag W v) for v = a (x) b,
     so any operator can be probed, and a non-Hermitian W is probed as its
-    Hermitian part.  The pool of `config.count` Haar samples is drawn and
-    evaluated `_POOL_BLOCK` states at a time; a block of a sequence of K
-    operators holds K complex products W v of its states, so memory grows
-    with K (the battery's witnesses go through the Bell map instead).  The
-    eight lowest samples of each operator are run to convergence by the
-    seesaw: alternating lowest eigenvectors of W reduced to one factor
-    (Lewenstein et al., PRA 62, 052310 (2000)).
+    Hermitian part.  The pool of `config.count` product states is the first
+    `count` pairs, in shell order, of an m x m grid of seeded Haar factors,
+    m = ceil(sqrt(count)): only 2m factors are drawn.  Each right factor is
+    scored by its best in-pool left partner, one real matrix product per
+    block of right factors (`_POOL_BLOCK`); a block of a sequence of K
+    operators holds K reduced forms per right factor, so memory grows with
+    K.  The eight best right factors of each operator are run to
+    convergence by the seesaw: alternating lowest eigenvectors of W reduced
+    to one factor (Lewenstein et al., PRA 62, 052310 (2000)).
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting
     evidence only.  For a fixed seed the raw sampled minimum is nonincreasing
-    in `count` (longer runs extend shorter ones).
+    in `count` (a longer pool extends a shorter one).
     """
     single = not isinstance(w, Sequence)
     ops = [_as_operator(op) for op in ([w] if single else w)]

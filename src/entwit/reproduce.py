@@ -374,12 +374,16 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
 
     The two region witnesses and the line witnesses at lambda_min are
     Bell-diagonal, W = sum_k t_k P_k, so they are probed through the Bell
-    map of `entwit.ppt` from their 9 Bell traces alone: <a b|W|a b> =
-    sum_k t_k v_k with v_k = |a^dag U_k conj(b)|^2/3, 9 real features per
-    product state where the direct map of `min_separable_expectation` forms
-    the complex product W v of each.  They share one seeded pool of
-    `samples` product states and one batched seesaw from the lowest states
-    of each, the same pool and seesaw that `min_separable_expectation` runs.
+    map of `entwit.ppt` from their 9 Bell traces alone: its reduced form in
+    the left factor, L(b) = sum_k (t_k/3) (U_k conj(b))(U_k conj(b))^dag,
+    gives <a b|W|a b> = a^dag L(b) a.  They share one seeded pool of
+    `samples` product states, the first `samples` pairs in shell order of a
+    grid of ceil(sqrt(samples)) left and right Haar factors; each right
+    factor is scored by its best in-pool left partner, and the eight best
+    right factors of each witness start one batched seesaw, the same pool
+    and seesaw that `min_separable_expectation` runs.  The floor is an
+    upper bound on each witness's separable minimum, so the check can
+    catch a non-witness but never prove witness-hood.
     """
     traces = np.concatenate([
         np.array(_region_traces()),

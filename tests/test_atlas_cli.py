@@ -12,6 +12,7 @@ from entwit import (
     DETECTION_GAMMA,
     BipartiteOperator,
     SimplexParams,
+    bell_projector,
     certify_witness,
     detection_profile,
     hs_inner,
@@ -538,6 +539,22 @@ def test_cli_witness_check_uncertified_probe(tmp_path, capsys):
     assert "in certifiable form: no" in out
     assert "sampled separable minimum" in out
     assert "one-sided" in out
+
+
+@pytest.mark.parametrize("name, matrix, floor", [
+    # the largest overlap of a product state with |phi+> is 1/3
+    ("bell_offset", 0.3 * np.eye(9) - bell_projector(3, (0, 0)).entries, -1 / 30),
+    # not Bell-diagonal: |00> is itself a product state
+    ("product", np.eye(9) - 2 * np.outer(np.eye(9)[0], np.eye(9)[0]), -1.0),
+])
+def test_cli_witness_check_reaches_closed_form_floor(name, matrix, floor,
+                                                     tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(operator_to_dict(BipartiteOperator(3, 3, matrix))))
+    assert main(["witness-check", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["certificate"]["certified"]
+    assert abs(doc["sampled_minimum"] - floor) <= 1e-12
 
 
 def test_cli_witness_check_bad_file(tmp_path, capsys):

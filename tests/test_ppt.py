@@ -9,7 +9,6 @@ from entwit import (
     BipartiteOperator,
     SamplerConfig,
     SimplexParams,
-    bell_projector,
     certify_witness,
     classify_ppt,
     detection_profile,
@@ -29,9 +28,11 @@ from entwit.families import _bell_diagonal
 from entwit.ppt import (
     _bell_map,
     _matrix_map,
-    _pool_blocks,
+    _pool_factors,
+    _pool_scores,
     _pool_starts,
     _separable_floors,
+    _shell_ranks,
 )
 from entwit.reproduce import _threshold_lines
 from entwit.witness import _line_pair, _region_traces, _tangent_traces
@@ -125,6 +126,22 @@ def test_dykstra_stack_rows_equal_single_runs(max_iter):
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, count=0)
+
+
+@pytest.mark.parametrize("seed, count, message", [
+    (-1, 10, "seed must be at least 0, got -1"),
+    (1.5, 10, "seed must be an integer, got 1.5"),
+    (True, 10, "seed must be an integer, got True"),
+    ("3", 10, "seed must be an integer, got '3'"),
+    (0, 10.0, "count must be an integer, got 10.0"),
+    (0, True, "count must be an integer, got True"),
+    (0, 0, "count must be at least 1, got 0"),
+    (0, -5, "count must be at least 1, got -5"),
+])
+def test_sampler_config_rejects_bad_fields(seed, count, message):
+    with pytest.raises(ValueError) as raised:
+        SamplerConfig(seed=seed, count=count)
+    assert str(raised.value) == message
 
 
 def _raw_pool_minimum(witness, config):
@@ -242,26 +259,47 @@ def test_batched_probe_matches_single_calls():
         min_separable_expectation([], config)
 
 
-def test_pool_blocks_extend_one_draw():
-    block = ppt._POOL_BLOCK
-    witness = np.asarray(region_witnesses()[0].op.entries)
-    for count in (block - 1, block, block + 1, 2 * block + 1):
-        config = SamplerConfig(seed=6, count=count)
-        blocks = list(_pool_blocks(3, config))
-        assert all(len(left) == block for left, _ in blocks[:-1])
-        z = np.random.default_rng(6).standard_normal((count, 2, 3, 2))
-        rows = z.reshape(-1, 6)
-        rows /= np.sqrt(np.vecdot(rows, rows))[:, None]
-        pool = z[..., 0] + 1j * z[..., 1]
-        assert np.array_equal(np.concatenate([left for left, _ in blocks]),
-                              pool[:, 0])
-        assert np.array_equal(np.concatenate([right for _, right in blocks]),
-                              pool[:, 1])
-        # the running eight lowest over the blocks are those of the whole pool
-        vecs = np.einsum("ni,nj->nij", pool[:, 0], pool[:, 1]).reshape(count, 9)
-        values = np.einsum("na,ab,nb->n", vecs.conj(), witness, vecs).real
-        lowest, _ = _pool_starts(_matrix_map(witness[None], 3), config)
-        assert np.abs(np.sort(lowest[0]) - np.sort(values)[:8]).max() <= 1e-12
+def _shell_order(m):
+    # shell s: (s, 0), ..., (s, s), then (0, s), ..., (s - 1, s)
+    return [pair for shell in range(m)
+            for pair in [(shell, j) for j in range(shell + 1)]
+            + [(i, shell) for i in range(shell)]]
+
+
+def _pool_pairs(config):
+    """The pool's (left, right) factor pairs, in shell order."""
+    left, right = _pool_factors(3, config)
+    pairs = _shell_order(len(left))[:config.count]
+    return (np.array([left[i] for i, _ in pairs]),
+            np.array([right[j] for _, j in pairs]))
+
+
+def test_shell_ranks_follow_the_shell_order():
+    for m in (1, 2, 5, 9):
+        ranks = _shell_ranks(m, np.arange(m))
+        order = _shell_order(m)
+        assert [ranks[i, j] for i, j in order] == list(range(m * m))
+        # a block of columns reads the same ranks
+        assert np.array_equal(_shell_ranks(m, np.arange(2, m)), ranks[:, 2:])
+
+
+def test_pool_extends_in_shell_order():
+    # around one column block (m = 64 right factors fit one block of
+    # _POOL_BLOCK pairs) and two (m = 65)
+    counts = [1, 2, 3]
+    for m in (math.isqrt(ppt._POOL_BLOCK), math.isqrt(ppt._POOL_BLOCK) + 1):
+        counts += [m * m - 1, m * m, m * m + 1]
+    pools = [_pool_pairs(SamplerConfig(seed=6, count=count)) for count in counts]
+    for count, (left, right) in zip(counts, pools):
+        # the smallest grid that holds the pool: (m - 1)^2 < count <= m^2
+        m = len(_pool_factors(3, SamplerConfig(seed=6, count=count))[0])
+        assert (m - 1) ** 2 < count <= m * m
+        assert left.shape == right.shape == (count, 3)
+        assert np.allclose(np.linalg.norm(left, axis=1), 1, rtol=0, atol=1e-15)
+        assert np.allclose(np.linalg.norm(right, axis=1), 1, rtol=0, atol=1e-15)
+    for (left, right), (longer_left, longer_right) in zip(pools, pools[1:]):
+        assert np.array_equal(longer_left[:len(left)], left)
+        assert np.array_equal(longer_right[:len(right)], right)
 
 
 def _random_hermitian(rng, count, dim):
@@ -276,16 +314,36 @@ def _random_vectors(rng, count, dim):
 
 @pytest.mark.parametrize("count", [1, 4])
 def test_bloch_expectation_matches_brute_force(count):
-    # random complex Hermitian operators, not Bell-diagonal
+    # random complex Hermitian operators, not Bell-diagonal: a^dag L(b) a and
+    # b^dag R(a) b are <a b|W|a b>
     rng = np.random.default_rng(count)
     mats = _random_hermitian(rng, count, 9)
     left, right = _random_vectors(rng, 500, 3), _random_vectors(rng, 500, 3)
-    values = _matrix_map(mats, 3).values(left, right)
+    fmap = _matrix_map(mats, 3)
+    owner = np.repeat(np.arange(count), 500)
     vecs = np.einsum("ni,nj->nij", left, right).reshape(500, 9)
     brute = np.einsum("na,kab,nb->kn", vecs.conj(), mats, vecs).real
     scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
-    assert values.shape == (count, 500)
-    assert (np.abs(values - brute) <= 1e-14 * scale).all()
+    for side, fixed, free in (("on_left", right, left), ("on_right", left, right)):
+        forms = getattr(fmap, side)(owner, np.tile(fixed, (count, 1)))
+        free = np.tile(free, (count, 1))
+        values = np.einsum("na,nab,nb->n", free.conj(), forms, free).real
+        assert forms.shape == (count * 500, 3, 3)
+        assert (np.abs(values.reshape(count, 500) - brute) <= 1e-14 * scale).all()
+
+
+def _pool_brute_force(mats, config):
+    """Brute-force score of each right factor with a pair in the pool: the
+    lowest <a_i b_j|W|a_i b_j> over its pairs, from the dense matrices."""
+    left, right = _pool_factors(3, config)
+    pairs = _shell_order(len(left))[:config.count]
+    columns = sorted({j for _, j in pairs})
+    scores = np.full((len(mats), len(columns)), np.inf)
+    for i, j in pairs:
+        v = np.kron(left[i], right[j])
+        values = np.einsum("a,kab,b->k", v.conj(), mats, v).real
+        scores[:, j] = np.minimum(scores[:, j], values)
+    return scores, right[columns]
 
 
 def test_rank_one_offsets_reach_their_schmidt_floor():
@@ -313,23 +371,60 @@ def test_rank_one_offsets_reach_their_schmidt_floor():
         assert abs(skewed - floors[seed]) <= 1e-12
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 48, 63, 64, 65, 500])
+def test_pool_scores_match_brute_force(count):
+    # each right factor's score is its best in-pool pair; factors without
+    # one are not scored
+    mats = _random_hermitian(np.random.default_rng(count), 3, 9)
+    config = SamplerConfig(seed=count, count=count)
+    blocks = list(_pool_scores(_matrix_map(mats, 3), config))
+    scores = np.concatenate([block for block, _ in blocks], axis=1)
+    right = np.concatenate([factors for _, factors in blocks])
+    brute, brute_right = _pool_brute_force(mats, config)
+    scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
+    assert scores.shape == brute.shape
+    assert np.array_equal(right, brute_right)
+    assert (np.abs(scores - brute) <= 1e-14 * scale).all()
+
+
+def test_bell_pool_scores_match_brute_force():
+    # across several column blocks (m = 91, 45 right factors a block)
+    traces = _battery_traces()
+    mats = _bell_diagonal(traces)
+    config = SamplerConfig(seed=7, count=2 * ppt._POOL_BLOCK + 1)
+    blocks = list(_pool_scores(_bell_map(traces), config))
+    assert len(blocks) == 3
+    scores = np.concatenate([block for block, _ in blocks], axis=1)
+    brute, _ = _pool_brute_force(mats, config)
+    scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
+    assert (np.abs(scores - brute) <= 1e-14 * scale).all()
+
+
 @pytest.mark.parametrize("count", [5, ppt._POOL_BLOCK - 1, ppt._POOL_BLOCK,
                                    ppt._POOL_BLOCK + 3, 2 * ppt._POOL_BLOCK + 1])
-def test_running_selection_keeps_lowest_of_whole_pool(count):
-    fmap = _matrix_map(_random_hermitian(np.random.default_rng(8), 3, 9), 3)
+def test_running_selection_keeps_lowest_of_whole_pool(count, monkeypatch):
+    mats = _random_hermitian(np.random.default_rng(8), 3, 9)
+    fmap = _matrix_map(mats, 3)
     config = SamplerConfig(seed=12, count=count)
-    blocks = list(_pool_blocks(3, config))
-    values = np.concatenate([fmap.values(left, right)
-                             for left, right in blocks], axis=1)
+    blocks = list(_pool_scores(fmap, config))
+    scores = np.concatenate([block for block, _ in blocks], axis=1)
     pool_right = np.concatenate([right for _, right in blocks])
     lowest, lowest_right = _pool_starts(fmap, config)
-    starts = min(count, 8)
+    starts = min(len(pool_right), 8)
     assert lowest.shape == (3, starts) and lowest_right.shape == (3, starts, 3)
     for k in range(3):
-        order = np.argsort(lowest[k])
-        assert np.array_equal(lowest[k][order], np.sort(values[k])[:starts])
-        where = np.argsort(values[k])[:starts]
-        assert np.array_equal(lowest_right[k][order], pool_right[where])
+        # distinct right factors, lowest first
+        assert np.array_equal(lowest[k], np.sort(scores[k])[:starts])
+        where = np.argsort(scores[k])[:starts]
+        assert np.array_equal(lowest_right[k], pool_right[where])
+    # the merge across column blocks picks the starts of one block holding
+    # every column
+    monkeypatch.setattr(ppt, "_POOL_BLOCK", 10 ** 9)
+    assert len(list(_pool_scores(fmap, config))) == 1
+    whole, whole_right = _pool_starts(fmap, config)
+    scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
+    assert (np.abs(whole - lowest) <= 1e-14 * scale).all()
+    assert np.array_equal(whole_right, lowest_right)
 
 
 def _battery_traces():
@@ -347,35 +442,11 @@ def _bell_weight_sets():
 
 
 @pytest.mark.parametrize("which", range(2))
-def test_bell_map_values_equal_bloch_map(which):
-    traces = _bell_weight_sets()[which]
-    bell, direct = _bell_map(traces), _matrix_map(_bell_diagonal(traces), 3)
-    left, right = next(_pool_blocks(3, SamplerConfig(seed=which, count=3000)))
-    values = bell.values(left, right)
-    assert values.shape == (len(traces), 3000)
-    assert np.abs(values - direct.values(left, right)).max() <= 1e-15
-
-
-def test_bell_features_are_overlaps_with_the_bell_states():
-    # unit traces pick out one feature each: |<a b|Phi_k>|^2 >= 0, and the
-    # nine of a state sum to 1 (Parseval: the Bell states are a basis)
-    left, right = next(_pool_blocks(3, SamplerConfig(seed=5, count=400)))
-    features = _bell_map(np.eye(9)).values(left, right)
-    assert (features >= 0).all()
-    assert np.abs(features.sum(axis=0) - 1).max() <= 1e-15
-    vecs = np.einsum("ni,nj->nij", left, right).reshape(400, 9)
-    bell = np.array([bell_projector(3, (n, m)).entries
-                     for n in range(3) for m in range(3)])
-    brute = np.einsum("na,kab,nb->kn", vecs.conj(), bell, vecs).real
-    assert np.abs(features - brute).max() <= 1e-15
-
-
-@pytest.mark.parametrize("which", range(2))
 def test_bell_map_reduced_forms_equal_bloch_map(which):
     traces = _bell_weight_sets()[which]
     bell, direct = _bell_map(traces), _matrix_map(_bell_diagonal(traces), 3)
     owner = np.random.default_rng(23).integers(0, len(traces), 200)
-    left, right = next(_pool_blocks(3, SamplerConfig(seed=23, count=200)))
+    left, right = _random_vectors(np.random.default_rng(24), 400, 3).reshape(2, 200, 3)
     for side, vecs in (("on_left", right), ("on_right", left)):
         forms = getattr(bell, side)(owner, vecs)
         assert forms.shape == (200, 3, 3)
@@ -384,7 +455,7 @@ def test_bell_map_reduced_forms_equal_bloch_map(which):
 
 @pytest.mark.parametrize("seed", [3, 5, 77, 20240901])
 def test_bell_floors_equal_min_separable_expectation(seed):
-    # above one pool block, so the later blocks are merged
+    # m = 94 right factors, 43 a column block, so three blocks are merged
     traces = _battery_traces()
     config = SamplerConfig(seed=seed, count=2 * ppt._POOL_BLOCK + 500)
     floors = _separable_floors(_bell_map(traces), config)
