@@ -18,10 +18,12 @@ import math
 import re
 import sys
 
-from .operators import PSD_TOL, hs_norm, operator_from_dict
-from .families import SimplexParams, horodecki_to_simplex, simplex_state
+from .operators import PSD_TOL, TRACE_TOL, operator_from_dict
+from .families import (SimplexParams, _bell_diagonal, _family_weights,
+                       horodecki_to_simplex)
 from .witness import certify_witness
-from .ppt import SamplerConfig, min_separable_expectation, nearest_ppt
+from .ppt import (_BELL_SPACE, SamplerConfig, _dykstra, _single_result,
+                  min_separable_expectation)
 from .atlas import (
     SLICE_COLUMNS,
     classify_point,
@@ -251,15 +253,21 @@ def _cmd_nearest_ppt(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     params, _ = _params_from_args(args)
-    state = simplex_state(params, psd_tol=args.tol)  # closed-form spectrum
-    if not state.valid:
+    # every family state is Bell-diagonal: the density gates read its
+    # closed-form spectrum, the Bell weights, and Dykstra runs on those
+    weights = _family_weights(*params)
+    min_eig = weights.min()
+    if min_eig < -args.tol:
         raise ValueError(f"not positive semidefinite: min eigenvalue "
-                         f"{state.min_eigenvalue:.3e} < -{args.tol}")
-    rho = state.density(psd_tol=args.tol)
-    result = nearest_ppt(rho, tol=args.tol, max_iter=args.steps)
+                         f"{min_eig:.3e} < -{args.tol}")
+    trace = weights.sum()
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace is {trace!r}, must equal 1 within {TRACE_TOL}")
+    run = _dykstra(_BELL_SPACE, weights[None], args.tol, args.steps)
+    result = _single_result(run, _bell_diagonal(run.states[0]), 3, 3)
     distance = None
     if result.converged:
-        distance = hs_norm(result.state.op - rho.op)
+        distance = float(_BELL_SPACE.norms(run.states - weights)[0])
     doc = result.to_dict()
     doc["distance"] = distance
     if args.format == "json":

@@ -10,9 +10,9 @@ Three families appear throughout:
   the member at lam*(alpha, beta, gamma).
 
 The family is defined once, by its Bell weights (rho = sum_k w_k P_k), and
-every family state is built from them; the weights-to-matrix map, the PT
-minimum of general weights from one 3x3 block and its closed form on the
-family live here with them.
+every family state is built from them; the weights-to-matrix map, the
+map of general weights to one 3x3 PT block and back, the PT minimum from
+that block and its closed form on the family live here with them.
 """
 
 from __future__ import annotations
@@ -103,11 +103,32 @@ def _pt_block_table() -> np.ndarray:
     return table
 
 
+def _pt_blocks(weights: np.ndarray) -> np.ndarray:
+    """The PT block (w @ B) of each sum_k w_k P_k, weights of shape (N, 9),
+    flattened to (N, 9) (`_pt_block_table`).
+
+    The whole rho^Gamma holds three unitarily equivalent copies of the
+    block, so w -> sqrt(3) (w @ B) is an isometry of R^9 onto the 3x3
+    Hermitian matrices (Hilbert-Schmidt inner product); `_pt_weights` is
+    its inverse.
+    """
+    return np.vecdot(weights[:, None, :], _pt_block_table().T)
+
+
+def _pt_weights(blocks: np.ndarray) -> np.ndarray:
+    """The weights whose PT block (`_pt_blocks`) is each flattened 3x3
+    Hermitian matrix C of (N, 9): w_k = 3 Re Tr(B_k^dag C).
+
+    The isometry A(w) = sqrt(3) (w @ B) is onto, so its inverse is its
+    adjoint A^T(H)_k = sqrt(3) Re Tr(B_k^dag H), and w = A^T(sqrt(3) C).
+    """
+    return 3.0 * np.vecdot(_pt_block_table(), blocks[:, None, :]).real
+
+
 def _pt_minimum(weights: np.ndarray) -> np.ndarray:
     """Minimum PT eigenvalue of each sum_k w_k P_k, weights of shape (N, 9),
-    from one 3x3 block (`_pt_block_table`)."""
-    blocks = np.vecdot(weights[:, None, :], _pt_block_table().T)
-    return np.linalg.eigvalsh(blocks.reshape(-1, 3, 3))[:, 0]
+    from one 3x3 block (`_pt_blocks`)."""
+    return np.linalg.eigvalsh(_pt_blocks(weights).reshape(-1, 3, 3))[:, 0]
 
 
 def _family_weights(alpha, beta, gamma):

@@ -4,6 +4,21 @@ Partial transposition is always applied to subsystem 2; the choice does not
 affect spectra (the two partial transposes differ by a full transposition)
 and fixing it keeps results bit-reproducible.
 
+The nearest-PPT projection is one Dykstra loop (`_dykstra`) that runs in a
+space (`_Space`): the two metric projections, the norm and the PT minimum
+of one representation of the states.  There are two spaces:
+
+* the matrix space (`_matrix_space`), stacks of D x D matrices, for any
+  state; `nearest_ppt` and the battery's cross-check run in it;
+* the Bell space (`_BELL_SPACE`), stacks of the 9 Bell weights of
+  two-qutrit Bell-diagonal states: the simplex projection of the weights,
+  the PSD clip of their 3x3 PT block mapped back, the Euclidean norm and
+  the block's lowest eigenvalue.  The CLI's family states run in it.
+
+Both convex sets are invariant under every U (x) U* conjugation, so from a
+Bell-diagonal start every iterate and correction of the matrix space is
+Bell-diagonal, and the two spaces run the same iteration.
+
 The separable-minimum probe scores pure product states a (x) b.  Its pool is
 a grid of seeded Haar factors a_0, ..., a_{m-1} and b_0, ..., b_{m-1},
 m = ceil(sqrt(count)), whose pairs are taken in shell order (shell s =
@@ -47,6 +62,7 @@ from .operators import (
     _hs_norms,
     _pt_array,
 )
+from .families import _pt_blocks, _pt_minimum, _pt_weights
 from .weyl import _weyl_stack
 
 __all__ = [
@@ -141,14 +157,15 @@ def _hermitian_part(mats: np.ndarray) -> np.ndarray:
 
 
 def _project_spectra_to_simplex(vals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of (N, D) real vectors, each in
-    ascending order as `eigh` returns them, onto {x >= 0, sum x = 1}."""
+    """Euclidean projection of each row of (N, D) real vectors, in any
+    order, onto {x >= 0, sum x = 1}."""
     n, d = vals.shape
+    ascending = np.sort(vals, axis=1)
     # thetas[k] = (sum of the k+1 largest - 1)/(k+1); theta is the one at
     # the largest k whose (k+1)-th largest entry exceeds it: in ascending
     # order, the first entry above its reversed theta
-    thetas = (np.cumsum(vals[:, ::-1], axis=1) - 1.0) / np.arange(1, d + 1)
-    first = (vals > thetas[:, ::-1]).argmax(axis=1)
+    thetas = (np.cumsum(ascending[:, ::-1], axis=1) - 1.0) / np.arange(1, d + 1)
+    first = (ascending > thetas[:, ::-1]).argmax(axis=1)
     theta = thetas[np.arange(n), d - 1 - first]
     return np.maximum(vals - theta[:, None], 0.0)
 
@@ -171,6 +188,43 @@ def _project_pt_psd(mats: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return _pt_array(_reassemble(vecs, np.maximum(vals, 0.0)), dim_a, dim_b, 2)
 
 
+def _project_bell_pt(weights: np.ndarray) -> np.ndarray:
+    """Metric projection of Bell weights (N, 9) onto those of a PSD partial
+    transpose: the 3x3 PT block clipped to PSD and mapped back, since
+    w -> sqrt(3) (PT block) is an isometry (`families._pt_blocks`)."""
+    vals, vecs = np.linalg.eigh(_pt_blocks(weights).reshape(-1, 3, 3))
+    return _pt_weights(_reassemble(vecs, np.maximum(vals, 0.0)).reshape(-1, 9))
+
+
+class _Space(NamedTuple):
+    """Where `_dykstra` runs: the metric projections onto the unit-trace PSD
+    set and onto the PT-positive set, the norm of each row of a stack of
+    differences and the minimum PT eigenvalue of each point of a stack."""
+
+    project_density: Callable
+    project_pt: Callable
+    norms: Callable
+    pt_minimum: Callable
+
+
+def _matrix_space(dim_a: int, dim_b: int) -> _Space:
+    """Points are operators on C^dim_a (x) C^dim_b, stacks (N, D, D)."""
+    return _Space(_project_density,
+                  lambda mats: _project_pt_psd(mats, dim_a, dim_b),
+                  _hs_norms,
+                  lambda mats: _min_pt_eigenvalues(mats, dim_a, dim_b))
+
+
+#: Points are two-qutrit Bell-diagonal operators sum_k w_k P_k, stacks of
+#: weights (N, 9).  Both convex sets are invariant under every U (x) U*
+#: conjugation, which fixes exactly the Bell-diagonal operators, so their
+#: metric projections keep an operator Bell-diagonal; the density projection
+#: is then the simplex projection of the weights, and the HS norm of a
+#: difference the Euclidean norm of its weights.
+_BELL_SPACE = _Space(_project_spectra_to_simplex, _project_bell_pt,
+                     lambda w: np.sqrt(np.vecdot(w, w)), _pt_minimum)
+
+
 class _DykstraRuns(NamedTuple):
     """`NearestPptResult` fields of a stack of N runs, as arrays with a
     leading axis of N; `states` are the raw last density-side iterates."""
@@ -182,34 +236,37 @@ class _DykstraRuns(NamedTuple):
     min_pt_eigenvalue: np.ndarray
 
 
-def _dykstra(mats: np.ndarray, dim_a: int, dim_b: int, tol: float,
+def _dykstra(space: _Space, points: np.ndarray, tol: float,
              max_iter: int) -> _DykstraRuns:
-    """The iteration of `nearest_ppt` on each matrix of a stack (N, D, D),
-    for max_iter >= 1.
+    """The iteration of `nearest_ppt` on each point of a stack in `space`.
 
     Each run stops on its own, when it converges or after `max_iter`
-    cycles, and its row is bit for bit the result of `nearest_ppt` on that
-    matrix alone.
+    cycles, and its row is bit for bit the result of a stack of that point
+    alone.  Run on the weights of Bell-diagonal states in `_BELL_SPACE`, it
+    gives the weights of what it gives on their matrices in
+    `_matrix_space`, to round-off.  ValueError when `max_iter` is below 1.
     """
-    n = len(mats)
-    states = np.empty_like(mats)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    n = len(points)
+    states = np.empty_like(points)
     iterations = np.empty(n, dtype=int)
     residual = np.empty(n)
     pt_min = np.empty(n)
     active = np.arange(n)
-    x, p, q = mats, np.zeros_like(mats), np.zeros_like(mats)
+    x, p, q = points, np.zeros_like(points), np.zeros_like(points)
     for step in range(1, max_iter + 1):
         x_p = x + p
-        y = _project_density(x_p)
+        y = space.project_density(x_p)
         p = x_p - y
         y_q = y + q
-        x_next = _project_pt_psd(y_q, dim_a, dim_b)
+        x_next = space.project_pt(y_q)
         q = y_q - x_next
-        step_residual = _hs_norms(x_next - x)
+        step_residual = space.norms(x_next - x)
         x = x_next
         if step_residual.min() >= tol and step < max_iter:
             continue
-        step_min = _min_pt_eigenvalues(y, dim_a, dim_b)
+        step_min = space.pt_minimum(y)
         stop = ((step_residual < tol) & (step_min >= -tol)) | (step == max_iter)
         if not stop.any():
             continue
@@ -228,6 +285,19 @@ def _dykstra(mats: np.ndarray, dim_a: int, dim_b: int, tol: float,
     return _DykstraRuns(states, converged, iterations, residual, pt_min)
 
 
+def _single_result(run: _DykstraRuns, state: np.ndarray, dim_a: int,
+                   dim_b: int) -> NearestPptResult:
+    """The result of a stack of one run, whose last iterate is the
+    (D, D) matrix `state`."""
+    return NearestPptResult(
+        state=DensityMatrix(BipartiteOperator(dim_a, dim_b, state)),
+        converged=bool(run.converged[0]),
+        iterations=int(run.iterations[0]),
+        residual=float(run.residual[0]),
+        min_pt_eigenvalue=float(run.min_pt_eigenvalue[0]),
+    )
+
+
 def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
                 max_iter: int = 10000) -> NearestPptResult:
     """Metric projection of `rho` onto the PPT states.
@@ -237,23 +307,18 @@ def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
     find some intersection point, the corrections make the limit the nearest
     one.  Converged when one full cycle moves the iterate by less than `tol`
     in norm and the density-side iterate is PPT within `tol`.  A PPT input
-    is its own projection.  The N=1 case of `_dykstra`.
+    is its own projection.  The N=1 case of `_dykstra` on matrices, for any
+    state; the CLI runs the same iteration on the 9 Bell weights of its
+    (Bell-diagonal) family states instead.
 
     On iteration exhaustion the result carries `converged=False`, the last
     density-side iterate and the final residual.  ValueError when `max_iter`
     is below 1.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     dim_a, dim_b = rho.dim_a, rho.dim_b
-    run = _dykstra(rho.entries[None], dim_a, dim_b, tol, max_iter)
-    return NearestPptResult(
-        state=DensityMatrix(BipartiteOperator(dim_a, dim_b, run.states[0])),
-        converged=bool(run.converged[0]),
-        iterations=int(run.iterations[0]),
-        residual=float(run.residual[0]),
-        min_pt_eigenvalue=float(run.min_pt_eigenvalue[0]),
-    )
+    run = _dykstra(_matrix_space(dim_a, dim_b), rho.entries[None], tol,
+                   max_iter)
+    return _single_result(run, run.states[0], dim_a, dim_b)
 
 
 def _pool_factors(d: int, config: SamplerConfig):

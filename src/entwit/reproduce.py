@@ -12,9 +12,9 @@ through the batch kernels whose single-item calls are the public functions
 row is bit for bit what that call returns.  The sampler floor probes the
 witnesses from their Bell traces (the Bell map of `entwit.ppt`), which
 agrees with `min_separable_expectation` on their 9x9 operators to
-round-off.  Every state a check builds
-passes the density-matrix gates, and the report of a given seed and sample
-count is byte-stable.
+round-off, and the nearest-PPT check runs Dykstra on Bell weights next to
+its 9x9 stack.  Every state a check builds passes the density-matrix
+gates, and the report of a given seed and sample count is byte-stable.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ from .witness import (
     _tangent_traces,
 )
 from .ppt import (
+    _BELL_SPACE,
     SamplerConfig,
     _bell_map,
     _dykstra,
+    _matrix_space,
     _min_pt_eigenvalues,
     _separable_floors,
 )
@@ -427,21 +429,27 @@ def check_closed_form_coefficients() -> CheckResult:
 
 def check_nearest_ppt(seed: int) -> CheckResult:
     """Dykstra's nearest PPT states of 10 seeded NPT points of each
-    gamma = 0 region, run as one stack, against the closed-form nearest
-    points (`_gamma0_nearest`)."""
+    gamma = 0 region against the closed-form nearest points
+    (`_gamma0_nearest`), run as one stack of 9x9 matrices and as one stack
+    of Bell weights; the deviation is the worse of the two."""
     rng = np.random.default_rng(seed)
     alpha, beta = np.concatenate([_random_region_points(rng, "I", 10),
                                   _random_region_points(rng, "II", 10)], axis=1)
-    runs = _dykstra(_family_states(alpha, beta, 0.0), 3, 3, PSD_TOL, 10000)
-    stalled = np.flatnonzero(~runs.converged)
-    if stalled.size:
-        k = stalled[0]
-        return _check_flag("nearest_ppt_gamma0", False,
-                           "converged", f"stalled at ({alpha[k]}, {beta[k]})")
-    _density_gate(runs.states)
     _, _, near_alpha, near_beta = _gamma0_nearest(alpha, beta)
-    target = _family_states(near_alpha, near_beta, 0.0)
-    worst = float(_hs_norms(runs.states - target).max())
+    worst = 0.0
+    for space, points, target, as_states in (
+            (_matrix_space(3, 3), _family_states(alpha, beta, 0.0),
+             _family_states(near_alpha, near_beta, 0.0), lambda m: m),
+            (_BELL_SPACE, _family_weights(alpha, beta, 0.0),
+             _family_weights(near_alpha, near_beta, 0.0), _bell_diagonal)):
+        runs = _dykstra(space, points, PSD_TOL, 10000)
+        stalled = np.flatnonzero(~runs.converged)
+        if stalled.size:
+            k = stalled[0]
+            return _check_flag("nearest_ppt_gamma0", False, "converged",
+                               f"stalled at ({alpha[k]}, {beta[k]})")
+        _density_gate(as_states(runs.states))
+        worst = max(worst, float(space.norms(runs.states - target).max()))
     return _check("nearest_ppt_gamma0", worst, 1e-6, 0.0, worst)
 
 

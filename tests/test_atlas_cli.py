@@ -17,7 +17,9 @@ from entwit import (
     detection_profile,
     hs_inner,
     hs_measure_gamma0,
+    hs_norm,
     line_witness,
+    nearest_ppt,
     operator_to_dict,
     partial_transpose,
     region_witnesses,
@@ -649,6 +651,68 @@ def test_cli_nearest_ppt(capsys):
     assert main(["nearest-ppt", "--alpha", "0.5", "--beta", "0",
                  "--steps", "1"]) == 2
     capsys.readouterr()
+
+
+def _nearest_json(argv, capsys):
+    code = main(["nearest-ppt", *argv, "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    return code, doc
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (0.5, 0.0), (0.7, 0.1), (0.3, -0.1),          # region I
+    (0.0, 0.8), (0.1, 0.7), (-0.05, 0.6),         # region II
+])
+def test_cli_nearest_ppt_distance_is_the_gamma0_measure(alpha, beta, capsys):
+    measure, region = hs_measure_gamma0(alpha, beta)
+    assert region in ("I", "II")
+    code, doc = _nearest_json(["--alpha", str(alpha), "--beta", str(beta)],
+                              capsys)
+    assert code == 0 and doc["converged"]
+    assert abs(doc["distance"] - measure) <= 1e-9
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["--alpha", "0.5", "--beta", "0.1", "--gamma", "0.3"], None),
+    (["--alpha", "0.6", "--beta", "-0.2", "--gamma", "-0.3"], None),
+    (["--alpha", "0.1", "--beta", "0.5", "--gamma", "0.3"], None),
+    (["--alpha", "0.3", "--beta", "0.1", "--gamma", "0.2"], None),
+    (["--b", "0.5"], None),
+    (["--b", "4.6"], None),
+    (["--b", "2.5"], None),
+    (["--alpha", "0.5", "--beta", "0.1", "--gamma", "0.3"], 7),
+    (["--b", "0.5"], 1),
+])
+def test_cli_nearest_ppt_matches_the_matrix_projection(argv, steps, capsys):
+    flags = argv + ([] if steps is None else ["--steps", str(steps)])
+    code, doc = _nearest_json(flags, capsys)
+    params = (horodecki_to_simplex(float(argv[1])) if argv[0] == "--b"
+              else SimplexParams(*map(float, argv[1::2])))
+    rho = simplex_state(params).density()
+    result = nearest_ppt(rho, max_iter=10000 if steps is None else steps)
+    assert code == (0 if result.converged else 2)
+    assert doc["converged"] == result.converged
+    assert doc["iterations"] == result.iterations
+    assert abs(doc["residual"] - result.residual) <= 1e-12
+    assert abs(doc["min_pt_eigenvalue"] - result.min_pt_eigenvalue) <= 1e-12
+    entries = np.array(doc["state"]["entries"])
+    state = entries[:, 0] + 1j * entries[:, 1]
+    assert np.abs(state - result.state.entries.ravel()).max() <= 1e-12
+    if result.converged:
+        assert abs(doc["distance"] - hs_norm(result.state.op - rho.op)) <= 1e-12
+    else:
+        assert doc["distance"] is None
+
+
+def test_cli_nearest_ppt_rejects_weights_off_unit_trace(capsys):
+    # a PSD tolerance this wide passes the spectrum; the rounding of weights
+    # of size 1e10 moves their sum off 1 by far more than TRACE_TOL
+    assert main(["nearest-ppt", "--alpha=1e10", "--beta=-1e10",
+                 "--tol", "1e11"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trace is" in captured.err and "must equal 1 within 1e-12" \
+        in captured.err
 
 
 def test_cli_nearest_ppt_invalid_state(capsys):

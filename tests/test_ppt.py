@@ -24,7 +24,8 @@ from entwit import (
     simplex_state,
 )
 from entwit import ppt
-from entwit.families import _bell_diagonal
+from entwit.families import (_bell_diagonal, _family_weights,
+                             _horodecki_params, _pt_blocks, _pt_weights)
 from entwit.ppt import (
     _bell_map,
     _matrix_map,
@@ -92,23 +93,40 @@ def test_nearest_ppt_rejects_max_iter_below_one(max_iter):
     rho = simplex_state(SimplexParams(0.5, 0, 0)).density()
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         nearest_ppt(rho, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        ppt._dykstra(ppt._BELL_SPACE, _family_weights(0.5, 0, 0)[None],
+                     1e-10, max_iter)
+
+
+_DYKSTRA_PARAMS = [(0.5, 0.0, 0.0), (0.0, 0.8, 0.0), (0.7, 0.1, 0.0),
+                   (0.3, 0.1, 0.2), (0.6, -0.2, -0.3), (0.1, 0.5, 0.3),
+                   (0.1, 0.05, 0.0), (0.0, 0.0, 0.0)]
+_DYKSTRA_HORODECKI = (0.5, 2.5)
 
 
 def _dykstra_inputs():
     """NPT states of both gamma = 0 regions and off the slice, PPT states,
     and a Horodecki state, as one stack."""
-    params = [(0.5, 0.0, 0.0), (0.0, 0.8, 0.0), (0.7, 0.1, 0.0),
-              (0.3, 0.1, 0.2), (0.6, -0.2, -0.3), (0.1, 0.5, 0.3),
-              (0.1, 0.05, 0.0), (0.0, 0.0, 0.0)]
-    states = [simplex_state(SimplexParams(*p)).density() for p in params]
-    return states + [horodecki_state(0.5), horodecki_state(2.5)]
+    states = [simplex_state(SimplexParams(*p)).density()
+              for p in _DYKSTRA_PARAMS]
+    return states + [horodecki_state(b) for b in _DYKSTRA_HORODECKI]
+
+
+def _dykstra_weights():
+    """The Bell weights of `_dykstra_inputs()`, whose matrices they build
+    bit for bit, then 200 seeded Dirichlet(1, ..., 1) weight vectors."""
+    params = _DYKSTRA_PARAMS + [_horodecki_params(b) for b in _DYKSTRA_HORODECKI]
+    family = np.array([_family_weights(*p) for p in params])
+    return np.concatenate([family,
+                           np.random.default_rng(19).dirichlet(np.ones(9), 200)])
 
 
 @pytest.mark.parametrize("max_iter", [10000, 12, 1])
 def test_dykstra_stack_rows_equal_single_runs(max_iter):
     states = _dykstra_inputs()
-    runs = ppt._dykstra(np.stack([rho.entries for rho in states]), 3, 3,
-                        1e-10, max_iter)
+    runs = ppt._dykstra(ppt._matrix_space(3, 3),
+                        np.stack([rho.entries for rho in states]), 1e-10,
+                        max_iter)
     for i, rho in enumerate(states):
         single = nearest_ppt(rho, max_iter=max_iter)
         assert np.array_equal(single.state.entries, runs.states[i]), i
@@ -121,6 +139,85 @@ def test_dykstra_stack_rows_equal_single_runs(max_iter):
         assert runs.converged.any() and not runs.converged.all()
         assert set(runs.iterations[~runs.converged]) == {12}
         assert runs.iterations[runs.converged].max() < 12
+
+
+def test_dykstra_inputs_are_built_from_their_weights():
+    mats = np.stack([rho.entries for rho in _dykstra_inputs()])
+    assert np.array_equal(_bell_diagonal(_dykstra_weights()[:len(mats)]), mats)
+
+
+@pytest.mark.parametrize("max_iter", [10000, 12, 1])
+def test_bell_space_runs_equal_matrix_space_runs(max_iter):
+    weights = _dykstra_weights()
+    bell = ppt._dykstra(ppt._BELL_SPACE, weights, 1e-10, max_iter)
+    matrix = ppt._dykstra(ppt._matrix_space(3, 3), _bell_diagonal(weights),
+                          1e-10, max_iter)
+    assert np.array_equal(bell.iterations, matrix.iterations)
+    assert np.array_equal(bell.converged, matrix.converged)
+    assert np.abs(_bell_diagonal(bell.states) - matrix.states).max() < 1e-12
+    assert np.abs(bell.residual - matrix.residual).max() < 1e-12
+    assert np.abs(bell.min_pt_eigenvalue
+                  - matrix.min_pt_eigenvalue).max() < 1e-12
+    if max_iter == 10000:
+        # both kinds of input, and NPT inputs that really move
+        assert bell.converged.all()
+        assert bell.iterations.min() == 1 and bell.iterations.max() > 12
+    else:
+        assert not bell.converged.all()
+
+
+@pytest.mark.parametrize("max_iter", [10000, 12, 1])
+def test_bell_space_stack_rows_equal_single_runs(max_iter):
+    weights = _dykstra_weights()
+    runs = ppt._dykstra(ppt._BELL_SPACE, weights, 1e-10, max_iter)
+    for i, w in enumerate(weights):
+        single = ppt._dykstra(ppt._BELL_SPACE, w[None], 1e-10, max_iter)
+        for field in single._fields:
+            assert np.array_equal(getattr(single, field)[0],
+                                  getattr(runs, field)[i]), (i, field)
+
+
+def test_pt_block_map_is_an_isometry_with_its_adjoint_as_inverse():
+    rng = np.random.default_rng(3)
+    weights = rng.standard_normal((50, 9))
+    blocks = _pt_blocks(weights)
+    assert np.allclose(np.sqrt(3) * np.linalg.norm(blocks, axis=1),
+                       np.linalg.norm(weights, axis=1), rtol=0, atol=1e-14)
+    assert np.abs(_pt_weights(blocks) - weights).max() < 1e-14
+    # onto: every Hermitian 3x3 matrix is the block of its weights
+    z = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+    hermitian = (z + z.conj().swapaxes(1, 2)).reshape(-1, 9)
+    assert np.abs(_pt_blocks(_pt_weights(hermitian)) - hermitian).max() < 1e-14
+
+
+def test_bell_pt_projection_equals_matrix_projection():
+    rng = np.random.default_rng(4)
+    weights = np.concatenate([_dykstra_weights(),
+                              rng.standard_normal((100, 9)),
+                              rng.standard_normal((100, 9)) * 1e-3 + 1 / 9])
+    bell = _bell_diagonal(ppt._project_bell_pt(weights))
+    matrix = ppt._project_pt_psd(_bell_diagonal(weights), 3, 3)
+    assert np.abs(bell - matrix).max() < 1e-13
+    # the clip moves some of them
+    assert np.abs(ppt._project_bell_pt(weights) - weights).max() > 0.1
+
+
+def test_simplex_projection_sorts_its_own_rows():
+    rng = np.random.default_rng(5)
+    rows = np.concatenate([rng.standard_normal((100, 9)),
+                           rng.dirichlet(np.ones(9), 100)])
+    projected = ppt._project_spectra_to_simplex(rows)
+    assert np.array_equal(
+        ppt._project_spectra_to_simplex(np.sort(rows, axis=1)),
+        np.sort(projected, axis=1))
+    perm = rng.permutation(9)
+    assert np.array_equal(ppt._project_spectra_to_simplex(rows[:, perm]),
+                          projected[:, perm])
+    assert projected.min() >= 0
+    assert np.abs(projected.sum(axis=1) - 1).max() < 1e-14
+    # a point of the simplex is its own projection, to round-off
+    inside = rows[100:]
+    assert np.abs(ppt._project_spectra_to_simplex(inside) - inside).max() < 1e-15
 
 
 def test_sampler_config_validation():
