@@ -23,25 +23,16 @@ The separable-minimum probe scores pure product states a (x) b.  Its pool is
 a grid of seeded Haar factors a_0, ..., a_{m-1} and b_0, ..., b_{m-1},
 m = ceil(sqrt(count)), whose pairs are taken in shell order (shell s =
 max(i, j)) up to `count` of them, so a longer pool extends a shorter one.
-Each right factor b_j is scored by its best in-pool left partner,
+Every pair with i, j < m - 1 is in the pool, so only the last shell is
+masked.  Each right factor b_j is scored by its best in-pool left partner,
 min_i <a_i b_j|W|a_i b_j> = min_i a_i^dag L(b_j) a_i, where L(b) is the
 Hermitian form of W in the left factor with b fixed; one real matrix product
 scores a block of right factors against every left factor.  The best right
 factors of each operator start a seesaw of alternating lowest eigenvectors
-of the reduced forms.  A map (`_FeatureMap`) gives those forms for K operators; one pool,
-one running merge of the lowest scores and one seesaw serve two maps:
-
-* the direct map (`_matrix_map`), for any operator: with v = a (x) b,
-  <a (x) b|W|a (x) b> = Re(v^dag W v) = v^dag H v for H the Hermitian part
-  of W, whose forms contract H with the fixed factor.
-  `min_separable_expectation` probes through it;
-* the Bell map (`_bell_map`), for a Bell-diagonal W = sum_k t_k P_k, read
-  from its d^2 Bell traces t alone: <a (x) b|P_k|a (x) b> =
-  |a^dag U_k conj(b)|^2/d for the Weyl operators U_k, so each form is a
-  weighted sum of d^2 rank-one terms.  The battery probes the geometric
-  witnesses of the magic simplex through it.
-
-Either way the result is an upper bound on the separable minimum.
+of the reduced forms.  The forms come from one map (`_matrix_map`), for any
+operator: with v = a (x) b, <a (x) b|W|a (x) b> = Re(v^dag W v) =
+v^dag H v for H the Hermitian part of W, whose forms contract H with the
+fixed factor.  The result is an upper bound on the separable minimum.
 """
 
 from __future__ import annotations
@@ -63,7 +54,6 @@ from .operators import (
     _pt_array,
 )
 from .families import _pt_blocks, _pt_minimum, _pt_weights
-from .weyl import _weyl_stack
 
 __all__ = [
     "PptVerdict",
@@ -339,38 +329,36 @@ def _pool_factors(d: int, config: SamplerConfig):
     return z[:, 0], z[:, 1]
 
 
-def _shell_ranks(rows: int, cols: np.ndarray) -> np.ndarray:
-    """Rank (rows, len(cols)) of each pair (a_i, b_j), i < rows, j in cols,
-    in the pool's shell order.
+def _shell_ranks(i, j):
+    """Rank of the pair (a_i, b_j) in the pool's shell order, elementwise
+    over broadcast index arrays.
 
     Shell s = max(i, j) holds (s, 0), ..., (s, s), then (0, s), ...,
     (s - 1, s), at ranks s^2 to s^2 + 2s; the pool of `count` pairs is
     those of rank below `count`, so it is a prefix of every longer pool.
     """
-    i = np.arange(rows)[:, None]
-    return np.where(i >= cols, i * i + cols, cols * cols + cols + 1 + i)
+    return np.where(i >= j, i * i + j, j * j + j + 1 + i)
 
 
 class _FeatureMap(NamedTuple):
-    """How the probe reads <a (x) b|W|a (x) b> for K = `operators` operators
-    on C^d (x) C^d.
+    """The reduced forms of K operators on C^d (x) C^d, as two tables
+    (K, d^2, d^2) that `_reduced_forms` reads.
 
-    `on_left(owner, right)` gives, for each of n product states, the d x d
-    Hermitian form of operator owner[n] in the left factor with the right
-    one fixed, shape (n, d, d), so that <a b|W|a b> = a^dag L(b) a;
-    `on_right(owner, left)` is its mirror.
+    `_reduced_forms(fmap.to_left, owner, right)` gives, for each of n
+    product states, the d x d Hermitian form of operator owner[n] in the
+    left factor with the right one fixed, shape (n, d, d), so that
+    <a b|W|a b> = a^dag L(b) a; `fmap.to_right` gives its mirror.
     """
 
     d: int
-    operators: int
-    on_left: Callable
-    on_right: Callable
+    to_left: np.ndarray
+    to_right: np.ndarray
 
 
 def _matrix_map(mats: np.ndarray, d: int) -> _FeatureMap:
-    """The direct map of a stack (K, d^2, d^2) of arbitrary operators:
-    <a (x) b|W|a (x) b> = Re(v^dag W v) = v^dag H v for v = a (x) b and H
-    the Hermitian part of W.
+    """The probe's one map, of a stack (K, d^2, d^2) of arbitrary
+    operators, Bell-diagonal or not: <a (x) b|W|a (x) b> = Re(v^dag W v) =
+    v^dag H v for v = a (x) b and H the Hermitian part of W.
 
     The reduced forms contract H with the fixed factor:
     sum_{j,l} conj(b_j) H[(i j), (m l)] b_l on the left factor and
@@ -379,43 +367,21 @@ def _matrix_map(mats: np.ndarray, d: int) -> _FeatureMap:
     # rows (i m) and columns (j l) for the left form, the mirror for the
     # right one, so that either form is the table times conj(v) (x) v
     blocks = _hermitian_part(mats).reshape(-1, d, d, d, d)
-    to_left = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
-    to_right = blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d)
-
-    def reduced(tables):
-        def form(owner, vecs):
-            pairs = vecs.conj()[:, :, None] * vecs[:, None, :]
-            return (tables[owner] @ pairs.reshape(-1, d * d, 1)).reshape(-1, d, d)
-        return form
-
-    return _FeatureMap(d, len(mats), reduced(to_left), reduced(to_right))
+    return _FeatureMap(
+        d, blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d),
+        blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d))
 
 
-def _bell_map(traces: np.ndarray) -> _FeatureMap:
-    """The Bell map of K Bell-diagonal operators W = sum_k t_k P_k, from their
-    traces (K, d^2), t[:, d n + m] on P_{n,m}.
+def _reduced_forms(tables: np.ndarray, owner: np.ndarray,
+                   vecs: np.ndarray) -> np.ndarray:
+    """The forms (n, d, d) of tables[owner[n]] on the fixed factors vecs[n].
 
-    P_{n,m} projects onto vec(U_{n,m})/sqrt(d), so <a b|P_{n,m}|a b> =
-    |a^dag U_{n,m} conj(b)|^2/d, and the reduced forms are
-    sum_k (t_k/d) (U_k conj(b))(U_k conj(b))^dag on the left factor and
-    sum_k (t_k/d) (U_k^T conj(a))(U_k^T conj(a))^dag on the right.
+    One (d^2, d^2) @ (d^2, 1) product per form, so a form rounds the same
+    whatever else is in the stack.
     """
-    k, d2 = traces.shape
-    d = math.isqrt(d2)
-    weyl = _weyl_stack(d).reshape(d2, d, d)
-    scaled = traces / d
-
-    def reduced(transfer):
-        # conj(v) @ transfer holds the d^2 vectors U_k conj(v) (left form,
-        # transfer[j, (k, i)] = U_k[i, j]) or U_k^T conj(v) (right form,
-        # transfer[i, (k, j)] = U_k[i, j]) in one row
-        def form(owner, vecs):
-            rows = (vecs.conj() @ transfer).reshape(-1, d2, d)
-            return (rows.swapaxes(1, 2) * scaled[owner][:, None, :]) @ rows.conj()
-        return form
-
-    return _FeatureMap(d, k, reduced(weyl.transpose(2, 0, 1).reshape(d, -1)),
-                       reduced(weyl.transpose(1, 0, 2).reshape(d, -1)))
+    d = vecs.shape[1]
+    pairs = vecs.conj()[:, :, None] * vecs[:, None, :]
+    return (tables[owner] @ pairs.reshape(-1, d * d, 1)).reshape(-1, d, d)
 
 
 def _merge_lowest(best: np.ndarray, best_right: np.ndarray,
@@ -450,25 +416,34 @@ def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
     the (n, d) factors.  With L(b) the left form of `fmap`, <a b|W|a b> =
     a^dag L(b) a = Re sum_pr conj(a_p) a_r L(b)_pr, so a block is one real
     product of the (m, 2 d^2) rows [Re, -Im] of conj(a) (x) a with the
-    (2 d^2, K n) columns [Re; Im] of the forms.  Pairs outside the pool
-    score +inf; b_j first pairs (with a_j) at rank j^2 + j, so at most the
-    last right factor has no pair in the pool, and it is not scored.
+    (2 d^2, K n) columns [Re; Im] of the forms.  Every pair with
+    i, j < m - 1 ranks below (m - 1)^2 < count, so only the last shell can
+    leave the pool: row m - 1, and column m - 1 in the block that holds it,
+    score +inf where their ranks reach `count`.  b_j first pairs (with a_j)
+    at rank j^2 + j, so at most the last right factor has no pair in the
+    pool, and it is not scored.
     """
     left, right = _pool_factors(fmap.d, config)
-    m, k = len(left), fmap.operators
+    m, k = len(left), len(fmap.to_left)
+    last = m - 1
     # b_{m-1} has a pair only if its first, (m - 1)^2 + m - 1, is in the pool
-    right = right[:m - (m * (m - 1) >= config.count)]
+    right = right[:m - (m * last >= config.count)]
     pairs = left.conj()[:, :, None] * left[:, None, :]
     rows = np.concatenate([pairs.real, -pairs.imag], axis=1).reshape(m, -1)
     width = max(1, _POOL_BLOCK // m)
     for start in range(0, len(right), width):
         block = right[start:start + width]
         n = len(block)
-        forms = fmap.on_left(np.repeat(np.arange(k), n), np.tile(block, (k, 1)))
+        forms = _reduced_forms(fmap.to_left, np.repeat(np.arange(k), n),
+                               np.tile(block, (k, 1)))
         cols = np.concatenate([forms.real, forms.imag], axis=1).reshape(k * n, -1)
         values = (rows @ cols.T).reshape(m, k, n)
-        inside = _shell_ranks(m, np.arange(start, start + n)) < config.count
-        yield np.where(inside[:, None], values, np.inf).min(axis=0), block
+        columns = np.arange(start, start + n)
+        values[last, :, _shell_ranks(last, columns) >= config.count] = np.inf
+        if columns[-1] == last:
+            outside = _shell_ranks(np.arange(last), last) >= config.count
+            values[:last][outside, :, -1] = np.inf
+        yield values.min(axis=0), block
 
 
 def _pool_starts(fmap: _FeatureMap, config: SamplerConfig):
@@ -480,7 +455,7 @@ def _pool_starts(fmap: _FeatureMap, config: SamplerConfig):
     blocks of `_pool_scores` are merged by `_merge_lowest`, from s slots at
     +inf, which no score leaves standing once s factors are scored.
     """
-    k, d = fmap.operators, fmap.d
+    k, d = len(fmap.to_left), fmap.d
     best = np.full((k, _SEESAW_STARTS), np.inf)
     best_right = np.zeros((k, _SEESAW_STARTS, d), dtype=complex)
     scored = 0
@@ -507,8 +482,10 @@ def _seesaw(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray,
     active = np.arange(len(right))
     for _ in range(_SEESAW_SWEEPS):
         k = owner[active]
-        _, vecs = np.linalg.eigh(fmap.on_left(k, right[active]))
-        vals, vecs = np.linalg.eigh(fmap.on_right(k, vecs[:, :, 0]))
+        _, vecs = np.linalg.eigh(
+            _reduced_forms(fmap.to_left, k, right[active]))
+        vals, vecs = np.linalg.eigh(
+            _reduced_forms(fmap.to_right, k, vecs[:, :, 0]))
         right[active] = vecs[:, :, 0]
         moving = values[active] - vals[:, 0] > _SEESAW_TOL
         values[active] = vals[:, 0]
@@ -537,12 +514,14 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     operator and an array of the K minima for a sequence.
 
     Probes the extreme points of the separable set (pure products); mixtures
-    cannot fall below them.  Every expectation is read through the direct
-    map (`_matrix_map`), <a (x) b|W|a (x) b> = Re(v^dag W v) for v = a (x) b,
-    so any operator can be probed, and a non-Hermitian W is probed as its
-    Hermitian part.  The pool of `config.count` product states is the first
-    `count` pairs, in shell order, of an m x m grid of seeded Haar factors,
-    m = ceil(sqrt(count)): only 2m factors are drawn.  Each right factor is
+    cannot fall below them.  Every expectation is read through one map
+    (`_matrix_map`), <a (x) b|W|a (x) b> = Re(v^dag W v) for v = a (x) b,
+    so any operator, Bell-diagonal or not, is probed the same way, and a
+    non-Hermitian W is probed as its Hermitian part.  The pool of
+    `config.count` product states is the first `count` pairs, in shell
+    order, of an m x m grid of seeded Haar factors, m = ceil(sqrt(count)):
+    only 2m factors are drawn, and every pair of the first m - 1 of each is
+    in the pool, so only the last shell is masked.  Each right factor is
     scored by its best in-pool left partner, one real matrix product per
     block of right factors (`_POOL_BLOCK`); a block of a sequence of K
     operators holds K reduced forms per right factor, so memory grows with

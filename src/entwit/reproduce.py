@@ -10,11 +10,11 @@ Checks that cover many witnesses or states run them as 9x9 stacks,
 through the batch kernels whose single-item calls are the public functions
 (`certify_witness`, `line_witness`, `nearest_ppt`, `DensityMatrix`), so each
 row is bit for bit what that call returns.  The sampler floor probes the
-witnesses from their Bell traces (the Bell map of `entwit.ppt`), which
-agrees with `min_separable_expectation` on their 9x9 operators to
-round-off, and the nearest-PPT check runs Dykstra on Bell weights next to
-its 9x9 stack.  Every state a check builds passes the density-matrix
-gates, and the report of a given seed and sample count is byte-stable.
+witnesses' 9x9 operators with `min_separable_expectation`, as
+`witness-check` does, and the nearest-PPT check runs Dykstra on Bell
+weights next to its 9x9 stack.  Every state a check builds passes the
+density-matrix gates, and the report of a given seed and sample count is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import (PSD_TOL, _density_gate, _hs_norms, hs_inner,
-                        identity)
+from .operators import (PSD_TOL, BipartiteOperator, _density_gate,
+                        _hs_norms, hs_inner, identity)
 from .weyl import bell_projector, max_entangled
 from .families import (
     simplex_spectrum,
@@ -52,11 +52,10 @@ from .witness import (
 from .ppt import (
     _BELL_SPACE,
     SamplerConfig,
-    _bell_map,
     _dykstra,
     _matrix_space,
     _min_pt_eigenvalues,
-    _separable_floors,
+    min_separable_expectation,
 )
 
 __all__ = ["CheckResult", "run_battery"]
@@ -95,12 +94,17 @@ def _check_flag(name, ok, target, computed) -> CheckResult:
     return _check(name, 0.0 if ok else 1.0, 0.0, target, computed)
 
 
-def _coeff_moduli(gammas: np.ndarray, lams: np.ndarray):
-    # coefficient moduli of the line witness, vectorized over the grid
-    denom = 7.0 * lams * (1.0 + 3.0 * gammas ** 2)
-    f1 = 8.0 / denom
-    f2 = 2.0 * np.sqrt(1.0 + 147.0 * gammas ** 2) / denom
-    return f1, f2
+def _coeff_moduli(gammas):
+    """The coefficient moduli (f1, f2) of the line witness at `gammas`, as
+    a function of lambda; the factors that do not depend on lambda are
+    computed once."""
+    g3 = 1.0 + 3.0 * gammas ** 2
+    s = 2.0 * np.sqrt(1.0 + 147.0 * gammas ** 2)
+
+    def moduli(lams):
+        denom = 7.0 * lams * g3
+        return 8.0 / denom, s / denom
+    return moduli
 
 
 def _bisect(f, lo, hi, iters: int):
@@ -125,7 +129,8 @@ def _bisect(f, lo, hi, iters: int):
 
 def _bisect_lambda_roots(gammas):
     """Per-gamma root of max |coefficient| = 1 in lambda, by bisection."""
-    return _bisect(lambda lams: np.maximum(*_coeff_moduli(gammas, lams)) - 1.0,
+    moduli = _coeff_moduli(gammas)
+    return _bisect(lambda lams: np.maximum(*moduli(lams)) - 1.0,
                    np.full_like(gammas, 0.05), np.full_like(gammas, 2.0), 80)
 
 
@@ -150,7 +155,7 @@ def check_total_minimum_scan() -> CheckResult:
     scan_min = float(roots[best])
 
     def root_gap(gamma):
-        return np.subtract(*_coeff_moduli(gamma, 1.0))
+        return np.subtract(*_coeff_moduli(gamma)(1.0))
 
     lo = gammas[max(best - 1, 0)]
     hi = gammas[min(best + 1, len(gammas) - 1)]
@@ -374,25 +379,25 @@ def check_certifications() -> list[CheckResult]:
 def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     """Lowest separable expectation of the battery's witnesses, >= -1e-9.
 
-    The two region witnesses and the line witnesses at lambda_min are
-    Bell-diagonal, W = sum_k t_k P_k, so they are probed through the Bell
-    map of `entwit.ppt` from their 9 Bell traces alone: its reduced form in
-    the left factor, L(b) = sum_k (t_k/3) (U_k conj(b))(U_k conj(b))^dag,
-    gives <a b|W|a b> = a^dag L(b) a.  They share one seeded pool of
-    `samples` product states, the first `samples` pairs in shell order of a
-    grid of ceil(sqrt(samples)) left and right Haar factors; each right
-    factor is scored by its best in-pool left partner, and the eight best
-    right factors of each witness start one batched seesaw, the same pool
-    and seesaw that `min_separable_expectation` runs.  The floor is an
-    upper bound on each witness's separable minimum, so the check can
-    catch a non-witness but never prove witness-hood.
+    The two region witnesses and the 20 line witnesses at lambda_min are
+    built as 9x9 operators from their Bell traces and probed by one call of
+    `min_separable_expectation`, as `witness-check` probes one operator:
+    they share one seeded pool of `samples` product states, the first
+    `samples` pairs in shell order of a grid of ceil(sqrt(samples)) left
+    and right Haar factors; each right factor is scored by its best in-pool
+    left partner, and the eight best right factors of each witness start
+    one batched seesaw.  The floor is an upper bound on each witness's
+    separable minimum, so the check can catch a non-witness but never prove
+    witness-hood.
     """
     traces = np.concatenate([
         np.array(_region_traces()),
         _tangent_traces(*_line_pair(*_threshold_lines()))[0],
     ])
     config = SamplerConfig(seed=seed, count=samples)
-    floor = float(_separable_floors(_bell_map(traces), config).min())
+    floor = float(min_separable_expectation(
+        [BipartiteOperator(3, 3, mat) for mat in _bell_diagonal(traces)],
+        config).min())
     deviation = max(0.0, -floor)
     return _check("sampler_floor", deviation, 1e-9,
                   ">= -1e-9", floor)

@@ -27,15 +27,14 @@ from entwit import ppt
 from entwit.families import (_bell_diagonal, _family_weights,
                              _horodecki_params, _pt_blocks, _pt_weights)
 from entwit.ppt import (
-    _bell_map,
     _matrix_map,
     _pool_factors,
     _pool_scores,
     _pool_starts,
-    _separable_floors,
+    _reduced_forms,
     _shell_ranks,
 )
-from entwit.reproduce import _threshold_lines
+from entwit.reproduce import _threshold_lines, check_sampler_floor
 from entwit.witness import _line_pair, _region_traces, _tangent_traces
 
 
@@ -373,11 +372,13 @@ def _pool_pairs(config):
 
 def test_shell_ranks_follow_the_shell_order():
     for m in (1, 2, 5, 9):
-        ranks = _shell_ranks(m, np.arange(m))
+        ranks = _shell_ranks(np.arange(m)[:, None], np.arange(m))
         order = _shell_order(m)
         assert [ranks[i, j] for i, j in order] == list(range(m * m))
-        # a block of columns reads the same ranks
-        assert np.array_equal(_shell_ranks(m, np.arange(2, m)), ranks[:, 2:])
+        # one row or one column reads the same ranks
+        assert np.array_equal(_shell_ranks(m - 1, np.arange(2, m)),
+                              ranks[m - 1, 2:])
+        assert np.array_equal(_shell_ranks(np.arange(m), m - 1), ranks[:, m - 1])
 
 
 def test_pool_extends_in_shell_order():
@@ -409,20 +410,24 @@ def _random_vectors(rng, count, dim):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("count", [1, 4, "battery"])
 def test_bloch_expectation_matches_brute_force(count):
-    # random complex Hermitian operators, not Bell-diagonal: a^dag L(b) a and
-    # b^dag R(a) b are <a b|W|a b>
-    rng = np.random.default_rng(count)
-    mats = _random_hermitian(rng, count, 9)
+    # random complex Hermitian operators, not Bell-diagonal, and the
+    # battery's 22 Bell-diagonal witnesses: a^dag L(b) a and b^dag R(a) b
+    # are <a b|W|a b>
+    rng = np.random.default_rng(22 if count == "battery" else count)
+    mats = (_bell_diagonal(_battery_traces()) if count == "battery"
+            else _random_hermitian(rng, count, 9))
+    count = len(mats)
     left, right = _random_vectors(rng, 500, 3), _random_vectors(rng, 500, 3)
     fmap = _matrix_map(mats, 3)
     owner = np.repeat(np.arange(count), 500)
     vecs = np.einsum("ni,nj->nij", left, right).reshape(500, 9)
     brute = np.einsum("na,kab,nb->kn", vecs.conj(), mats, vecs).real
     scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
-    for side, fixed, free in (("on_left", right, left), ("on_right", left, right)):
-        forms = getattr(fmap, side)(owner, np.tile(fixed, (count, 1)))
+    for tables, fixed, free in ((fmap.to_left, right, left),
+                                (fmap.to_right, left, right)):
+        forms = _reduced_forms(tables, owner, np.tile(fixed, (count, 1)))
         free = np.tile(free, (count, 1))
         values = np.einsum("na,nab,nb->n", free.conj(), forms, free).real
         assert forms.shape == (count * 500, 3, 3)
@@ -468,10 +473,13 @@ def test_rank_one_offsets_reach_their_schmidt_floor():
         assert abs(skewed - floors[seed]) <= 1e-12
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 5, 48, 63, 64, 65, 500])
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 48, 63, 64, 65, 500,
+                                   91 * 90, 91 * 90 + 1])
 def test_pool_scores_match_brute_force(count):
     # each right factor's score is its best in-pool pair; factors without
-    # one are not scored
+    # one are not scored.  At m (m - 1) the last right factor has no pair in
+    # the pool, at m (m - 1) + 1 one: for m = 91 its column is the only one
+    # of the third block of 45
     mats = _random_hermitian(np.random.default_rng(count), 3, 9)
     config = SamplerConfig(seed=count, count=count)
     blocks = list(_pool_scores(_matrix_map(mats, 3), config))
@@ -485,11 +493,11 @@ def test_pool_scores_match_brute_force(count):
 
 
 def test_bell_pool_scores_match_brute_force():
-    # across several column blocks (m = 91, 45 right factors a block)
-    traces = _battery_traces()
-    mats = _bell_diagonal(traces)
+    # the battery's 22 Bell-diagonal witnesses across several column blocks
+    # (m = 91, 45 right factors a block)
+    mats = _bell_diagonal(_battery_traces())
     config = SamplerConfig(seed=7, count=2 * ppt._POOL_BLOCK + 1)
-    blocks = list(_pool_scores(_bell_map(traces), config))
+    blocks = list(_pool_scores(_matrix_map(mats, 3), config))
     assert len(blocks) == 3
     scores = np.concatenate([block for block, _ in blocks], axis=1)
     brute, _ = _pool_brute_force(mats, config)
@@ -530,33 +538,17 @@ def _battery_traces():
                            _tangent_traces(*_line_pair(*_threshold_lines()))[0]])
 
 
-def _bell_weight_sets():
-    # the battery's witnesses, and random Bell weights of unit norm
-    rng = np.random.default_rng(17)
-    weights = rng.standard_normal((12, 9))
-    return [_battery_traces(),
-            weights / np.linalg.norm(weights, axis=1, keepdims=True)]
-
-
-@pytest.mark.parametrize("which", range(2))
-def test_bell_map_reduced_forms_equal_bloch_map(which):
-    traces = _bell_weight_sets()[which]
-    bell, direct = _bell_map(traces), _matrix_map(_bell_diagonal(traces), 3)
-    owner = np.random.default_rng(23).integers(0, len(traces), 200)
-    left, right = _random_vectors(np.random.default_rng(24), 400, 3).reshape(2, 200, 3)
-    for side, vecs in (("on_left", right), ("on_right", left)):
-        forms = getattr(bell, side)(owner, vecs)
-        assert forms.shape == (200, 3, 3)
-        assert np.abs(forms - getattr(direct, side)(owner, vecs)).max() <= 1e-15
-
-
 @pytest.mark.parametrize("seed", [3, 5, 77, 20240901])
 def test_bell_floors_equal_min_separable_expectation(seed):
-    # m = 94 right factors, 43 a column block, so three blocks are merged
-    traces = _battery_traces()
-    config = SamplerConfig(seed=seed, count=2 * ppt._POOL_BLOCK + 500)
-    floors = _separable_floors(_bell_map(traces), config)
+    # the battery's floor is the lowest of one probe of its 22 witnesses,
+    # bit for bit; m = 94 right factors, 43 a column block, so three blocks
+    # are merged
+    samples = 2 * ppt._POOL_BLOCK + 500
     probed = min_separable_expectation(
-        [BipartiteOperator(3, 3, mat) for mat in _bell_diagonal(traces)], config)
-    assert floors.shape == (len(traces),)
-    assert np.abs(floors - probed).max() <= 1e-12
+        [BipartiteOperator(3, 3, mat)
+         for mat in _bell_diagonal(_battery_traces())],
+        SamplerConfig(seed=seed, count=samples))
+    assert probed.shape == (22,)
+    result = check_sampler_floor(samples, seed)
+    assert result.passed
+    assert result.computed == str(float(probed.min()))
