@@ -22,15 +22,18 @@ Bell-diagonal, and the two spaces run the same iteration.
 The separable-minimum probe scores pure product states a (x) b.  Its pool is
 a grid of seeded Haar factors a_0, ..., a_{m-1} and b_0, ..., b_{m-1},
 m = ceil(sqrt(count)), whose pairs are taken in shell order (shell s =
-max(i, j)) up to `count` of them, so a longer pool extends a shorter one.
-Every pair with i, j < m - 1 is in the pool, so only the last shell is
-masked.  Each right factor b_j is scored by its best in-pool left partner,
+max(i, j)) up to `count` of them, so a longer pool extends a shorter one
+and its raw minimum is no higher, to round-off: a pair's score may round
+differently in another count's column blocks.  Every pair with
+i, j < m - 1 is in the pool, so only the last shell is masked.  Each right
+factor b_j is scored by its best in-pool left partner,
 min_i <a_i b_j|W|a_i b_j> = min_i a_i^dag L(b_j) a_i, where L(b) is the
 Hermitian form of W in the left factor with b fixed; one real matrix product
-scores a block of right factors against every left factor.  The best right
-factors of each operator start a seesaw of alternating lowest eigenvectors
-of the reduced forms.  The forms come from one map (`_matrix_map`), for any
-operator: with v = a (x) b, <a (x) b|W|a (x) b> = Re(v^dag W v) =
+scores a block of right factors against every left factor, into one table
+of each operator's score of each right factor.  One stable sort of each
+operator's row picks its best right factors, which start a seesaw of
+alternating lowest eigenvectors of the reduced forms.  The forms come from
+one map (`_matrix_map`), for any operator: with v = a (x) b, <a (x) b|W|a (x) b> = Re(v^dag W v) =
 v^dag H v for H the Hermitian part of W, whose forms contract H with the
 fixed factor.  The result is an upper bound on the separable minimum.
 """
@@ -107,8 +110,9 @@ _SEESAW_SWEEPS = 100
 _SEESAW_TOL = 1e-15
 
 #: Pool pairs scored at a time: a block holds all m left factors of the grid
-#: against max(1, _POOL_BLOCK // m) right factors, which bounds the probe's
-#: memory whatever `SamplerConfig.count` is.
+#: against max(1, _POOL_BLOCK // m) right factors, which bounds the (m, K, n)
+#: product of each block whatever `SamplerConfig.count` is; the score table of
+#: K operators is only K m floats.
 _POOL_BLOCK = 4096
 
 
@@ -384,39 +388,15 @@ def _reduced_forms(tables: np.ndarray, owner: np.ndarray,
     return (tables[owner] @ pairs.reshape(-1, d * d, 1)).reshape(-1, d, d)
 
 
-def _merge_lowest(best: np.ndarray, best_right: np.ndarray,
-                  values: np.ndarray, right: np.ndarray):
-    """The s lowest of each row of `best` (K, s) and `values` (K, n), with
-    their right factors.
-
-    Only entries below their row's current s-th lowest can enter, so just
-    those are gathered; each row's s lowest come first in a sort by (row,
-    value) of the gathered entries and the current ones.
-    """
-    below = np.flatnonzero(values < best.max(axis=1, keepdims=True))
-    if not below.size:
-        return best, best_right
-    rows, cols = np.divmod(below, values.shape[1])
-    k, s = best.shape
-    owners = np.concatenate([np.repeat(np.arange(k), s), rows])
-    pooled = np.concatenate([best.ravel(), values[rows, cols]])
-    factors = np.concatenate([best_right.reshape(k * s, -1), right[cols]])
-    order = np.lexsort((pooled, owners))
-    # every row owns at least its s current entries
-    first = np.searchsorted(owners[order], np.arange(k))
-    keep = order[first[:, None] + np.arange(s)]
-    return pooled[keep], factors[keep]
-
-
 def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
     """Each right factor's best score in the pool, `_POOL_BLOCK` pairs at a time.
 
-    Yields, per block of n right factors b_j, the (K, n) scores
-    min_i <a_i b_j|W|a_i b_j> over the left partners of b_j in the pool and
-    the (n, d) factors.  With L(b) the left form of `fmap`, <a b|W|a b> =
-    a^dag L(b) a = Re sum_pr conj(a_p) a_r L(b)_pr, so a block is one real
-    product of the (m, 2 d^2) rows [Re, -Im] of conj(a) (x) a with the
-    (2 d^2, K n) columns [Re; Im] of the forms.  Every pair with
+    Returns the (K, m') table of scores min_i <a_i b_j|W|a_i b_j> over the
+    left partners of each scored right factor b_j in the pool, and the
+    (m', d) factors, in pool order.  With L(b) the left form of `fmap`,
+    <a b|W|a b> = a^dag L(b) a = Re sum_pr conj(a_p) a_r L(b)_pr, so a block
+    of n columns is one real product of the (m, 2 d^2) rows [Re, -Im] of
+    conj(a) (x) a with the (2 d^2, K n) columns [Re; Im] of the forms.  Every pair with
     i, j < m - 1 ranks below (m - 1)^2 < count, so only the last shell can
     leave the pool: row m - 1, and column m - 1 in the block that holds it,
     score +inf where their ranks reach `count`.  b_j first pairs (with a_j)
@@ -430,6 +410,7 @@ def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
     right = right[:m - (m * last >= config.count)]
     pairs = left.conj()[:, :, None] * left[:, None, :]
     rows = np.concatenate([pairs.real, -pairs.imag], axis=1).reshape(m, -1)
+    scores = np.empty((k, len(right)))
     width = max(1, _POOL_BLOCK // m)
     for start in range(0, len(right), width):
         block = right[start:start + width]
@@ -443,27 +424,8 @@ def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
         if columns[-1] == last:
             outside = _shell_ranks(np.arange(last), last) >= config.count
             values[:last][outside, :, -1] = np.inf
-        yield values.min(axis=0), block
-
-
-def _pool_starts(fmap: _FeatureMap, config: SamplerConfig):
-    """The `_SEESAW_STARTS` best-scored right factors of each operator of `fmap`.
-
-    Returns the scores (K, s) and the right factors (K, s, d) of the
-    s = min(_SEESAW_STARTS, scored factors) lowest per operator, lowest
-    first; the seesaw's first half-step replaces the left factors.  The
-    blocks of `_pool_scores` are merged by `_merge_lowest`, from s slots at
-    +inf, which no score leaves standing once s factors are scored.
-    """
-    k, d = len(fmap.to_left), fmap.d
-    best = np.full((k, _SEESAW_STARTS), np.inf)
-    best_right = np.zeros((k, _SEESAW_STARTS, d), dtype=complex)
-    scored = 0
-    for scores, right in _pool_scores(fmap, config):
-        best, best_right = _merge_lowest(best, best_right, scores, right)
-        scored += len(right)
-    starts = min(_SEESAW_STARTS, scored)
-    return best[:, :starts], best_right[:, :starts]
+        scores[:, start:start + n] = values.min(axis=0)
+    return scores, right
 
 
 def _seesaw(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray,
@@ -496,14 +458,20 @@ def _seesaw(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray,
 
 
 def _separable_floors(fmap: _FeatureMap, config: SamplerConfig) -> np.ndarray:
-    """Lowest sampled-and-refined value of each of the K operators of `fmap`:
-    the pool's eight lowest states of each run through one batched seesaw."""
-    pooled, right = _pool_starts(fmap, config)
-    k, starts = pooled.shape
-    owner = np.repeat(np.arange(k), starts)
-    refined = _seesaw(fmap, owner, right.reshape(k * starts, fmap.d),
-                      pooled.ravel())
-    return np.minimum(pooled.min(axis=1), refined.reshape(k, starts).min(axis=1))
+    """Lowest sampled-and-refined value of each of the K operators of `fmap`.
+
+    One stable sort of each operator's row of `_pool_scores` picks its
+    min(_SEESAW_STARTS, scored factors) lowest right factors, ties to the
+    earlier one in pool order, and they run through one batched seesaw,
+    whose first half-step replaces the left factors.
+    """
+    scores, right = _pool_scores(fmap, config)
+    lowest = np.argsort(scores, axis=1, kind="stable")[:, :_SEESAW_STARTS]
+    pooled = np.take_along_axis(scores, lowest, axis=1)
+    k, starts = lowest.shape
+    refined = _seesaw(fmap, np.repeat(np.arange(k), starts),
+                      right[lowest.ravel()], pooled.ravel())
+    return np.minimum(pooled[:, 0], refined.reshape(k, starts).min(axis=1))
 
 
 def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
@@ -523,16 +491,19 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     only 2m factors are drawn, and every pair of the first m - 1 of each is
     in the pool, so only the last shell is masked.  Each right factor is
     scored by its best in-pool left partner, one real matrix product per
-    block of right factors (`_POOL_BLOCK`); a block of a sequence of K
-    operators holds K reduced forms per right factor, so memory grows with
-    K.  The eight best right factors of each operator are run to
-    convergence by the seesaw: alternating lowest eigenvectors of W reduced
+    block of right factors (`_POOL_BLOCK`), into one table of K rows; a block
+    of a sequence of K operators holds K reduced forms per right factor, so
+    memory grows with K.  One stable sort of each operator's scores picks
+    its eight best right factors, ties to the earlier one, and the seesaw
+    runs them to convergence: alternating lowest eigenvectors of W reduced
     to one factor (Lewenstein et al., PRA 62, 052310 (2000)).
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting
-    evidence only.  For a fixed seed the raw sampled minimum is nonincreasing
-    in `count` (a longer pool extends a shorter one).
+    evidence only.  For a fixed seed the raw sampled minimum is
+    nonincreasing in `count` to round-off: a longer pool extends a shorter
+    one pair for pair, but a pair's score may round differently in the
+    other's column blocks.
     """
     single = not isinstance(w, Sequence)
     ops = [_as_operator(op) for op in ([w] if single else w)]

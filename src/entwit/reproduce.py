@@ -385,8 +385,9 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     they share one seeded pool of `samples` product states, the first
     `samples` pairs in shell order of a grid of ceil(sqrt(samples)) left
     and right Haar factors; each right factor is scored by its best in-pool
-    left partner, and the eight best right factors of each witness start
-    one batched seesaw.  The floor is an upper bound on each witness's
+    left partner, into one table of 22 rows, and one stable sort of each
+    row picks the eight best right factors of its witness, which start one
+    batched seesaw.  The floor is an upper bound on each witness's
     separable minimum, so the check can catch a non-witness but never prove
     witness-hood.
     """

@@ -30,8 +30,9 @@ from entwit.ppt import (
     _matrix_map,
     _pool_factors,
     _pool_scores,
-    _pool_starts,
     _reduced_forms,
+    _seesaw,
+    _separable_floors,
     _shell_ranks,
 )
 from entwit.reproduce import _threshold_lines, check_sampler_floor
@@ -241,8 +242,8 @@ def test_sampler_config_rejects_bad_fields(seed, count, message):
 
 
 def _raw_pool_minimum(witness, config):
-    values, _ = _pool_starts(_matrix_map(witness.op.entries[None], 3), config)
-    return float(values.min())
+    scores, _ = _pool_scores(_matrix_map(witness.op.entries[None], 3), config)
+    return float(scores.min())
 
 
 def _tangent_line_witnesses():
@@ -482,9 +483,7 @@ def test_pool_scores_match_brute_force(count):
     # of the third block of 45
     mats = _random_hermitian(np.random.default_rng(count), 3, 9)
     config = SamplerConfig(seed=count, count=count)
-    blocks = list(_pool_scores(_matrix_map(mats, 3), config))
-    scores = np.concatenate([block for block, _ in blocks], axis=1)
-    right = np.concatenate([factors for _, factors in blocks])
+    scores, right = _pool_scores(_matrix_map(mats, 3), config)
     brute, brute_right = _pool_brute_force(mats, config)
     scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
     assert scores.shape == brute.shape
@@ -493,43 +492,70 @@ def test_pool_scores_match_brute_force(count):
 
 
 def test_bell_pool_scores_match_brute_force():
-    # the battery's 22 Bell-diagonal witnesses across several column blocks
+    # the battery's 22 Bell-diagonal witnesses across three column blocks
     # (m = 91, 45 right factors a block)
     mats = _bell_diagonal(_battery_traces())
     config = SamplerConfig(seed=7, count=2 * ppt._POOL_BLOCK + 1)
-    blocks = list(_pool_scores(_matrix_map(mats, 3), config))
-    assert len(blocks) == 3
-    scores = np.concatenate([block for block, _ in blocks], axis=1)
+    scores, _ = _pool_scores(_matrix_map(mats, 3), config)
+    assert scores.shape == (22, 91)
     brute, _ = _pool_brute_force(mats, config)
     scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
     assert (np.abs(scores - brute) <= 1e-14 * scale).all()
 
 
+def _probe_starts(fmap, config, monkeypatch):
+    """The floors of `_separable_floors`, and the start values and right
+    factors that it hands the seesaw."""
+    seen = {}
+
+    def spy(fmap, owner, right, values):
+        seen.update(right=right, values=values)
+        return _seesaw(fmap, owner, right, values)
+
+    monkeypatch.setattr(ppt, "_seesaw", spy)
+    floors = _separable_floors(fmap, config)
+    return floors, seen["values"], seen["right"]
+
+
 @pytest.mark.parametrize("count", [5, ppt._POOL_BLOCK - 1, ppt._POOL_BLOCK,
                                    ppt._POOL_BLOCK + 3, 2 * ppt._POOL_BLOCK + 1])
 def test_running_selection_keeps_lowest_of_whole_pool(count, monkeypatch):
-    mats = _random_hermitian(np.random.default_rng(8), 3, 9)
-    fmap = _matrix_map(mats, 3)
+    # column blocks of any width pick the starts and floors of one block
+    # holding every column, bit for bit.  A start's score may differ in its
+    # last bits: at _POOL_BLOCK = 29 and m > 29 each block holds one right
+    # factor, which numpy multiplies on its matrix-vector path
+    witness_one, _ = region_witnesses()
     config = SamplerConfig(seed=12, count=count)
-    blocks = list(_pool_scores(fmap, config))
-    scores = np.concatenate([block for block, _ in blocks], axis=1)
-    pool_right = np.concatenate([right for _, right in blocks])
-    lowest, lowest_right = _pool_starts(fmap, config)
-    starts = min(len(pool_right), 8)
-    assert lowest.shape == (3, starts) and lowest_right.shape == (3, starts, 3)
-    for k in range(3):
-        # distinct right factors, lowest first
-        assert np.array_equal(lowest[k], np.sort(scores[k])[:starts])
-        where = np.argsort(scores[k])[:starts]
-        assert np.array_equal(lowest_right[k], pool_right[where])
-    # the merge across column blocks picks the starts of one block holding
-    # every column
-    monkeypatch.setattr(ppt, "_POOL_BLOCK", 10 ** 9)
-    assert len(list(_pool_scores(fmap, config))) == 1
-    whole, whole_right = _pool_starts(fmap, config)
-    scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
-    assert (np.abs(whole - lowest) <= 1e-14 * scale).all()
-    assert np.array_equal(whole_right, lowest_right)
+    for mats in (_random_hermitian(np.random.default_rng(8), 3, 9),
+                 witness_one.op.entries[None]):
+        fmap = _matrix_map(mats, 3)
+        monkeypatch.setattr(ppt, "_POOL_BLOCK", 10 ** 9)
+        floors, values, right = _probe_starts(fmap, config, monkeypatch)
+        scores, _ = _pool_scores(fmap, config)
+        starts = min(scores.shape[1], 8)
+        # each operator's lowest scores, lowest first
+        assert np.array_equal(values.reshape(len(mats), starts),
+                              np.sort(scores, axis=1)[:, :starts])
+        scale = np.repeat(np.linalg.norm(mats, axis=(1, 2)), starts)
+        for block in (29, 290, 4096):
+            monkeypatch.setattr(ppt, "_POOL_BLOCK", block)
+            blocked, blocked_values, blocked_right = _probe_starts(
+                fmap, config, monkeypatch)
+            assert np.array_equal(blocked_right, right)
+            assert np.array_equal(blocked, floors)
+            assert (np.abs(blocked_values - values) <= 1e-15 * scale).all()
+
+
+@pytest.mark.parametrize("count", [7, 50, 2000, 2 * ppt._POOL_BLOCK + 1])
+def test_tied_scores_start_from_the_first_right_factors(count, monkeypatch):
+    # every score of a zero operator is exactly 0, so the starts are the
+    # first right factors in pool order
+    config = SamplerConfig(seed=3, count=count)
+    fmap = _matrix_map(np.zeros((2, 9, 9)), 3)
+    _, values, right = _probe_starts(fmap, config, monkeypatch)
+    first = _pool_scores(fmap, config)[1][:8]
+    assert not values.any()
+    assert np.array_equal(right, np.tile(first, (2, 1)))
 
 
 def _battery_traces():
@@ -542,7 +568,7 @@ def _battery_traces():
 def test_bell_floors_equal_min_separable_expectation(seed):
     # the battery's floor is the lowest of one probe of its 22 witnesses,
     # bit for bit; m = 94 right factors, 43 a column block, so three blocks
-    # are merged
+    # fill the score table
     samples = 2 * ppt._POOL_BLOCK + 500
     probed = min_separable_expectation(
         [BipartiteOperator(3, 3, mat)
@@ -552,3 +578,17 @@ def test_bell_floors_equal_min_separable_expectation(seed):
     result = check_sampler_floor(samples, seed)
     assert result.passed
     assert result.computed == str(float(probed.min()))
+
+
+def test_raw_minima_nonincreasing_in_count_to_round_off():
+    # a longer pool extends a shorter one pair for pair, but a pair's score
+    # may round differently in another count's column blocks, so a raw
+    # minimum of the battery's witnesses can rise, by round-off only
+    mats = _bell_diagonal(_battery_traces())
+    fmap = _matrix_map(mats, 3)
+    bound = 1e-15 * np.linalg.norm(mats, axis=(1, 2))
+    for seed in range(4):
+        minima = np.array([
+            _pool_scores(fmap, SamplerConfig(seed=seed, count=count))[0].min(axis=1)
+            for count in range(2, 2998, 7)])
+        assert (np.diff(minima, axis=0) <= bound).all()
