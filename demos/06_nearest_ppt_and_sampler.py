@@ -1,10 +1,10 @@
 """Nearest-PPT projection and the separable-minimum probe.
 
 The alternating-projection solver reproduces the analytic nearest separable
-points of the gamma = 0 slice; the seesaw over seeded product states gives a
-one-sided floor for witness expectations.  Given several witnesses, the
-probe draws one pool of product states for all of them and runs one
-batched seesaw.
+points of the gamma = 0 slice; the probe over seeded product states, a few
+seesaw sweeps then Newton steps, gives a one-sided floor for witness
+expectations.  Given several witnesses, the probe draws one pool of product
+states for all of them and runs one batched local search.
 """
 
 from entwit import (

@@ -31,15 +31,19 @@ min_i <a_i b_j|W|a_i b_j> = min_i a_i^dag L(b_j) a_i, where L(b) is the
 Hermitian form of W in the left factor with b fixed; one real matrix product
 scores a block of right factors against every left factor, into one table
 of each operator's score of each right factor.  One stable sort of each
-operator's row picks its best right factors, which start a seesaw of
-alternating lowest eigenvectors of the reduced forms.  The forms come from
-one map (`_matrix_map`), for any operator: with v = a (x) b, <a (x) b|W|a (x) b> = Re(v^dag W v) =
-v^dag H v for H the Hermitian part of W, whose forms contract H with the
-fixed factor.  The result is an upper bound on the separable minimum.
+operator's row picks its best right factors, which start a local search:
+a few seesaw sweeps of alternating lowest eigenvectors of the reduced
+forms, then batched Riemannian Newton steps on the product of the two unit
+spheres, which converge where the seesaw crawls.  The forms and the Newton
+model come from one map (`_matrix_map`), for any operator and any d: with
+v = a (x) b, <a (x) b|W|a (x) b> = Re(v^dag W v) = v^dag H v for H the
+Hermitian part of W, whose forms contract H with the fixed factor or with
+both.  The result is an upper bound on the separable minimum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Callable, Sequence
@@ -103,11 +107,15 @@ class NearestPptResult:
         }
 
 
-#: Seesaw plan of `min_separable_expectation`: starts taken from the sampled
-#: pool, sweep cap, and the per-sweep drop below which a start has converged.
+#: Local search of `min_separable_expectation`: starts taken from the sampled
+#: pool, the seesaw sweeps that open every start, and the per-step drop below
+#: which a start has converged; then the cap on the Newton steps that finish
+#: it and their trust radius in the tangent coordinates.
 _SEESAW_STARTS = 8
-_SEESAW_SWEEPS = 100
+_SEESAW_SWEEPS = 4
 _SEESAW_TOL = 1e-15
+_NEWTON_STEPS = 50
+_NEWTON_RADIUS = 0.3
 
 #: Pool pairs scored at a time: a block holds all m left factors of the grid
 #: against max(1, _POOL_BLOCK // m) right factors, which bounds the (m, K, n)
@@ -345,18 +353,31 @@ def _shell_ranks(i, j):
 
 
 class _FeatureMap(NamedTuple):
-    """The reduced forms of K operators on C^d (x) C^d, as two tables
-    (K, d^2, d^2) that `_reduced_forms` reads.
+    """The probe's tables of K operators on C^d (x) C^d, stacked
+    (K, 4, d^2, d^2).
 
-    `_reduced_forms(fmap.to_left, owner, right)` gives, for each of n
-    product states, the d x d Hermitian form of operator owner[n] in the
-    left factor with the right one fixed, shape (n, d, d), so that
-    <a b|W|a b> = a^dag L(b) a; `fmap.to_right` gives its mirror.
+    Each table times a product of two factors, flattened, is one d x d form
+    of operator k at a (x) b, with H its Hermitian part:
+    tables[k, 0] (`to_left`) times conj(b) (x) b is the Hermitian form L(b)
+    in the left factor, <a b|W|a b> = a^dag L(b) a; tables[k, 1]
+    (`to_right`) times conj(a) (x) a is its mirror R(a); tables[k, 2] times
+    conj(b) (x) a is the cross form M, M[i, l] =
+    sum_{j,m} conj(b_j) H[(i j), (m l)] a_m; and tables[k, 3], H itself,
+    times v = a (x) b is H v, reshaped to N = d x d.
+    `_reduced_forms(fmap.to_left, owner, right)` gives the left forms of
+    operators owner[n] at the right factors right[n], shape (n, d, d).
     """
 
     d: int
-    to_left: np.ndarray
-    to_right: np.ndarray
+    tables: np.ndarray
+
+    @property
+    def to_left(self) -> np.ndarray:
+        return self.tables[:, 0]
+
+    @property
+    def to_right(self) -> np.ndarray:
+        return self.tables[:, 1]
 
 
 def _matrix_map(mats: np.ndarray, d: int) -> _FeatureMap:
@@ -366,14 +387,18 @@ def _matrix_map(mats: np.ndarray, d: int) -> _FeatureMap:
 
     The reduced forms contract H with the fixed factor:
     sum_{j,l} conj(b_j) H[(i j), (m l)] b_l on the left factor and
-    sum_{i,m} conj(a_i) H[(i j), (m l)] a_m on the right.
+    sum_{i,m} conj(a_i) H[(i j), (m l)] a_m on the right; the cross form
+    and H v, which the Newton model reads, contract it with both factors.
     """
+    hermitian = _hermitian_part(mats)
+    blocks = hermitian.reshape(-1, d, d, d, d)
     # rows (i m) and columns (j l) for the left form, the mirror for the
-    # right one, so that either form is the table times conj(v) (x) v
-    blocks = _hermitian_part(mats).reshape(-1, d, d, d, d)
-    return _FeatureMap(
-        d, blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d),
-        blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d))
+    # right one, rows (i l) and columns (j m) for the cross form
+    return _FeatureMap(d, np.stack([
+        blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d),
+        blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d),
+        blocks.transpose(0, 1, 4, 2, 3).reshape(-1, d * d, d * d),
+        hermitian], axis=1))
 
 
 def _reduced_forms(tables: np.ndarray, owner: np.ndarray,
@@ -428,30 +453,194 @@ def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
     return scores, right
 
 
+def _sweep(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray):
+    """One seesaw sweep of each start, of operator owner[n] of `fmap`, from
+    its right factor right[n]: the lowest eigenvector of the left form, then
+    the lowest eigenpair of the right form there.  Returns the new factors
+    (n, 2, d), left then right, and their values (n,)."""
+    _, vecs = np.linalg.eigh(_reduced_forms(fmap.to_left, owner, right))
+    left = vecs[:, :, 0]
+    vals, vecs = np.linalg.eigh(_reduced_forms(fmap.to_right, owner, left))
+    return np.stack([left, vecs[:, :, 0]], axis=1), vals[:, 0]
+
+
+def _tangent_bases(vecs: np.ndarray) -> np.ndarray:
+    """Unitaries (..., d, d) whose first column is the unit vector vecs[...]
+    and whose other d - 1 columns are an orthonormal basis of its
+    orthogonal complement, for any d.
+
+    The Householder reflector I - u u^dag / (1 + |a_0|), u = a + e^{i arg a_0}
+    e_0, maps e_0 to a multiple of a, so its other columns are orthonormal
+    and orthogonal to a; its first column is then set to a.
+    """
+    head = vecs[..., 0]
+    u = vecs.copy()
+    u[..., 0] += np.exp(1j * np.angle(head))
+    scaled = u.conj() / (1 + np.abs(head))[..., None]
+    bases = np.eye(vecs.shape[-1]) - u[..., :, None] * scaled[..., None, :]
+    bases[..., :, 0] = vecs
+    return bases
+
+
+def _hessian_terms(reduced: np.ndarray):
+    """The gradient and Hessian of `_second_order_model` from the reduced
+    forms (n, 4, d, d) of L, R, M and N in the bases [a, U_a] and [b, U_b].
+
+    Column 0 of the first two holds g and the gradients G_a and G_b; their
+    lower-right blocks are A + g, B + g, C and D.  The Hessian is the real
+    form of z -> P z + Q conj(z), z = (x, y), for the Hermitian
+    P = [[A, C], [C^dag, B]] and the symmetric Q = [[0, D], [D^T, 0]]: in
+    the real view of z, entries (i, j) of P and Q give its 2 x 2 block
+    [[Re(P + Q), -Im(P - Q)], [Im(P + Q), Re(P - Q)]].  Both are linear in
+    the real view of `reduced`, which `_model_matrix` uses.
+    """
+    n, _, d, _ = reduced.shape
+    g = reduced[:, 0, 0, 0].real
+    grad = reduced[:, :2, 1:, 0].reshape(n, -1)
+    A, B, C, D = reduced[:, :, 1:, 1:].swapaxes(0, 1)
+    zeros = np.zeros_like(A)
+    p = np.concatenate([
+        np.concatenate([A, C], axis=2),
+        np.concatenate([C.conj().swapaxes(1, 2), B], axis=2),
+    ], axis=1) - g[:, None, None] * np.eye(2 * d - 2)
+    q = np.concatenate([
+        np.concatenate([zeros, D], axis=2),
+        np.concatenate([D.swapaxes(1, 2), zeros], axis=2),
+    ], axis=1)
+    plus, minus = p + q, p - q
+    hessian = np.stack([np.stack([plus.real, -minus.imag], axis=-1),
+                        np.stack([plus.imag, minus.real], axis=-1)], axis=2)
+    grad = np.stack([grad.real, grad.imag], axis=-1)
+    return grad.reshape(n, -1), hessian.reshape(n, 4 * d - 4, 4 * d - 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _model_matrix(d: int) -> np.ndarray:
+    """The real matrix that takes the flat real view (8 d^2,) of one start's
+    reduced forms to its flat Hessian and gradient, side by side: the
+    images under `_hessian_terms` of the unit real and imaginary entries."""
+    units = np.eye(8 * d * d).view(complex).reshape(-1, 4, d, d)
+    grad, hessian = _hessian_terms(units)
+    matrix = np.concatenate([hessian.reshape(len(units), -1), grad], axis=1)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _second_order_model(tables: np.ndarray, factors: np.ndarray):
+    """The second-order model of each start's value on its tangent space.
+
+    `tables` (n, 4, d^2, d^2) are the `_FeatureMap` tables of each start's
+    operator and `factors` (n, 2, d) its unit factors a and b.  With U_a,
+    U_b the last d - 1 columns of `_tangent_bases` of a and b, the value at
+    normalize(a + U_a x) (x) normalize(b + U_b y) is, to second order,
+
+        g + 2 Re(x^dag G_a + y^dag G_b) + x^dag A x + y^dag B y
+          + 2 Re(x^dag C y) + 2 Re(x^dag D conj(y)),
+
+    where g = <a b|W|a b>, G_a = U_a^dag L(b) a, G_b = U_b^dag R(a) b,
+    A = U_a^dag (L - g) U_a, B = U_b^dag (R - g) U_b, C = U_a^dag M U_b and
+    D = U_a^dag N conj(U_b), for N = H (a (x) b) reshaped to d x d.  In the
+    real view s of z = (x, y), (Re z_0, Im z_0, Re z_1, ...), that is
+    g + 2 c.s + s.K s.  Returns g (n,), the bases (n, 2, d, d),
+    c (n, 4(d - 1)) and the symmetric K (n, 4(d - 1), 4(d - 1)).
+    """
+    n, _, d = factors.shape
+    bases = _tangent_bases(factors)
+    # the forms L, R, M and N: tables times conj(b) (x) b, conj(a) (x) a,
+    # conj(b) (x) a and a (x) b
+    first = factors.take([1, 0, 1, 0], axis=1)
+    second = factors.take([1, 0, 0, 1], axis=1)
+    first[:, :3] = first[:, :3].conj()
+    pairs = first[..., :, None] * second[..., None, :]
+    forms = (tables @ pairs.reshape(n, 4, d * d, 1)).reshape(n, 4, d, d)
+    # in the bases [a, U_a] and [b, U_b]
+    outer = bases.take([0, 1, 0, 0], axis=1)
+    inner = bases.take([0, 1, 1, 1], axis=1)
+    inner[:, 3] = inner[:, 3].conj()
+    reduced = outer.conj().swapaxes(-1, -2) @ forms @ inner
+    terms = reduced.view(float).reshape(n, -1) @ _model_matrix(d)
+    m = 4 * d - 4
+    return (reduced[:, 0, 0, 0].real, bases, terms[:, m * m:],
+            terms[:, :m * m].reshape(n, m, m))
+
+
+def _newton_trials(tables: np.ndarray, factors: np.ndarray):
+    """Each start's Newton step and its halvings: trial factors
+    (n, 4, 2, d) and their values (n, 4).
+
+    The step minimizes the second-order model with the Hessian's
+    eigenvalues replaced by their magnitudes, floored at 1e-12 times the
+    largest, so it descends at saddles too; it is cut to the trust radius
+    `_NEWTON_RADIUS`, then taken at full length and at 1/2, 1/4 and 1/8.
+    """
+    n, _, d = factors.shape
+    _, bases, grad, hessian = _second_order_model(tables, factors)
+    vals, vecs = np.linalg.eigh(hessian)
+    mags = np.abs(vals)
+    mags = np.maximum(mags, 1e-12 * mags.max(axis=1, keepdims=True))
+    along = (grad[:, None] @ vecs)[:, 0]
+    along = np.divide(along, mags, out=np.zeros_like(along), where=mags > 0)
+    step = -(vecs @ along[..., None])[..., 0]
+    length = np.sqrt(np.vecdot(step, step))
+    step *= (_NEWTON_RADIUS / np.maximum(length, _NEWTON_RADIUS))[:, None]
+    moves = bases[..., 1:] @ step.view(complex).reshape(n, 2, d - 1, 1)
+    # the full step and its three halvings
+    lengths = np.array([1, 0.5, 0.25, 0.125])[:, None, None]
+    trials = factors[:, None] + lengths * moves[:, None, ..., 0]
+    trials /= np.sqrt(np.vecdot(trials, trials).real)[..., None]
+    vectors = trials[..., 0, :, None] * trials[..., 1, None, :]
+    vectors = vectors.reshape(n, -1, d * d)
+    images = tables[:, 3] @ vectors.swapaxes(1, 2)
+    return trials, np.vecdot(vectors, images.swapaxes(1, 2)).real
+
+
 def _seesaw(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray,
             values: np.ndarray) -> np.ndarray:
-    """Alternating exact minimization over the two factors, batched over starts.
+    """Local minimization of each start's value over product states, batched
+    over starts: `_SEESAW_SWEEPS` seesaw sweeps, then Newton steps.
 
     Start n minimizes the expectation of operator owner[n] of `fmap`, from
-    the right factor right[n] and its value values[n].  With one factor
-    fixed the expectation is a Hermitian form in the other, minimized by its
-    lowest eigenvector, so no half-step raises a start's value.  A start
-    stops once a sweep lowers it by no more than _SEESAW_TOL, and every
-    start after _SEESAW_SWEEPS sweeps; each start's path depends on no other
-    start.
+    the right factor right[n] and its value values[n].  A seesaw sweep
+    alternates exact minimizations (Lewenstein et al., PRA 62, 052310
+    (2000)): with one factor fixed the expectation is a Hermitian form in
+    the other, minimized by its lowest eigenvector, so no half-step raises
+    a start's value.  The seesaw converges linearly at best and crawls on
+    flat minima, so the starts still moving after its sweeps take Riemannian
+    Newton steps on the product of the two unit spheres modulo phases
+    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds
+    (2008), ch. 6; `_newton_trials`).  A start takes the first of a step and
+    its halvings that lowers its value; where none does, it takes one
+    seesaw sweep instead.  A start stops once a sweep or step lowers it by
+    no more than _SEESAW_TOL, and every start after _NEWTON_STEPS steps;
+    each start's path depends on no other start.
     """
-    values, right = values.copy(), right.copy()
+    values = values.copy()
+    factors = np.empty((len(right), 2, fmap.d), dtype=complex)
+    factors[:, 1] = right
     active = np.arange(len(right))
     for _ in range(_SEESAW_SWEEPS):
-        k = owner[active]
-        _, vecs = np.linalg.eigh(
-            _reduced_forms(fmap.to_left, k, right[active]))
-        vals, vecs = np.linalg.eigh(
-            _reduced_forms(fmap.to_right, k, vecs[:, :, 0]))
-        right[active] = vecs[:, :, 0]
-        moving = values[active] - vals[:, 0] > _SEESAW_TOL
-        values[active] = vals[:, 0]
+        factors[active], vals = _sweep(fmap, owner[active], factors[active, 1])
+        moving = values[active] - vals > _SEESAW_TOL
+        values[active] = vals
         active = active[moving]
+        if not active.size:
+            return values
+    tables = fmap.tables[owner[active]]
+    for _ in range(_NEWTON_STEPS):
+        trials, trial_values = _newton_trials(tables, factors[active])
+        before = values[active]
+        lower = trial_values < before[:, None]
+        # the first of the step and its halvings that lowers the value
+        taken = np.arange(len(active)), lower.argmax(axis=1)
+        after, factors[active] = trial_values[taken], trials[taken]
+        failed = ~lower.any(axis=1)
+        if failed.any():
+            stuck = active[failed]
+            factors[stuck], after[failed] = _sweep(fmap, owner[stuck],
+                                                   factors[stuck, 1])
+        values[active] = after
+        moving = before - after > _SEESAW_TOL
+        active, tables = active[moving], tables[moving]
         if not active.size:
             break
     return values
@@ -462,8 +651,8 @@ def _separable_floors(fmap: _FeatureMap, config: SamplerConfig) -> np.ndarray:
 
     One stable sort of each operator's row of `_pool_scores` picks its
     min(_SEESAW_STARTS, scored factors) lowest right factors, ties to the
-    earlier one in pool order, and they run through one batched seesaw,
-    whose first half-step replaces the left factors.
+    earlier one in pool order, and they run through one batched local
+    search (`_seesaw`), whose first half-step replaces the left factors.
     """
     scores, right = _pool_scores(fmap, config)
     lowest = np.argsort(scores, axis=1, kind="stable")[:, :_SEESAW_STARTS]
@@ -494,9 +683,13 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     block of right factors (`_POOL_BLOCK`), into one table of K rows; a block
     of a sequence of K operators holds K reduced forms per right factor, so
     memory grows with K.  One stable sort of each operator's scores picks
-    its eight best right factors, ties to the earlier one, and the seesaw
-    runs them to convergence: alternating lowest eigenvectors of W reduced
-    to one factor (Lewenstein et al., PRA 62, 052310 (2000)).
+    its eight best right factors, ties to the earlier one, and a local
+    search runs them to convergence: four seesaw sweeps, alternating lowest
+    eigenvectors of W reduced to one factor (Lewenstein et al., PRA 62,
+    052310 (2000)), then Riemannian Newton steps on the product of the two
+    unit spheres, where the seesaw alone crawls on flat minima.  A start
+    stops once a sweep or step lowers it by no more than 1e-15, an absolute
+    rule: on an operator scaled far above unit norm, round-off decides it.
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting

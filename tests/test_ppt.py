@@ -31,9 +31,11 @@ from entwit.ppt import (
     _pool_factors,
     _pool_scores,
     _reduced_forms,
+    _second_order_model,
     _seesaw,
     _separable_floors,
     _shell_ranks,
+    _tangent_bases,
 )
 from entwit.reproduce import _threshold_lines, check_sampler_floor
 from entwit.witness import _line_pair, _region_traces, _tangent_traces
@@ -341,6 +343,20 @@ def test_seesaw_keeps_slack_line_witnesses_positive():
                 assert floor > 1e-6
 
 
+@pytest.mark.parametrize("count", [50, 2000, 20000])
+def test_mirror_line_witnesses_have_equal_floors(count):
+    # the line witnesses at gamma and -gamma at lambda_min are mirror
+    # images with one separable minimum, so a probe that converges gives
+    # them one floor; the seesaw alone stopped up to 6.6e-9 apart on them
+    witnesses = [line_witness(gamma, detection_profile(gamma).lambda_min)[0]
+                 for magnitude in (0.34, 0.38, 3 / 7)
+                 for gamma in (magnitude, -magnitude)]
+    for seed in range(5):
+        floors = min_separable_expectation(
+            witnesses, SamplerConfig(seed=seed, count=count))
+        assert np.abs(floors[0::2] - floors[1::2]).max() <= 1e-12
+
+
 def test_batched_probe_matches_single_calls():
     phi_projector = simplex_state(SimplexParams(1, 0, 0)).op
     witnesses = (list(region_witnesses()) + _tangent_line_witnesses()
@@ -449,29 +465,71 @@ def _pool_brute_force(mats, config):
     return scores, right[columns]
 
 
-def test_rank_one_offsets_reach_their_schmidt_floor():
-    # the largest overlap of a product state with a unit psi in C^3 (x) C^3
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rank_one_offsets_reach_their_schmidt_floor(d):
+    # the largest overlap of a product state with a unit psi in C^d (x) C^d
     # is s1^2, s1 its largest Schmidt coefficient, so the separable minimum
     # of c 1 - |psi><psi| is c - s1^2; an anti-Hermitian part changes nothing
     rng = np.random.default_rng(31)
     witnesses, floors = [], []
     for _ in range(6):
-        psi = _random_vectors(rng, 1, 9)[0]
-        schmidt = np.linalg.svd(psi.reshape(3, 3), compute_uv=False)
-        witnesses.append(0.5 * np.eye(9) - np.outer(psi, psi.conj()))
+        psi = _random_vectors(rng, 1, d * d)[0]
+        schmidt = np.linalg.svd(psi.reshape(d, d), compute_uv=False)
+        witnesses.append(0.5 * np.eye(d * d) - np.outer(psi, psi.conj()))
         floors.append(0.5 - schmidt[0] ** 2)
-    skew = _random_hermitian(rng, 1, 9)[0] * 1j
+    skew = _random_hermitian(rng, 1, d * d)[0] * 1j
     for seed in range(6):
         config = SamplerConfig(seed=seed, count=200)
         listed = min_separable_expectation(
-            [BipartiteOperator(3, 3, w) for w in witnesses], config)
+            [BipartiteOperator(d, d, w) for w in witnesses], config)
         assert np.abs(listed - floors).max() <= 1e-12
         single = min_separable_expectation(
-            BipartiteOperator(3, 3, witnesses[seed]), config)
+            BipartiteOperator(d, d, witnesses[seed]), config)
         assert abs(single - floors[seed]) <= 1e-12
         skewed = min_separable_expectation(
-            BipartiteOperator(3, 3, witnesses[seed] + skew), config)
+            BipartiteOperator(d, d, witnesses[seed] + skew), config)
         assert abs(skewed - floors[seed]) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_tangent_bases_are_unitaries_with_the_factor_first(d):
+    rng = np.random.default_rng(d)
+    vecs = _random_vectors(rng, 20, d)
+    # a factor with a zero first entry has no phase to take
+    vecs[0, 0] = 0
+    vecs[0] /= np.linalg.norm(vecs[0])
+    bases = _tangent_bases(vecs)
+    assert np.array_equal(bases[:, :, 0], vecs)
+    products = bases.conj().swapaxes(1, 2) @ bases
+    assert np.abs(products - np.eye(d)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_second_order_model_error_falls_like_t_cubed(d):
+    # the model g + 2 c.s + s.K s of `_second_order_model` against the value
+    # at normalize(a + t x) (x) normalize(b + t y), for x and y tangent to a
+    # and b: an error that falls like t^3 pins the gradient and the blocks
+    # A, B, C and D of the Hessian
+    rng = np.random.default_rng(50 + d)
+    w = _random_hermitian(rng, 1, d * d)[0]
+    a, b, x, y = _random_vectors(rng, 4, d)
+    x -= a * np.vdot(a, x)
+    y -= b * np.vdot(b, y)
+    g, bases, grad, hessian = _second_order_model(
+        _matrix_map(w[None], d).tables, np.array([[a, b]]))
+    assert abs(g[0] - np.vdot(np.kron(a, b), w @ np.kron(a, b)).real) <= 1e-14
+    assert np.abs(hessian - hessian.swapaxes(1, 2)).max() <= 1e-14
+    xi, eta = bases[0, 0, :, 1:].conj().T @ x, bases[0, 1, :, 1:].conj().T @ y
+    s = np.concatenate([xi, eta]).view(float)
+    errors = []
+    for t in (1e-2, 1e-3, 1e-4):
+        v = np.kron(*(f / np.linalg.norm(f) for f in (a + t * x, b + t * y)))
+        model = g[0] + 2 * t * grad[0] @ s + t * t * s @ hessian[0] @ s
+        errors.append(abs(model - np.vdot(v, w @ v).real))
+    # each tenfold cut of t cuts the error about a thousandfold
+    assert errors[0] > 1e-8
+    assert 500 < errors[0] / errors[1] < 2000
+    assert 500 < errors[1] / errors[2] < 2000
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 48, 63, 64, 65, 500,
@@ -592,3 +650,37 @@ def test_raw_minima_nonincreasing_in_count_to_round_off():
             _pool_scores(fmap, SamplerConfig(seed=seed, count=count))[0].min(axis=1)
             for count in range(2, 2998, 7)])
         assert (np.diff(minima, axis=0) <= bound).all()
+
+
+def _hundred_sweep_seesaw(fmap, owner, right, values):
+    """The probe's local search without Newton steps: seesaw sweeps until a
+    sweep lowers a start by no more than 1e-15, at most 100 of them."""
+    values, right = values.copy(), right.copy()
+    active = np.arange(len(right))
+    for _ in range(100):
+        k = owner[active]
+        _, vecs = np.linalg.eigh(
+            _reduced_forms(fmap.to_left, k, right[active]))
+        vals, vecs = np.linalg.eigh(
+            _reduced_forms(fmap.to_right, k, vecs[:, :, 0]))
+        right[active] = vecs[:, :, 0]
+        moving = values[active] - vals[:, 0] > 1e-15
+        values[active] = vals[:, 0]
+        active = active[moving]
+        if not active.size:
+            break
+    return values
+
+
+@pytest.mark.parametrize("seed", [0, 5, 77, 20240901])
+def test_floors_at_most_those_of_hundred_seesaw_sweeps(seed, monkeypatch):
+    # the Newton steps finish what 100 sweeps leave: on the battery's 22
+    # witnesses at its sample count no floor ends above the seesaw's, and
+    # the crawling line witnesses at |gamma| = 3/7 end lower
+    fmap = _matrix_map(_bell_diagonal(_battery_traces()), 3)
+    config = SamplerConfig(seed=seed, count=100000)
+    floors = _separable_floors(fmap, config)
+    monkeypatch.setattr(ppt, "_seesaw", _hundred_sweep_seesaw)
+    reference = _separable_floors(fmap, config)
+    assert (floors <= reference + 1e-15).all()
+    assert (floors < reference - 1e-10).any()
