@@ -62,9 +62,9 @@ class SimplexState:
     min_eigenvalue: float
     valid: bool
 
-    def density(self, psd_tol: float = PSD_TOL) -> DensityMatrix:
+    def density(self) -> DensityMatrix:
         """The state as a DensityMatrix; raises ValueError when not PSD."""
-        return DensityMatrix(self.op, psd_tol=psd_tol)
+        return DensityMatrix(self.op)
 
 
 def _bell_diagonal(weights) -> np.ndarray:
@@ -171,11 +171,11 @@ def _family_pt_minimum(alpha, beta, gamma):
                       - np.hypot(gamma / 6.0, (alpha - beta / 2.0) / 3.0))
 
 
-def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:
+def simplex_state(params) -> SimplexState:
     """Two-qutrit state (1-a-b-g)/9 * 1 + a P00 + b/2 (P10+P20) + g/3 (P01+P11+P21).
 
     Always unit trace.  `valid` records whether the closed-form spectrum is
-    nonnegative within `psd_tol`; the minimum eigenvalue comes along either
+    nonnegative within PSD_TOL; the minimum eigenvalue comes along either
     way.
     """
     params = SimplexParams(*map(float, params))
@@ -185,7 +185,7 @@ def simplex_state(params, psd_tol: float = PSD_TOL) -> SimplexState:
         params=params,
         op=BipartiteOperator(3, 3, _bell_diagonal(weights)),
         min_eigenvalue=float(min_eig),
-        valid=bool(min_eig >= -psd_tol),
+        valid=bool(min_eig >= -PSD_TOL),
     )
 
 

@@ -107,13 +107,13 @@ class BipartiteOperator:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite bipartite operator.
 
-    The PSD gate is a tolerance check: every eigenvalue must be >= -psd_tol.
+    The PSD gate is a tolerance check: every eigenvalue must be >= -PSD_TOL.
     Construction fails with ValueError when any invariant is violated.
     """
 
-    def __init__(self, op: BipartiteOperator, psd_tol: float = PSD_TOL):
+    def __init__(self, op: BipartiteOperator):
         op = _as_operator(op)
-        self.min_eigenvalue = float(_density_gate(op.entries[None], psd_tol)[0])
+        self.min_eigenvalue = float(_density_gate(op.entries[None])[0])
         self.op = op
 
     @property
@@ -135,11 +135,11 @@ def _hermiticity_defect(mats: np.ndarray) -> float:
     return float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
 
 
-def _density_gate(mats: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+def _density_gate(mats: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of each matrix of a stack (N, D, D) that passes
     the gates of a density matrix, in their order: Hermitian within
     HERMITICITY_TOL, unit trace within TRACE_TOL, every eigenvalue
-    >= -psd_tol.  ValueError with the worst value of the first gate that
+    >= -PSD_TOL.  ValueError with the worst value of the first gate that
     fails; `DensityMatrix` is the N=1 case.
     """
     herm_defect = _hermiticity_defect(mats)
@@ -152,10 +152,10 @@ def _density_gate(mats: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
                          f"within {TRACE_TOL}")
     min_eig = np.linalg.eigvalsh(mats)[:, 0]
     lowest = min_eig.min()
-    if lowest < -psd_tol:
+    if lowest < -PSD_TOL:
         raise ValueError(
             f"not positive semidefinite: min eigenvalue {lowest:.3e} "
-            f"< -{psd_tol}"
+            f"< -{PSD_TOL}"
         )
     return min_eig
 
@@ -298,7 +298,9 @@ def operator_from_dict(obj: dict) -> BipartiteOperator:
     dims, pairs = (obj["dim_a"], obj["dim_b"]), obj["entries"]
     try:
         dim_a, dim_b = map(int, dims)
-        integral = (dim_a, dim_b) == dims
+        # a JSON true equals 1, but is no integer
+        integral = ((dim_a, dim_b) == dims
+                    and not any(isinstance(x, bool) for x in dims))
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
@@ -315,6 +317,8 @@ def operator_from_dict(obj: dict) -> BipartiteOperator:
         )
     try:
         flat = np.array([complex(re, im) for re, im in pairs])
+        if any(isinstance(x, bool) for pair in pairs for x in pair):
+            raise TypeError("true and false are not numbers")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"entries must be [re, im] number pairs: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(flat))

@@ -19,26 +19,11 @@ Both convex sets are invariant under every U (x) U* conjugation, so from a
 Bell-diagonal start every iterate and correction of the matrix space is
 Bell-diagonal, and the two spaces run the same iteration.
 
-The separable-minimum probe scores pure product states a (x) b.  Its pool is
-a grid of seeded Haar factors a_0, ..., a_{m-1} and b_0, ..., b_{m-1},
-m = ceil(sqrt(count)), whose pairs are taken in shell order (shell s =
-max(i, j)) up to `count` of them, so a longer pool extends a shorter one
-and its raw minimum is no higher, to round-off: a pair's score may round
-differently in another count's column blocks.  Every pair with
-i, j < m - 1 is in the pool, so only the last shell is masked.  Each right
-factor b_j is scored by its best in-pool left partner,
-min_i <a_i b_j|W|a_i b_j> = min_i a_i^dag L(b_j) a_i, where L(b) is the
-Hermitian form of W in the left factor with b fixed; one real matrix product
-scores a block of right factors against every left factor, into one table
-of each operator's score of each right factor.  One stable sort of each
-operator's row picks its best right factors, which start a local search:
-a few seesaw sweeps of alternating lowest eigenvectors of the reduced
-forms, then batched Riemannian Newton steps on the product of the two unit
-spheres, which converge where the seesaw crawls.  The forms and the Newton
-model come from one map (`_matrix_map`), for any operator and any d: with
-v = a (x) b, <a (x) b|W|a (x) b> = Re(v^dag W v) = v^dag H v for H the
-Hermitian part of W, whose forms contract H with the fixed factor or with
-both.  The result is an upper bound on the separable minimum.
+The separable-minimum probe scores pure product states a (x) b of any
+operator on C^d (x) C^d through one map (`_matrix_map`): a seeded pool
+picks the starts of a batched local search of seesaw sweeps and Riemannian
+Newton steps.  `min_separable_expectation` describes it; the result is an
+upper bound on the separable minimum.
 """
 
 from __future__ import annotations
@@ -352,53 +337,33 @@ def _shell_ranks(i, j):
     return np.where(i >= j, i * i + j, j * j + j + 1 + i)
 
 
-class _FeatureMap(NamedTuple):
-    """The probe's tables of K operators on C^d (x) C^d, stacked
-    (K, 4, d^2, d^2).
-
-    Each table times a product of two factors, flattened, is one d x d form
-    of operator k at a (x) b, with H its Hermitian part:
-    tables[k, 0] (`to_left`) times conj(b) (x) b is the Hermitian form L(b)
-    in the left factor, <a b|W|a b> = a^dag L(b) a; tables[k, 1]
-    (`to_right`) times conj(a) (x) a is its mirror R(a); tables[k, 2] times
-    conj(b) (x) a is the cross form M, M[i, l] =
-    sum_{j,m} conj(b_j) H[(i j), (m l)] a_m; and tables[k, 3], H itself,
-    times v = a (x) b is H v, reshaped to N = d x d.
-    `_reduced_forms(fmap.to_left, owner, right)` gives the left forms of
-    operators owner[n] at the right factors right[n], shape (n, d, d).
-    """
-
-    d: int
-    tables: np.ndarray
-
-    @property
-    def to_left(self) -> np.ndarray:
-        return self.tables[:, 0]
-
-    @property
-    def to_right(self) -> np.ndarray:
-        return self.tables[:, 1]
-
-
-def _matrix_map(mats: np.ndarray, d: int) -> _FeatureMap:
+def _matrix_map(mats: np.ndarray, d: int) -> np.ndarray:
     """The probe's one map, of a stack (K, d^2, d^2) of arbitrary
     operators, Bell-diagonal or not: <a (x) b|W|a (x) b> = Re(v^dag W v) =
     v^dag H v for v = a (x) b and H the Hermitian part of W.
 
-    The reduced forms contract H with the fixed factor:
-    sum_{j,l} conj(b_j) H[(i j), (m l)] b_l on the left factor and
-    sum_{i,m} conj(a_i) H[(i j), (m l)] a_m on the right; the cross form
-    and H v, which the Newton model reads, contract it with both factors.
+    Returns the tables (K, 4, d^2, d^2).  Each table times a product of two
+    factors, flattened, is one d x d form of operator k at a (x) b:
+    tables[k, 0] times conj(b) (x) b is the Hermitian form L(b) in the left
+    factor, sum_{j,l} conj(b_j) H[(i j), (m l)] b_l, so that
+    <a b|W|a b> = a^dag L(b) a; tables[k, 1] times conj(a) (x) a is its
+    mirror R(a), sum_{i,m} conj(a_i) H[(i j), (m l)] a_m; tables[k, 2] times
+    conj(b) (x) a is the cross form M, M[i, l] =
+    sum_{j,m} conj(b_j) H[(i j), (m l)] a_m; and tables[k, 3], H itself,
+    times v = a (x) b is H v, reshaped to N = d x d.  The cross form and N
+    are what the Newton model reads.  `_reduced_forms(tables[:, 0], owner,
+    right)` gives the left forms of operators owner[n] at the right factors
+    right[n], shape (n, d, d).
     """
     hermitian = _hermitian_part(mats)
     blocks = hermitian.reshape(-1, d, d, d, d)
     # rows (i m) and columns (j l) for the left form, the mirror for the
     # right one, rows (i l) and columns (j m) for the cross form
-    return _FeatureMap(d, np.stack([
+    return np.stack([
         blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d),
         blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d),
         blocks.transpose(0, 1, 4, 2, 3).reshape(-1, d * d, d * d),
-        hermitian], axis=1))
+        hermitian], axis=1)
 
 
 def _reduced_forms(tables: np.ndarray, owner: np.ndarray,
@@ -413,12 +378,13 @@ def _reduced_forms(tables: np.ndarray, owner: np.ndarray,
     return (tables[owner] @ pairs.reshape(-1, d * d, 1)).reshape(-1, d, d)
 
 
-def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
+def _pool_scores(tables: np.ndarray, config: SamplerConfig):
     """Each right factor's best score in the pool, `_POOL_BLOCK` pairs at a time.
 
     Returns the (K, m') table of scores min_i <a_i b_j|W|a_i b_j> over the
     left partners of each scored right factor b_j in the pool, and the
-    (m', d) factors, in pool order.  With L(b) the left form of `fmap`,
+    (m', d) factors, in pool order, for the `_matrix_map` tables of K
+    operators on C^d (x) C^d.  With L(b) the left form of `tables`,
     <a b|W|a b> = a^dag L(b) a = Re sum_pr conj(a_p) a_r L(b)_pr, so a block
     of n columns is one real product of the (m, 2 d^2) rows [Re, -Im] of
     conj(a) (x) a with the (2 d^2, K n) columns [Re; Im] of the forms.  Every pair with
@@ -428,8 +394,8 @@ def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
     at rank j^2 + j, so at most the last right factor has no pair in the
     pool, and it is not scored.
     """
-    left, right = _pool_factors(fmap.d, config)
-    m, k = len(left), len(fmap.to_left)
+    left, right = _pool_factors(math.isqrt(tables.shape[-1]), config)
+    m, k = len(left), len(tables)
     last = m - 1
     # b_{m-1} has a pair only if its first, (m - 1)^2 + m - 1, is in the pool
     right = right[:m - (m * last >= config.count)]
@@ -440,7 +406,7 @@ def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
     for start in range(0, len(right), width):
         block = right[start:start + width]
         n = len(block)
-        forms = _reduced_forms(fmap.to_left, np.repeat(np.arange(k), n),
+        forms = _reduced_forms(tables[:, 0], np.repeat(np.arange(k), n),
                                np.tile(block, (k, 1)))
         cols = np.concatenate([forms.real, forms.imag], axis=1).reshape(k * n, -1)
         values = (rows @ cols.T).reshape(m, k, n)
@@ -453,14 +419,15 @@ def _pool_scores(fmap: _FeatureMap, config: SamplerConfig):
     return scores, right
 
 
-def _sweep(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray):
-    """One seesaw sweep of each start, of operator owner[n] of `fmap`, from
-    its right factor right[n]: the lowest eigenvector of the left form, then
-    the lowest eigenpair of the right form there.  Returns the new factors
-    (n, 2, d), left then right, and their values (n,)."""
-    _, vecs = np.linalg.eigh(_reduced_forms(fmap.to_left, owner, right))
+def _sweep(tables: np.ndarray, owner: np.ndarray, right: np.ndarray):
+    """One seesaw sweep of each start, of operator owner[n] of the
+    `_matrix_map` tables, from its right factor right[n]: the lowest
+    eigenvector of the left form, then the lowest eigenpair of the right
+    form there.  Returns the new factors (n, 2, d), left then right, and
+    their values (n,)."""
+    _, vecs = np.linalg.eigh(_reduced_forms(tables[:, 0], owner, right))
     left = vecs[:, :, 0]
-    vals, vecs = np.linalg.eigh(_reduced_forms(fmap.to_right, owner, left))
+    vals, vecs = np.linalg.eigh(_reduced_forms(tables[:, 1], owner, left))
     return np.stack([left, vecs[:, :, 0]], axis=1), vals[:, 0]
 
 
@@ -529,7 +496,7 @@ def _model_matrix(d: int) -> np.ndarray:
 def _second_order_model(tables: np.ndarray, factors: np.ndarray):
     """The second-order model of each start's value on its tangent space.
 
-    `tables` (n, 4, d^2, d^2) are the `_FeatureMap` tables of each start's
+    `tables` (n, 4, d^2, d^2) are the `_matrix_map` tables of each start's
     operator and `factors` (n, 2, d) its unit factors a and b.  With U_a,
     U_b the last d - 1 columns of `_tangent_bases` of a and b, the value at
     normalize(a + U_a x) (x) normalize(b + U_b y) is, to second order,
@@ -594,71 +561,70 @@ def _newton_trials(tables: np.ndarray, factors: np.ndarray):
     return trials, np.vecdot(vectors, images.swapaxes(1, 2)).real
 
 
-def _seesaw(fmap: _FeatureMap, owner: np.ndarray, right: np.ndarray,
+def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
             values: np.ndarray) -> np.ndarray:
     """Local minimization of each start's value over product states, batched
-    over starts: `_SEESAW_SWEEPS` seesaw sweeps, then Newton steps.
+    over starts.
 
-    Start n minimizes the expectation of operator owner[n] of `fmap`, from
-    the right factor right[n] and its value values[n].  A seesaw sweep
+    Start n minimizes the expectation of operator owner[n] of the
+    `_matrix_map` tables, from the right factor right[n] and its value
+    values[n], in rounds of a seesaw sweep or a Newton step.  A seesaw sweep
     alternates exact minimizations (Lewenstein et al., PRA 62, 052310
     (2000)): with one factor fixed the expectation is a Hermitian form in
     the other, minimized by its lowest eigenvector, so no half-step raises
     a start's value.  The seesaw converges linearly at best and crawls on
-    flat minima, so the starts still moving after its sweeps take Riemannian
-    Newton steps on the product of the two unit spheres modulo phases
-    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds
-    (2008), ch. 6; `_newton_trials`).  A start takes the first of a step and
-    its halvings that lowers its value; where none does, it takes one
-    seesaw sweep instead.  A start stops once a sweep or step lowers it by
-    no more than _SEESAW_TOL, and every start after _NEWTON_STEPS steps;
-    each start's path depends on no other start.
+    flat minima, which Riemannian Newton steps on the product of the two
+    unit spheres modulo phases finish (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds (2008), ch. 6;
+    `_newton_trials`).  The round rule, for each start still moving:
+
+    * in the first `_SEESAW_SWEEPS` rounds it takes one sweep;
+    * in later rounds it takes the first of a Newton step and its halvings
+      that lowers its value, and one sweep from that step's right factor
+      where none does;
+    * it stops when its round lowers it by no more than `_SEESAW_TOL`, and
+      every start after `_SEESAW_SWEEPS + _NEWTON_STEPS` rounds.
+
+    Each start's path depends on no other start.
     """
     values = values.copy()
-    factors = np.empty((len(right), 2, fmap.d), dtype=complex)
+    factors = np.empty((len(right), 2, right.shape[1]), dtype=complex)
     factors[:, 1] = right
     active = np.arange(len(right))
-    for _ in range(_SEESAW_SWEEPS):
-        factors[active], vals = _sweep(fmap, owner[active], factors[active, 1])
-        moving = values[active] - vals > _SEESAW_TOL
-        values[active] = vals
-        active = active[moving]
-        if not active.size:
-            return values
-    tables = fmap.tables[owner[active]]
-    for _ in range(_NEWTON_STEPS):
-        trials, trial_values = _newton_trials(tables, factors[active])
+    for round_ in range(_SEESAW_SWEEPS + _NEWTON_STEPS):
         before = values[active]
-        lower = trial_values < before[:, None]
-        # the first of the step and its halvings that lowers the value
-        taken = np.arange(len(active)), lower.argmax(axis=1)
-        after, factors[active] = trial_values[taken], trials[taken]
-        failed = ~lower.any(axis=1)
-        if failed.any():
-            stuck = active[failed]
-            factors[stuck], after[failed] = _sweep(fmap, owner[stuck],
+        stuck = active
+        if round_ >= _SEESAW_SWEEPS:
+            trials, trial_values = _newton_trials(tables[owner[active]],
+                                                  factors[active])
+            lower = trial_values < before[:, None]
+            # the first of the step and its halvings that lowers the value
+            taken = np.arange(len(active)), lower.argmax(axis=1)
+            values[active], factors[active] = trial_values[taken], trials[taken]
+            stuck = active[~lower.any(axis=1)]
+        if stuck.size:
+            factors[stuck], values[stuck] = _sweep(tables, owner[stuck],
                                                    factors[stuck, 1])
-        values[active] = after
-        moving = before - after > _SEESAW_TOL
-        active, tables = active[moving], tables[moving]
+        active = active[before - values[active] > _SEESAW_TOL]
         if not active.size:
             break
     return values
 
 
-def _separable_floors(fmap: _FeatureMap, config: SamplerConfig) -> np.ndarray:
-    """Lowest sampled-and-refined value of each of the K operators of `fmap`.
+def _separable_floors(tables: np.ndarray, config: SamplerConfig) -> np.ndarray:
+    """Lowest sampled-and-refined value of each of the K operators of the
+    `_matrix_map` tables.
 
     One stable sort of each operator's row of `_pool_scores` picks its
     min(_SEESAW_STARTS, scored factors) lowest right factors, ties to the
     earlier one in pool order, and they run through one batched local
     search (`_seesaw`), whose first half-step replaces the left factors.
     """
-    scores, right = _pool_scores(fmap, config)
+    scores, right = _pool_scores(tables, config)
     lowest = np.argsort(scores, axis=1, kind="stable")[:, :_SEESAW_STARTS]
     pooled = np.take_along_axis(scores, lowest, axis=1)
     k, starts = lowest.shape
-    refined = _seesaw(fmap, np.repeat(np.arange(k), starts),
+    refined = _seesaw(tables, np.repeat(np.arange(k), starts),
                       right[lowest.ravel()], pooled.ravel())
     return np.minimum(pooled[:, 0], refined.reshape(k, starts).min(axis=1))
 
@@ -684,12 +650,13 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     of a sequence of K operators holds K reduced forms per right factor, so
     memory grows with K.  One stable sort of each operator's scores picks
     its eight best right factors, ties to the earlier one, and a local
-    search runs them to convergence: four seesaw sweeps, alternating lowest
-    eigenvectors of W reduced to one factor (Lewenstein et al., PRA 62,
-    052310 (2000)), then Riemannian Newton steps on the product of the two
-    unit spheres, where the seesaw alone crawls on flat minima.  A start
-    stops once a sweep or step lowers it by no more than 1e-15, an absolute
-    rule: on an operator scaled far above unit norm, round-off decides it.
+    search (`_seesaw`) runs them in at most 54 rounds: four rounds of one
+    seesaw sweep, alternating lowest eigenvectors of W reduced to one factor
+    (Lewenstein et al., PRA 62, 052310 (2000)), then rounds of a Riemannian
+    Newton step on the product of the two unit spheres, where the seesaw
+    alone crawls on flat minima, or a sweep where the step fails.  A start
+    stops once its round lowers it by no more than 1e-15, an absolute rule:
+    on an operator scaled far above unit norm, round-off decides it.
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting

@@ -381,18 +381,10 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
 
     The two region witnesses and the 20 line witnesses at lambda_min are
     built as 9x9 operators from their Bell traces and probed by one call of
-    `min_separable_expectation`, as `witness-check` probes one operator:
-    they share one seeded pool of `samples` product states, the first
-    `samples` pairs in shell order of a grid of ceil(sqrt(samples)) left
-    and right Haar factors; each right factor is scored by its best in-pool
-    left partner, into one table of 22 rows, and one stable sort of each
-    row picks the eight best right factors of its witness, which start one
-    batched local search: four seesaw sweeps, then Riemannian Newton steps
-    until a step lowers a start by no more than 1e-15, which also finishes
-    the flat minima of the line witnesses at |gamma| = 3/7, where the seesaw
-    alone crawls.  The floor is an upper bound on each witness's
-    separable minimum, so the check can catch a non-witness but never prove
-    witness-hood.
+    `min_separable_expectation` on `samples` product states, as
+    `witness-check` probes one operator; that function describes the probe.
+    The floor is an upper bound on each witness's separable minimum, so the
+    check can catch a non-witness but never prove witness-hood.
     """
     traces = np.concatenate([
         np.array(_region_traces()),

@@ -381,7 +381,8 @@ def test_gamma0_measure_only_where_positive(capsys):
 
 def _reference_sample(alpha, beta, gamma, tol=1e-10):
     """(valid, PT minimum, label, witness values, measure), point by point."""
-    state = simplex_state(SimplexParams(alpha, beta, gamma), psd_tol=tol)
+    state = simplex_state(SimplexParams(alpha, beta, gamma))
+    valid = state.min_eigenvalue >= -tol
     pt_min = np.linalg.eigvalsh(partial_transpose(state.op, 2).entries)[0]
     witness_one, witness_two = region_witnesses()
     witnesses = {"region_I": witness_one.op, "region_II": witness_two.op}
@@ -396,7 +397,7 @@ def _reference_sample(alpha, beta, gamma, tol=1e-10):
     values = {name: hs_inner(state.op, op).real
               for name, op in witnesses.items()}
     measure = None
-    if not state.valid:
+    if not valid:
         label = LABEL_INVALID
     elif pt_min < -tol:
         label = (LABEL_NPT_I if values["region_I"] <= values["region_II"]
@@ -406,7 +407,7 @@ def _reference_sample(alpha, beta, gamma, tol=1e-10):
     else:
         detected = any(values[name] < -tol for name in certified)
         label = LABEL_BOUND if detected else LABEL_UNRESOLVED
-    return state.valid, pt_min, label, values, measure
+    return valid, pt_min, label, values, measure
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, -0.3, 0.18, 0.05, -3 / 7])
@@ -614,6 +615,7 @@ def test_cli_witness_check_non_integer_dimensions(tmp_path, capsys):
     ({"entries": 5}, "entries must be a list"),
     ({"entries": None}, "entries must be a list"),
     ({"dim_a": -3, "dim_b": -3, "entries": []}, "must be positive"),
+    ({"dim_a": True, "dim_b": True}, "must be integers"),
 ])
 def test_cli_witness_check_malformed_operator(fields, message, tmp_path,
                                               capsys):

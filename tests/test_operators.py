@@ -279,10 +279,13 @@ def test_operator_json_rejects_malformed():
             operator_from_dict(doc)
     with pytest.raises(ValueError, match="number pairs"):
         operator_from_dict({"dim_a": 1, "dim_b": 1, "entries": [["a", 0.0]]})
+    # JSON booleans are no numbers, though Python takes True for 1
+    with pytest.raises(ValueError, match="number pairs"):
+        operator_from_dict({"dim_a": 1, "dim_b": 1, "entries": [[True, False]]})
     # non-integral dimensions are not truncated
     entries = [[0.0, 0.0]] * 81
     for dims in ((3.9, 3.2), (3, 3.5), ("3", 3), (math.inf, 3), (math.nan, 3),
-                 (None, None), ([3], 3)):
+                 (None, None), ([3], 3), (True, True), (True, 3)):
         with pytest.raises(ValueError, match="must be integers"):
             operator_from_dict(dict(zip(("dim_a", "dim_b"), dims),
                                     entries=entries))

@@ -437,14 +437,14 @@ def test_bloch_expectation_matches_brute_force(count):
             else _random_hermitian(rng, count, 9))
     count = len(mats)
     left, right = _random_vectors(rng, 500, 3), _random_vectors(rng, 500, 3)
-    fmap = _matrix_map(mats, 3)
+    tables = _matrix_map(mats, 3)
     owner = np.repeat(np.arange(count), 500)
     vecs = np.einsum("ni,nj->nij", left, right).reshape(500, 9)
     brute = np.einsum("na,kab,nb->kn", vecs.conj(), mats, vecs).real
     scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
-    for tables, fixed, free in ((fmap.to_left, right, left),
-                                (fmap.to_right, left, right)):
-        forms = _reduced_forms(tables, owner, np.tile(fixed, (count, 1)))
+    for side, fixed, free in ((0, right, left), (1, left, right)):
+        forms = _reduced_forms(tables[:, side], owner,
+                               np.tile(fixed, (count, 1)))
         free = np.tile(free, (count, 1))
         values = np.einsum("na,nab,nb->n", free.conj(), forms, free).real
         assert forms.shape == (count * 500, 3, 3)
@@ -516,7 +516,7 @@ def test_second_order_model_error_falls_like_t_cubed(d):
     x -= a * np.vdot(a, x)
     y -= b * np.vdot(b, y)
     g, bases, grad, hessian = _second_order_model(
-        _matrix_map(w[None], d).tables, np.array([[a, b]]))
+        _matrix_map(w[None], d), np.array([[a, b]]))
     assert abs(g[0] - np.vdot(np.kron(a, b), w @ np.kron(a, b)).real) <= 1e-14
     assert np.abs(hessian - hessian.swapaxes(1, 2)).max() <= 1e-14
     xi, eta = bases[0, 0, :, 1:].conj().T @ x, bases[0, 1, :, 1:].conj().T @ y
@@ -561,17 +561,17 @@ def test_bell_pool_scores_match_brute_force():
     assert (np.abs(scores - brute) <= 1e-14 * scale).all()
 
 
-def _probe_starts(fmap, config, monkeypatch):
+def _probe_starts(tables, config, monkeypatch):
     """The floors of `_separable_floors`, and the start values and right
     factors that it hands the seesaw."""
     seen = {}
 
-    def spy(fmap, owner, right, values):
+    def spy(tables, owner, right, values):
         seen.update(right=right, values=values)
-        return _seesaw(fmap, owner, right, values)
+        return _seesaw(tables, owner, right, values)
 
     monkeypatch.setattr(ppt, "_seesaw", spy)
-    floors = _separable_floors(fmap, config)
+    floors = _separable_floors(tables, config)
     return floors, seen["values"], seen["right"]
 
 
@@ -586,10 +586,10 @@ def test_running_selection_keeps_lowest_of_whole_pool(count, monkeypatch):
     config = SamplerConfig(seed=12, count=count)
     for mats in (_random_hermitian(np.random.default_rng(8), 3, 9),
                  witness_one.op.entries[None]):
-        fmap = _matrix_map(mats, 3)
+        tables = _matrix_map(mats, 3)
         monkeypatch.setattr(ppt, "_POOL_BLOCK", 10 ** 9)
-        floors, values, right = _probe_starts(fmap, config, monkeypatch)
-        scores, _ = _pool_scores(fmap, config)
+        floors, values, right = _probe_starts(tables, config, monkeypatch)
+        scores, _ = _pool_scores(tables, config)
         starts = min(scores.shape[1], 8)
         # each operator's lowest scores, lowest first
         assert np.array_equal(values.reshape(len(mats), starts),
@@ -598,7 +598,7 @@ def test_running_selection_keeps_lowest_of_whole_pool(count, monkeypatch):
         for block in (29, 290, 4096):
             monkeypatch.setattr(ppt, "_POOL_BLOCK", block)
             blocked, blocked_values, blocked_right = _probe_starts(
-                fmap, config, monkeypatch)
+                tables, config, monkeypatch)
             assert np.array_equal(blocked_right, right)
             assert np.array_equal(blocked, floors)
             assert (np.abs(blocked_values - values) <= 1e-15 * scale).all()
@@ -609,9 +609,9 @@ def test_tied_scores_start_from_the_first_right_factors(count, monkeypatch):
     # every score of a zero operator is exactly 0, so the starts are the
     # first right factors in pool order
     config = SamplerConfig(seed=3, count=count)
-    fmap = _matrix_map(np.zeros((2, 9, 9)), 3)
-    _, values, right = _probe_starts(fmap, config, monkeypatch)
-    first = _pool_scores(fmap, config)[1][:8]
+    tables = _matrix_map(np.zeros((2, 9, 9)), 3)
+    _, values, right = _probe_starts(tables, config, monkeypatch)
+    first = _pool_scores(tables, config)[1][:8]
     assert not values.any()
     assert np.array_equal(right, np.tile(first, (2, 1)))
 
@@ -643,16 +643,16 @@ def test_raw_minima_nonincreasing_in_count_to_round_off():
     # may round differently in another count's column blocks, so a raw
     # minimum of the battery's witnesses can rise, by round-off only
     mats = _bell_diagonal(_battery_traces())
-    fmap = _matrix_map(mats, 3)
+    tables = _matrix_map(mats, 3)
     bound = 1e-15 * np.linalg.norm(mats, axis=(1, 2))
     for seed in range(4):
         minima = np.array([
-            _pool_scores(fmap, SamplerConfig(seed=seed, count=count))[0].min(axis=1)
+            _pool_scores(tables, SamplerConfig(seed=seed, count=count))[0].min(axis=1)
             for count in range(2, 2998, 7)])
         assert (np.diff(minima, axis=0) <= bound).all()
 
 
-def _hundred_sweep_seesaw(fmap, owner, right, values):
+def _hundred_sweep_seesaw(tables, owner, right, values):
     """The probe's local search without Newton steps: seesaw sweeps until a
     sweep lowers a start by no more than 1e-15, at most 100 of them."""
     values, right = values.copy(), right.copy()
@@ -660,9 +660,9 @@ def _hundred_sweep_seesaw(fmap, owner, right, values):
     for _ in range(100):
         k = owner[active]
         _, vecs = np.linalg.eigh(
-            _reduced_forms(fmap.to_left, k, right[active]))
+            _reduced_forms(tables[:, 0], k, right[active]))
         vals, vecs = np.linalg.eigh(
-            _reduced_forms(fmap.to_right, k, vecs[:, :, 0]))
+            _reduced_forms(tables[:, 1], k, vecs[:, :, 0]))
         right[active] = vecs[:, :, 0]
         moving = values[active] - vals[:, 0] > 1e-15
         values[active] = vals[:, 0]
@@ -677,10 +677,47 @@ def test_floors_at_most_those_of_hundred_seesaw_sweeps(seed, monkeypatch):
     # the Newton steps finish what 100 sweeps leave: on the battery's 22
     # witnesses at its sample count no floor ends above the seesaw's, and
     # the crawling line witnesses at |gamma| = 3/7 end lower
-    fmap = _matrix_map(_bell_diagonal(_battery_traces()), 3)
+    tables = _matrix_map(_bell_diagonal(_battery_traces()), 3)
     config = SamplerConfig(seed=seed, count=100000)
-    floors = _separable_floors(fmap, config)
+    floors = _separable_floors(tables, config)
     monkeypatch.setattr(ppt, "_seesaw", _hundred_sweep_seesaw)
-    reference = _separable_floors(fmap, config)
+    reference = _separable_floors(tables, config)
     assert (floors <= reference + 1e-15).all()
     assert (floors < reference - 1e-10).any()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 77])
+def test_seesaw_rounds_alone_are_the_hundred_sweeps(seed, monkeypatch):
+    # with no Newton rounds and 100 opening rounds the local search is the
+    # plain seesaw, bit for bit
+    tables = _matrix_map(_bell_diagonal(_battery_traces()), 3)
+    config = SamplerConfig(seed=seed, count=100000)
+    monkeypatch.setattr(ppt, "_SEESAW_SWEEPS", 100)
+    monkeypatch.setattr(ppt, "_NEWTON_STEPS", 0)
+    floors = _separable_floors(tables, config)
+    monkeypatch.setattr(ppt, "_seesaw", _hundred_sweep_seesaw)
+    assert np.array_equal(floors, _separable_floors(tables, config))
+
+
+def test_seesaw_batch_equals_each_start_alone(monkeypatch):
+    # the 8 starts of each of 22 Bell-diagonal and 3 complex operators: a
+    # start's rounds depend on no other start, so the batch of 200 gives
+    # what each start gives on its own, bit for bit
+    mats = np.concatenate([_bell_diagonal(_battery_traces()),
+                           _random_hermitian(np.random.default_rng(9), 3, 9)])
+    tables = _matrix_map(mats, 3)
+    seen = {}
+
+    def spy(tables, owner, right, values):
+        seen.update(owner=owner, right=right, values=values)
+        return _seesaw(tables, owner, right, values)
+
+    monkeypatch.setattr(ppt, "_seesaw", spy)
+    _separable_floors(tables, SamplerConfig(seed=5, count=20000))
+    owner, right, values = seen["owner"], seen["right"], seen["values"]
+    assert len(owner) == 200
+    batch = _seesaw(tables, owner, right, values)
+    alone = np.concatenate([
+        _seesaw(tables, owner[n:n + 1], right[n:n + 1], values[n:n + 1])
+        for n in range(len(owner))])
+    assert np.array_equal(batch, alone)
