@@ -235,14 +235,14 @@ def _cmd_witness_check(args) -> int:
     if not certificate.certified:
         config = SamplerConfig(seed=args.seed, count=args.samples)
         floor = min_separable_expectation(operator, config)
+        caveat = ("one-sided: an upper bound on the separable minimum; "
+                  "only a negative value is conclusive")
         doc["sampled_minimum"] = floor
-        doc["caveat"] = ("one-sided: an upper bound on the separable minimum; "
-                         "only a negative value is conclusive")
+        doc["caveat"] = caveat
         lines.append(
             f"sampled separable minimum ({args.samples} states): "
             f"{format_float(floor)}")
-        lines.append("  (one-sided: an upper bound on the separable minimum; "
-                     "only a negative value is conclusive)")
+        lines.append(f"  ({caveat})")
     payload = (_json_payload(doc) if args.format == "json"
                else "\n".join(lines) + "\n")
     _emit(payload, args.out)
@@ -250,8 +250,6 @@ def _cmd_witness_check(args) -> int:
 
 
 def _cmd_nearest_ppt(args) -> int:
-    if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     params, _ = _params_from_args(args)
     # every family state is Bell-diagonal: the density gates read its
     # closed-form spectrum, the Bell weights, and Dykstra runs on those
@@ -375,7 +373,7 @@ def _build_parser() -> _Parser:
              "with corrections)")
     _add_state_flags(nearest)
     nearest.add_argument("--tol", type=_tolerance, default=PSD_TOL)
-    nearest.add_argument("--steps", type=int, default=10000,
+    nearest.add_argument("--steps", type=_integer_at_least(1), default=10000,
                          help="iteration cap (default 10000)")
     nearest.add_argument("--format", choices=("text", "json"), default="text")
     nearest.add_argument("--out", default=None)

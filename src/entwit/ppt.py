@@ -20,15 +20,15 @@ Bell-diagonal start every iterate and correction of the matrix space is
 Bell-diagonal, and the two spaces run the same iteration.
 
 The separable-minimum probe scores pure product states a (x) b of any
-operator on C^d (x) C^d through one map (`_matrix_map`): a seeded pool
-picks the starts of a batched local search of seesaw sweeps and Riemannian
-Newton steps.  `min_separable_expectation` describes it; the result is an
-upper bound on the separable minimum.
+operator on C^d (x) C^d through one map (`_matrix_map`: two reduced-form
+tables and the Hermitian part H): a seeded pool picks the starts of a
+batched local search of seesaw sweeps and Riemannian Newton steps on H.
+`min_separable_expectation` describes it; the result is an upper bound on
+the separable minimum.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Callable, Sequence
@@ -342,27 +342,22 @@ def _matrix_map(mats: np.ndarray, d: int) -> np.ndarray:
     operators, Bell-diagonal or not: <a (x) b|W|a (x) b> = Re(v^dag W v) =
     v^dag H v for v = a (x) b and H the Hermitian part of W.
 
-    Returns the tables (K, 4, d^2, d^2).  Each table times a product of two
-    factors, flattened, is one d x d form of operator k at a (x) b:
-    tables[k, 0] times conj(b) (x) b is the Hermitian form L(b) in the left
-    factor, sum_{j,l} conj(b_j) H[(i j), (m l)] b_l, so that
+    Returns the tables (K, 3, d^2, d^2).  tables[k, 0] times conj(b) (x) b,
+    flattened, is the Hermitian form L(b) in the left factor,
+    sum_{j,l} conj(b_j) H[(i j), (m l)] b_l, so that
     <a b|W|a b> = a^dag L(b) a; tables[k, 1] times conj(a) (x) a is its
-    mirror R(a), sum_{i,m} conj(a_i) H[(i j), (m l)] a_m; tables[k, 2] times
-    conj(b) (x) a is the cross form M, M[i, l] =
-    sum_{j,m} conj(b_j) H[(i j), (m l)] a_m; and tables[k, 3], H itself,
-    times v = a (x) b is H v, reshaped to N = d x d.  The cross form and N
-    are what the Newton model reads.  `_reduced_forms(tables[:, 0], owner,
-    right)` gives the left forms of operators owner[n] at the right factors
-    right[n], shape (n, d, d).
+    mirror R(a), sum_{i,m} conj(a_i) H[(i j), (m l)] a_m; and tables[k, 2]
+    is H itself, which the Newton model reads.  `_reduced_forms(tables[:, 0],
+    owner, right)` gives the left forms of operators owner[n] at the right
+    factors right[n], shape (n, d, d).
     """
     hermitian = _hermitian_part(mats)
     blocks = hermitian.reshape(-1, d, d, d, d)
     # rows (i m) and columns (j l) for the left form, the mirror for the
-    # right one, rows (i l) and columns (j m) for the cross form
+    # right one
     return np.stack([
         blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d),
         blocks.transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d),
-        blocks.transpose(0, 1, 4, 2, 3).reshape(-1, d * d, d * d),
         hermitian], axis=1)
 
 
@@ -449,99 +444,60 @@ def _tangent_bases(vecs: np.ndarray) -> np.ndarray:
     return bases
 
 
-def _hessian_terms(reduced: np.ndarray):
-    """The gradient and Hessian of `_second_order_model` from the reduced
-    forms (n, 4, d, d) of L, R, M and N in the bases [a, U_a] and [b, U_b].
-
-    Column 0 of the first two holds g and the gradients G_a and G_b; their
-    lower-right blocks are A + g, B + g, C and D.  The Hessian is the real
-    form of z -> P z + Q conj(z), z = (x, y), for the Hermitian
-    P = [[A, C], [C^dag, B]] and the symmetric Q = [[0, D], [D^T, 0]]: in
-    the real view of z, entries (i, j) of P and Q give its 2 x 2 block
-    [[Re(P + Q), -Im(P - Q)], [Im(P + Q), Re(P - Q)]].  Both are linear in
-    the real view of `reduced`, which `_model_matrix` uses.
-    """
-    n, _, d, _ = reduced.shape
-    g = reduced[:, 0, 0, 0].real
-    grad = reduced[:, :2, 1:, 0].reshape(n, -1)
-    A, B, C, D = reduced[:, :, 1:, 1:].swapaxes(0, 1)
-    zeros = np.zeros_like(A)
-    p = np.concatenate([
-        np.concatenate([A, C], axis=2),
-        np.concatenate([C.conj().swapaxes(1, 2), B], axis=2),
-    ], axis=1) - g[:, None, None] * np.eye(2 * d - 2)
-    q = np.concatenate([
-        np.concatenate([zeros, D], axis=2),
-        np.concatenate([D.swapaxes(1, 2), zeros], axis=2),
-    ], axis=1)
-    plus, minus = p + q, p - q
-    hessian = np.stack([np.stack([plus.real, -minus.imag], axis=-1),
-                        np.stack([plus.imag, minus.real], axis=-1)], axis=2)
-    grad = np.stack([grad.real, grad.imag], axis=-1)
-    return grad.reshape(n, -1), hessian.reshape(n, 4 * d - 4, 4 * d - 4)
-
-
-@functools.lru_cache(maxsize=None)
-def _model_matrix(d: int) -> np.ndarray:
-    """The real matrix that takes the flat real view (8 d^2,) of one start's
-    reduced forms to its flat Hessian and gradient, side by side: the
-    images under `_hessian_terms` of the unit real and imaginary entries."""
-    units = np.eye(8 * d * d).view(complex).reshape(-1, 4, d, d)
-    grad, hessian = _hessian_terms(units)
-    matrix = np.concatenate([hessian.reshape(len(units), -1), grad], axis=1)
-    matrix.flags.writeable = False
-    return matrix
-
-
-def _second_order_model(tables: np.ndarray, factors: np.ndarray):
+def _second_order_model(hermitian: np.ndarray, factors: np.ndarray):
     """The second-order model of each start's value on its tangent space.
 
-    `tables` (n, 4, d^2, d^2) are the `_matrix_map` tables of each start's
-    operator and `factors` (n, 2, d) its unit factors a and b.  With U_a,
-    U_b the last d - 1 columns of `_tangent_bases` of a and b, the value at
-    normalize(a + U_a x) (x) normalize(b + U_b y) is, to second order,
+    `hermitian` (n, d^2, d^2) is the Hermitian part H of each start's
+    operator and `factors` (n, 2, d) its unit factors a and b.  In the
+    unitary frame F = [a, U_a] (x) [b, U_b] of their `_tangent_bases`,
+    a' (x) b' for a' = a + U_a x, b' = b + U_b y has coordinates 1 at
+    (0 0), x_i at (i 0), y_j at (0 j) and x_i y_j at (i j).  So with
+    T = F^dag H F the value at normalize(a') (x) normalize(b') is, to second
+    order in z = (x, y) (Absil, Mahony & Sepulchre, Optimization Algorithms
+    on Matrix Manifolds (2008), ch. 6),
 
-        g + 2 Re(x^dag G_a + y^dag G_b) + x^dag A x + y^dag B y
-          + 2 Re(x^dag C y) + 2 Re(x^dag D conj(y)),
+        g + 2 Re(z^dag G) + z^dag P z + 2 Re(x^dag D conj(y)),
 
-    where g = <a b|W|a b>, G_a = U_a^dag L(b) a, G_b = U_b^dag R(a) b,
-    A = U_a^dag (L - g) U_a, B = U_b^dag (R - g) U_b, C = U_a^dag M U_b and
-    D = U_a^dag N conj(U_b), for N = H (a (x) b) reshaped to d x d.  In the
-    real view s of z = (x, y), (Re z_0, Im z_0, Re z_1, ...), that is
-    g + 2 c.s + s.K s.  Returns g (n,), the bases (n, 2, d, d),
+    where g = T[(0 0), (0 0)], G and P + g are T's column (0 0) and block
+    on the tangent indices (i 0), then (0 j), i, j >= 1, and
+    D[i, j] = conj(T[(0 0), (i j)]).  In the real view s of z,
+    (Re z_0, Im z_0, Re z_1, ...), that is g + 2 c.s + s.K s, with K the
+    real form of z -> P z + Q conj(z), Q = [[0, D], [D^T, 0]]: entries
+    (i, j) of P and Q give its 2 x 2 block [[Re(P + Q), -Im(P - Q)],
+    [Im(P + Q), Re(P - Q)]].  Returns g (n,), the bases (n, 2, d, d),
     c (n, 4(d - 1)) and the symmetric K (n, 4(d - 1), 4(d - 1)).
     """
     n, _, d = factors.shape
     bases = _tangent_bases(factors)
-    # the forms L, R, M and N: tables times conj(b) (x) b, conj(a) (x) a,
-    # conj(b) (x) a and a (x) b
-    first = factors.take([1, 0, 1, 0], axis=1)
-    second = factors.take([1, 0, 0, 1], axis=1)
-    first[:, :3] = first[:, :3].conj()
-    pairs = first[..., :, None] * second[..., None, :]
-    forms = (tables @ pairs.reshape(n, 4, d * d, 1)).reshape(n, 4, d, d)
-    # in the bases [a, U_a] and [b, U_b]
-    outer = bases.take([0, 1, 0, 0], axis=1)
-    inner = bases.take([0, 1, 1, 1], axis=1)
-    inner[:, 3] = inner[:, 3].conj()
-    reduced = outer.conj().swapaxes(-1, -2) @ forms @ inner
-    terms = reduced.view(float).reshape(n, -1) @ _model_matrix(d)
-    m = 4 * d - 4
-    return (reduced[:, 0, 0, 0].real, bases, terms[:, m * m:],
-            terms[:, :m * m].reshape(n, m, m))
+    frame = (bases[:, 0, :, None, :, None]
+             * bases[:, 1, None, :, None, :]).reshape(n, d * d, d * d)
+    t = frame.conj().swapaxes(1, 2) @ hermitian @ frame
+    g = t[:, 0, 0].real
+    tangent = np.concatenate([np.arange(d, d * d, d), np.arange(1, d)])
+    p = t[:, tangent[:, None], tangent] - g[:, None, None] * np.eye(2 * d - 2)
+    q = np.zeros_like(p)
+    q[:, :d - 1, d - 1:] = t[:, 0].reshape(n, d, d)[:, 1:, 1:].conj()
+    q = q + q.swapaxes(1, 2)
+    plus, minus = p + q, p - q
+    hessian = np.stack([np.stack([plus.real, -minus.imag], axis=-1),
+                        np.stack([plus.imag, minus.real], axis=-1)], axis=2)
+    grad = t[:, tangent, 0]
+    return (g, bases, np.stack([grad.real, grad.imag], axis=-1).reshape(n, -1),
+            hessian.reshape(n, 4 * d - 4, 4 * d - 4))
 
 
-def _newton_trials(tables: np.ndarray, factors: np.ndarray):
+def _newton_trials(hermitian: np.ndarray, factors: np.ndarray):
     """Each start's Newton step and its halvings: trial factors
-    (n, 4, 2, d) and their values (n, 4).
+    (n, 4, 2, d) and their values v^dag H v (n, 4) at their products v, for
+    the Hermitian parts H (n, d^2, d^2) of the starts' operators.
 
-    The step minimizes the second-order model with the Hessian's
+    The step minimizes `_second_order_model` with the Hessian's
     eigenvalues replaced by their magnitudes, floored at 1e-12 times the
     largest, so it descends at saddles too; it is cut to the trust radius
     `_NEWTON_RADIUS`, then taken at full length and at 1/2, 1/4 and 1/8.
     """
     n, _, d = factors.shape
-    _, bases, grad, hessian = _second_order_model(tables, factors)
+    _, bases, grad, hessian = _second_order_model(hermitian, factors)
     vals, vecs = np.linalg.eigh(hessian)
     mags = np.abs(vals)
     mags = np.maximum(mags, 1e-12 * mags.max(axis=1, keepdims=True))
@@ -557,7 +513,7 @@ def _newton_trials(tables: np.ndarray, factors: np.ndarray):
     trials /= np.sqrt(np.vecdot(trials, trials).real)[..., None]
     vectors = trials[..., 0, :, None] * trials[..., 1, None, :]
     vectors = vectors.reshape(n, -1, d * d)
-    images = tables[:, 3] @ vectors.swapaxes(1, 2)
+    images = hermitian @ vectors.swapaxes(1, 2)
     return trials, np.vecdot(vectors, images.swapaxes(1, 2)).real
 
 
@@ -568,20 +524,21 @@ def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
 
     Start n minimizes the expectation of operator owner[n] of the
     `_matrix_map` tables, from the right factor right[n] and its value
-    values[n], in rounds of a seesaw sweep or a Newton step.  A seesaw sweep
-    alternates exact minimizations (Lewenstein et al., PRA 62, 052310
-    (2000)): with one factor fixed the expectation is a Hermitian form in
-    the other, minimized by its lowest eigenvector, so no half-step raises
-    a start's value.  The seesaw converges linearly at best and crawls on
-    flat minima, which Riemannian Newton steps on the product of the two
-    unit spheres modulo phases finish (Absil, Mahony & Sepulchre,
-    Optimization Algorithms on Matrix Manifolds (2008), ch. 6;
-    `_newton_trials`).  The round rule, for each start still moving:
+    values[n], in rounds of a seesaw sweep or a Newton step, which reads
+    only H, tables[owner[n], 2].  A seesaw sweep alternates exact
+    minimizations (Lewenstein et al., PRA 62, 052310 (2000)): with one
+    factor fixed the expectation is a Hermitian form in the other,
+    minimized by its lowest eigenvector, so no half-step raises a start's
+    value.  The seesaw converges linearly at best and crawls on flat
+    minima, which Riemannian Newton steps on the product of the two unit
+    spheres modulo phases finish (Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds (2008), ch. 6; `_newton_trials`).  The
+    round rule, for each start still moving:
 
     * in the first `_SEESAW_SWEEPS` rounds it takes one sweep;
     * in later rounds it takes the first of a Newton step and its halvings
-      that lowers its value, and one sweep from that step's right factor
-      where none does;
+      that lowers its value, and where none does, one sweep from its own
+      right factor;
     * it stops when its round lowers it by no more than `_SEESAW_TOL`, and
       every start after `_SEESAW_SWEEPS + _NEWTON_STEPS` rounds.
 
@@ -595,13 +552,15 @@ def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
         before = values[active]
         stuck = active
         if round_ >= _SEESAW_SWEEPS:
-            trials, trial_values = _newton_trials(tables[owner[active]],
+            trials, trial_values = _newton_trials(tables[owner[active], 2],
                                                   factors[active])
             lower = trial_values < before[:, None]
+            moved = lower.any(axis=1)
             # the first of the step and its halvings that lowers the value
-            taken = np.arange(len(active)), lower.argmax(axis=1)
-            values[active], factors[active] = trial_values[taken], trials[taken]
-            stuck = active[~lower.any(axis=1)]
+            taken = lower[moved].argmax(axis=1)
+            values[active[moved]] = trial_values[moved, taken]
+            factors[active[moved]] = trials[moved, taken]
+            stuck = active[~moved]
         if stuck.size:
             factors[stuck], values[stuck] = _sweep(tables, owner[stuck],
                                                    factors[stuck, 1])
@@ -640,7 +599,7 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     cannot fall below them.  Every expectation is read through one map
     (`_matrix_map`), <a (x) b|W|a (x) b> = Re(v^dag W v) for v = a (x) b,
     so any operator, Bell-diagonal or not, is probed the same way, and a
-    non-Hermitian W is probed as its Hermitian part.  The pool of
+    non-Hermitian W is probed as its Hermitian part H.  The pool of
     `config.count` product states is the first `count` pairs, in shell
     order, of an m x m grid of seeded Haar factors, m = ceil(sqrt(count)):
     only 2m factors are drawn, and every pair of the first m - 1 of each is
@@ -653,10 +612,12 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     search (`_seesaw`) runs them in at most 54 rounds: four rounds of one
     seesaw sweep, alternating lowest eigenvectors of W reduced to one factor
     (Lewenstein et al., PRA 62, 052310 (2000)), then rounds of a Riemannian
-    Newton step on the product of the two unit spheres, where the seesaw
-    alone crawls on flat minima, or a sweep where the step fails.  A start
-    stops once its round lowers it by no more than 1e-15, an absolute rule:
-    on an operator scaled far above unit norm, round-off decides it.
+    Newton step on the product of the two unit spheres (its model is H in
+    the frame [a, U_a] (x) [b, U_b]), where the seesaw alone crawls on flat
+    minima, or a sweep from the start's own factors where the step fails.
+    A start stops once its round lowers it by no more than 1e-15, an
+    absolute rule: on an operator scaled far above unit norm, round-off
+    decides it.
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting

@@ -328,7 +328,7 @@ def test_cli_rejects_non_finite_gamma_range(capsys):
 def test_cli_nearest_ppt_rejects_steps_below_one(capsys):
     assert main(["nearest-ppt", "--alpha", "0.5", "--beta", "0",
                  "--steps", "0"]) == 1
-    assert "--steps must be at least 1" in capsys.readouterr().err
+    assert "argument --steps: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_negative_scientific_notation_as_separate_argument(capsys):

@@ -28,6 +28,7 @@ from entwit.families import (_bell_diagonal, _family_weights,
                              _horodecki_params, _pt_blocks, _pt_weights)
 from entwit.ppt import (
     _matrix_map,
+    _newton_trials,
     _pool_factors,
     _pool_scores,
     _reduced_forms,
@@ -504,19 +505,19 @@ def test_tangent_bases_are_unitaries_with_the_factor_first(d):
     assert np.abs(products - np.eye(d)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_second_order_model_error_falls_like_t_cubed(d):
     # the model g + 2 c.s + s.K s of `_second_order_model` against the value
     # at normalize(a + t x) (x) normalize(b + t y), for x and y tangent to a
     # and b: an error that falls like t^3 pins the gradient and the blocks
-    # A, B, C and D of the Hessian
+    # P and Q of the Hessian
     rng = np.random.default_rng(50 + d)
     w = _random_hermitian(rng, 1, d * d)[0]
     a, b, x, y = _random_vectors(rng, 4, d)
     x -= a * np.vdot(a, x)
     y -= b * np.vdot(b, y)
     g, bases, grad, hessian = _second_order_model(
-        _matrix_map(w[None], d), np.array([[a, b]]))
+        _matrix_map(w[None], d)[:, 2], np.array([[a, b]]))
     assert abs(g[0] - np.vdot(np.kron(a, b), w @ np.kron(a, b)).real) <= 1e-14
     assert np.abs(hessian - hessian.swapaxes(1, 2)).max() <= 1e-14
     xi, eta = bases[0, 0, :, 1:].conj().T @ x, bases[0, 1, :, 1:].conj().T @ y
@@ -530,6 +531,38 @@ def test_second_order_model_error_falls_like_t_cubed(d):
     assert errors[0] > 1e-8
     assert 500 < errors[0] / errors[1] < 2000
     assert 500 < errors[1] / errors[2] < 2000
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_second_order_model_at_the_schmidt_minimizer(d):
+    # c 1 - |psi><psi| takes its separable minimum c - s1^2 at a = u1,
+    # b = (V^dag)_0 of the SVD psi = U S V^dag: the model's value is that
+    # minimum, its gradient vanishes and its Hessian is positive definite
+    # there, since s1 > s2 for a random psi
+    rng = np.random.default_rng(70 + d)
+    psi = _random_vectors(rng, 1, d * d)[0]
+    u, schmidt, vh = np.linalg.svd(psi.reshape(d, d))
+    hermitian = 0.5 * np.eye(d * d) - np.outer(psi, psi.conj())
+    g, _, grad, hessian = _second_order_model(
+        hermitian[None], np.array([[u[:, 0], vh[0]]]))
+    assert abs(g[0] - (0.5 - schmidt[0] ** 2)) <= 1e-14
+    assert np.abs(grad).max() <= 1e-12
+    assert np.linalg.eigvalsh(hessian[0])[0] > 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_newton_trial_values_are_those_of_their_factors(d):
+    # each trial value is <v|H|v> of the product v of the trial factors
+    rng = np.random.default_rng(90 + d)
+    hermitian = _random_hermitian(rng, 5, d * d)
+    factors = _random_vectors(rng, 10, d).reshape(5, 2, d)
+    trials, values = _newton_trials(hermitian, factors)
+    assert trials.shape == (5, 4, 2, d) and values.shape == (5, 4)
+    assert np.allclose(np.linalg.norm(trials, axis=-1), 1, rtol=0, atol=1e-15)
+    for n, k in np.ndindex(values.shape):
+        v = np.kron(*trials[n, k])
+        brute = np.vdot(v, hermitian[n] @ v).real
+        assert abs(values[n, k] - brute) <= 1e-14 * np.linalg.norm(hermitian[n])
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 48, 63, 64, 65, 500,
@@ -721,3 +754,35 @@ def test_seesaw_batch_equals_each_start_alone(monkeypatch):
         _seesaw(tables, owner[n:n + 1], right[n:n + 1], values[n:n + 1])
         for n in range(len(owner))])
     assert np.array_equal(batch, alone)
+
+
+def test_stuck_starts_sweep_from_their_own_factors(monkeypatch):
+    # a start that no Newton trial lowers takes its sweep from the right
+    # factor it had before the round, not from the rejected step's
+    tables = _matrix_map(_bell_diagonal(_battery_traces()), 3)
+    _, values, right = _probe_starts(
+        tables, SamplerConfig(seed=5, count=2000), monkeypatch)
+    owner = np.repeat(np.arange(22), 8)
+    calls = []
+    newton, sweep = ppt._newton_trials, ppt._sweep
+
+    def newton_spy(hermitian, factors):
+        calls.append(("newton", factors[:, 1].copy()))
+        return newton(hermitian, factors)
+
+    def sweep_spy(tables, owner, right):
+        calls.append(("sweep", right.copy()))
+        return sweep(tables, owner, right)
+
+    monkeypatch.setattr(ppt, "_newton_trials", newton_spy)
+    monkeypatch.setattr(ppt, "_sweep", sweep_spy)
+    stuck = 0
+    # one start at a time, so a sweep right after a step is that start's
+    for n in range(len(owner)):
+        calls.clear()
+        _seesaw(tables, owner[n:n + 1], right[n:n + 1], values[n:n + 1])
+        for (kind, before), (after_kind, swept) in zip(calls, calls[1:]):
+            if kind == "newton" and after_kind == "sweep":
+                stuck += 1
+                assert np.array_equal(swept, before)
+    assert stuck > 0
