@@ -539,8 +539,13 @@ def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
     * in later rounds it takes the first of a Newton step and its halvings
       that lowers its value, and where none does, one sweep from its own
       right factor;
+    * after the first round it takes a sweep only where the sweep does not
+      raise its value, which round-off can do, and keeps its own factors
+      and value otherwise;
     * it stops when its round lowers it by no more than `_SEESAW_TOL`, and
       every start after `_SEESAW_SWEEPS + _NEWTON_STEPS` rounds.
+
+    So each start returns the lowest value it held after any round.
 
     Each start's path depends on no other start.
     """
@@ -562,8 +567,16 @@ def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
             factors[active[moved]] = trials[moved, taken]
             stuck = active[~moved]
         if stuck.size:
-            factors[stuck], values[stuck] = _sweep(tables, owner[stuck],
-                                                   factors[stuck, 1])
+            swept, swept_values = _sweep(tables, owner[stuck],
+                                         factors[stuck, 1])
+            if round_:
+                # the first sweep sets the left factors; a later one can
+                # raise a start at round-off, and that start keeps its own
+                # factors and value
+                takes = swept_values <= values[stuck]
+                stuck, swept, swept_values = (stuck[takes], swept[takes],
+                                              swept_values[takes])
+            factors[stuck], values[stuck] = swept, swept_values
         active = active[before - values[active] > _SEESAW_TOL]
         if not active.size:
             break
@@ -614,10 +627,11 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     (Lewenstein et al., PRA 62, 052310 (2000)), then rounds of a Riemannian
     Newton step on the product of the two unit spheres (its model is H in
     the frame [a, U_a] (x) [b, U_b]), where the seesaw alone crawls on flat
-    minima, or a sweep from the start's own factors where the step fails.
-    A start stops once its round lowers it by no more than 1e-15, an
-    absolute rule: on an operator scaled far above unit norm, round-off
-    decides it.
+    minima, or a sweep from the start's own factors where the step fails;
+    after the first round a sweep that would raise a start at round-off is
+    not taken.  A start stops once its round lowers it by no more than
+    1e-15, an absolute rule: on an operator scaled far above unit norm,
+    round-off decides it.
 
     The return value is an upper bound on the true separable minimum: a
     negative value falsifies witness-hood, a nonnegative value is supporting

@@ -15,6 +15,11 @@ witnesses' 9x9 operators with `min_separable_expectation`, as
 weights next to its 9x9 stack.  Every state a check builds passes the
 density-matrix gates, and the report of a given seed and sample count is
 byte-stable.
+
+The threshold scan bisects each of its 10 000 roots from a bracket a few
+ulps wide around the value that the 1/lambda scaling of the coefficient
+moduli predicts.  Where a bracket does not hold its root, the check fails
+and names the gamma; it never widens the bracket.
 """
 
 from __future__ import annotations
@@ -114,6 +119,12 @@ def _bisect(f, lo, hi, iters: int):
     the loop stops there with the roots of all `iters` halvings.  A bracket
     without a sign change moves its low end up to the high one, as a loop of
     `iters` halvings would.
+
+    A bracket that holds the sign change ends on the two adjacent floats
+    that straddle it, once `iters` halvings suffice.  Where the sign of f is
+    monotone in floating point there is one such pair, so the root does not
+    depend on the starting bracket: a bracket a few ulps wide gives, bit for
+    bit, the root of a wide one.
     """
     positive_lo = f(lo) > 0
     for _ in range(iters):
@@ -128,10 +139,27 @@ def _bisect(f, lo, hi, iters: int):
 
 
 def _bisect_lambda_roots(gammas):
-    """Per-gamma root of max |coefficient| = 1 in lambda, by bisection."""
+    """Per-gamma root of max |coefficient| = 1 in lambda, by bisection, and
+    whether each bracket held it.
+
+    Both moduli scale as 1/lambda, so the root is their larger value at
+    lambda = 1.  Each bracket is that value times 1 -+ 2^-50, about 8 ulps
+    either side, and holds its root when the excess max |coefficient| - 1
+    is positive at its low end and not at its high one.  The excess is a
+    monotone float expression in lambda (products and quotients of positive
+    numbers), so where a bracket holds, its root is bit for bit that of a
+    bracket from 0.05 to 2 (`_bisect`), in 5 halvings instead of about
+    54.  Where a bracket does not hold, its root means nothing.
+    """
     moduli = _coeff_moduli(gammas)
-    return _bisect(lambda lams: np.maximum(*moduli(lams)) - 1.0,
-                   np.full_like(gammas, 0.05), np.full_like(gammas, 2.0), 80)
+
+    def excess(lams):
+        return np.maximum(*moduli(lams)) - 1.0
+
+    guess = np.maximum(*moduli(1.0))
+    lo, hi = guess * (1.0 - 2.0 ** -50), guess * (1.0 + 2.0 ** -50)
+    held = (excess(lo) > 0) & (excess(hi) <= 0)
+    return _bisect(excess, lo, hi, 80), held
 
 
 def check_total_minimum_closed_form() -> CheckResult:
@@ -141,16 +169,27 @@ def check_total_minimum_closed_form() -> CheckResult:
                   LAMBDA_MIN_TOTAL, computed)
 
 
+def _unbracketed(gamma) -> CheckResult:
+    """The failed scan, at a gamma whose bracket does not hold its root."""
+    return _check_flag("total_minimum_scan", False, LAMBDA_MIN_TOTAL,
+                       f"no root in the bracket at gamma={float(gamma)!r}")
+
+
 def check_total_minimum_scan() -> CheckResult:
     """Grid scan plus bisection, using only the coefficient moduli.
 
     The minimum of max(root_1, root_2) over gamma sits at the kink where the
     two root curves cross, so the grid minimum is refined by bisecting the
     root difference on the bracketing grid interval.  Both moduli scale as
-    1/lambda, so that difference is f_1(gamma, 1) - f_2(gamma, 1).
+    1/lambda, so that difference is f_1(gamma, 1) - f_2(gamma, 1), and each
+    root is bisected from a bracket a few ulps around its value at
+    lambda = 1 (`_bisect_lambda_roots`).  Where a bracket does not hold its
+    root, the scaling is broken and the check fails at the first such gamma.
     """
     gammas = np.linspace(DETECTION_GAMMA, 3 / 7, 10000)
-    roots = _bisect_lambda_roots(gammas)
+    roots, held = _bisect_lambda_roots(gammas)
+    if not held.all():
+        return _unbracketed(gammas[np.argmin(held)])
     best = int(np.argmin(roots))
     scan_min = float(roots[best])
 
@@ -161,7 +200,10 @@ def check_total_minimum_scan() -> CheckResult:
     hi = gammas[min(best + 1, len(gammas) - 1)]
     if root_gap(hi) * root_gap(lo) < 0:
         crossing = _bisect(root_gap, lo, hi, 60)
-        scan_min = min(scan_min, float(_bisect_lambda_roots(crossing)))
+        root, held = _bisect_lambda_roots(crossing)
+        if not held:
+            return _unbracketed(crossing)
+        scan_min = min(scan_min, float(root))
     dev = abs(scan_min - LAMBDA_MIN_TOTAL)
     return _check("total_minimum_scan", dev, 1e-6, LAMBDA_MIN_TOTAL, scan_min)
 

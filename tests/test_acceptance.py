@@ -9,6 +9,7 @@ import pytest
 
 from entwit import reproduce, witness
 from entwit.families import _family_weights
+from entwit.witness import DETECTION_GAMMA
 from entwit.reproduce import (
     check_bell_orthonormality,
     check_certifications,
@@ -190,3 +191,84 @@ def test_bisect_stops_with_the_roots_of_all_halvings(lo, hi):
     early = len(calls)
     assert np.array_equal(roots, _bisect_fixed(f, lo, hi, 80))
     assert early < 81
+
+
+def test_bisect_root_does_not_depend_on_the_bracket():
+    # x * x * x - 2 is monotone in floating point for x >= 0, so every
+    # bracket that holds its sign change ends on one pair of adjacent floats,
+    # from widths of 1000 down to two ulps
+    def f(x):
+        return x * x * x - 2.0
+
+    root = 2.0 ** (1 / 3)
+    ulp = np.spacing(root)
+    lo = np.array([0.0, 1.0, 1.25, root - 1e-9, root - 8 * ulp, root - ulp])
+    hi = np.array([1e3, 2.0, 1.26, root + 1e-9, root + 8 * ulp, root + ulp])
+    roots = reproduce._bisect(f, lo, hi, 80)
+    alone = [reproduce._bisect(f, a, b, 80) for a, b in zip(lo, hi)]
+    assert np.array_equal(roots, alone)
+    assert (roots == roots[0]).all()
+    assert abs(roots[0] - root) <= ulp
+
+
+def _wide_lambda_roots(gammas):
+    # the scan's roots bisected from the bracket [0.05, 2] at every gamma
+    moduli = reproduce._coeff_moduli(gammas)
+    return reproduce._bisect(lambda lams: np.maximum(*moduli(lams)) - 1.0,
+                             np.full_like(gammas, 0.05),
+                             np.full_like(gammas, 2.0), 80)
+
+
+def test_scan_roots_equal_those_of_wide_brackets(monkeypatch):
+    # the grid and the crossing, as the check bisects them
+    seen = []
+    bisect_roots = reproduce._bisect_lambda_roots
+
+    def spy(gammas):
+        seen.append(gammas)
+        return bisect_roots(gammas)
+
+    monkeypatch.setattr(reproduce, "_bisect_lambda_roots", spy)
+    result = check_total_minimum_scan()
+    assert result.passed
+    assert result.computed == "0.8750000000000002"
+    grid, crossing = seen
+    assert np.array_equal(grid, np.linspace(DETECTION_GAMMA, 3 / 7, 10000))
+    assert abs(crossing - witness.CROSSING_GAMMA) <= 1e-15
+    for gammas in seen:
+        roots, held = bisect_roots(gammas)
+        assert held.all()
+        assert np.array_equal(roots, _wide_lambda_roots(gammas))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lambda_roots_equal_those_of_wide_brackets(seed):
+    gammas = np.random.default_rng(seed).uniform(DETECTION_GAMMA, 3 / 7,
+                                                 100_000)
+    roots, held = reproduce._bisect_lambda_roots(gammas)
+    assert held.all()
+    assert np.array_equal(roots, _wide_lambda_roots(gammas))
+
+
+def test_total_minimum_scan_fails_where_a_bracket_misses_its_root(monkeypatch):
+    # moduli that scale as 1/lambda^2 put each root at the square root of
+    # the bracket's centre: the check names the first grid gamma whose
+    # bracket misses it, where the wide bracket's root lies outside
+    moduli = reproduce._coeff_moduli
+
+    def squared(gammas):
+        inner = moduli(gammas)
+        return lambda lams: tuple(m / lams for m in inner(lams))
+
+    monkeypatch.setattr(reproduce, "_coeff_moduli", squared)
+    result = check_total_minimum_scan()
+    assert not result.passed
+    prefix = "no root in the bracket at gamma="
+    assert result.computed.startswith(prefix), result.computed
+    grid = np.linspace(DETECTION_GAMMA, 3 / 7, 10000)
+    centre = np.maximum(*squared(grid)(1.0))
+    lo, hi = centre * (1 - 2.0 ** -50), centre * (1 + 2.0 ** -50)
+    roots = _wide_lambda_roots(grid)
+    missed = np.flatnonzero((roots < lo) | (roots > hi))
+    assert missed.size
+    assert float(result.computed[len(prefix):]) == grid[missed[0]]

@@ -687,18 +687,20 @@ def test_raw_minima_nonincreasing_in_count_to_round_off():
 
 def _hundred_sweep_seesaw(tables, owner, right, values):
     """The probe's local search without Newton steps: seesaw sweeps until a
-    sweep lowers a start by no more than 1e-15, at most 100 of them."""
+    sweep lowers a start by no more than 1e-15, at most 100 of them.  After
+    the first, a start takes no sweep that raises it."""
     values, right = values.copy(), right.copy()
     active = np.arange(len(right))
-    for _ in range(100):
+    for sweep in range(100):
         k = owner[active]
         _, vecs = np.linalg.eigh(
             _reduced_forms(tables[:, 0], k, right[active]))
         vals, vecs = np.linalg.eigh(
             _reduced_forms(tables[:, 1], k, vecs[:, :, 0]))
-        right[active] = vecs[:, :, 0]
         moving = values[active] - vals[:, 0] > 1e-15
-        values[active] = vals[:, 0]
+        takes = (vals[:, 0] <= values[active]) | (sweep == 0)
+        right[active[takes]] = vecs[takes, :, 0]
+        values[active[takes]] = vals[takes, 0]
         active = active[moving]
         if not active.size:
             break
@@ -786,3 +788,20 @@ def test_stuck_starts_sweep_from_their_own_factors(monkeypatch):
                 stuck += 1
                 assert np.array_equal(swept, before)
     assert stuck > 0
+
+
+def test_seesaw_returns_the_lowest_value_each_start_held(monkeypatch):
+    # a sweep can raise a start at round-off, and the start then keeps its
+    # own factors and value.  A start's value after round r is what a search
+    # capped at r rounds returns, since no round reads a later one
+    mats = _random_hermitian(np.random.default_rng(26), 30, 9)
+    tables = _matrix_map(mats, 3)
+    _, values, right = _probe_starts(
+        tables, SamplerConfig(seed=3, count=2000), monkeypatch)
+    owner = np.repeat(np.arange(30), 8)
+    result = _seesaw(tables, owner, right, values)
+    sweeps, rounds = ppt._SEESAW_SWEEPS, ppt._SEESAW_SWEEPS + ppt._NEWTON_STEPS
+    for cap in range(1, rounds):
+        monkeypatch.setattr(ppt, "_SEESAW_SWEEPS", min(cap, sweeps))
+        monkeypatch.setattr(ppt, "_NEWTON_STEPS", max(cap - sweeps, 0))
+        assert (result <= _seesaw(tables, owner, right, values)).all(), cap
