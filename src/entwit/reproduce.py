@@ -189,7 +189,7 @@ def check_total_minimum_scan() -> CheckResult:
     gammas = np.linspace(DETECTION_GAMMA, 3 / 7, 10000)
     roots, held = _bisect_lambda_roots(gammas)
     if not held.all():
-        return _unbracketed(gammas[np.argmin(held)])
+        return _unbracketed(gammas[~held][0])
     best = int(np.argmin(roots))
     scan_min = float(roots[best])
 
