@@ -40,6 +40,12 @@ __all__ = ["main", "entry_point"]
 #: operator entry: far outside the states, far below overflow.
 _PARAM_BOUND = 1e100
 
+#: Largest `slice --grid` (a million points) and `lambda-scan --steps`: each
+#: point or step holds about 0.5 kB until the output is written, so a larger
+#: value would exhaust memory instead of failing with a message.
+_GRID_BOUND = 1000
+_STEPS_BOUND = 10 ** 6
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -73,8 +79,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _integer_at_least(low: int):
-    """Parser of an integer flag that rejects values below `low`."""
+def _integer_in(low: int, high: float = math.inf):
+    """Parser of an integer flag that rejects values below `low` or above
+    `high`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -83,6 +90,8 @@ def _integer_at_least(low: int):
                 f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return parse
 
@@ -319,8 +328,10 @@ def _build_parser() -> _Parser:
         help="sweep one gamma slice over its positivity bounding box; "
              "CSV columns: " + ",".join(SLICE_COLUMNS))
     slice_cmd.add_argument("--gamma", type=_finite, required=True)
-    slice_cmd.add_argument("--grid", type=int, default=60,
-                           help="points per axis (default 60)")
+    slice_cmd.add_argument("--grid", type=_integer_in(2, _GRID_BOUND),
+                           default=60,
+                           help=f"points per axis, at most {_GRID_BOUND} "
+                                "(default 60)")
     slice_cmd.add_argument("--tol", type=_tolerance, default=PSD_TOL)
     slice_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     slice_cmd.add_argument("--out", default=None)
@@ -332,7 +343,10 @@ def _build_parser() -> _Parser:
              "gamma range")
     scan.add_argument("--gamma-range", type=_finite, nargs=2,
                       default=(0.15, 3 / 7), metavar=("LO", "HI"))
-    scan.add_argument("--steps", type=int, default=200)
+    scan.add_argument("--steps", type=_integer_in(2, _STEPS_BOUND),
+                      default=200,
+                      help=f"gamma grid points, at most {_STEPS_BOUND} "
+                           "(default 200)")
     scan.add_argument("--format", choices=("csv", "json"), default="csv")
     scan.add_argument("--out", default=None)
     scan.set_defaults(func=_cmd_lambda_scan)
@@ -341,13 +355,13 @@ def _build_parser() -> _Parser:
         "reproduce",
         help="run the full threshold-reproduction battery (exit 3 on any "
              "failure)")
-    reproduce.add_argument("--samples", type=_integer_at_least(1),
+    reproduce.add_argument("--samples", type=_integer_in(1),
                            default=100000,
                            help="product states in the one pool that probes "
                                 "every witness: the first N pairs of a "
                                 "ceil(sqrt(N))-square grid of Haar factors "
                                 "(default 1e5)")
-    reproduce.add_argument("--seed", type=_integer_at_least(0), default=20240901)
+    reproduce.add_argument("--seed", type=_integer_in(0), default=20240901)
     reproduce.add_argument("--format", choices=("text", "csv", "json"),
                            default="text")
     reproduce.add_argument("--out", default=None)
@@ -358,11 +372,11 @@ def _build_parser() -> _Parser:
         help="certify an operator file (shared JSON format); uncertified "
              "operators get a sampler probe")
     witness.add_argument("file")
-    witness.add_argument("--samples", type=_integer_at_least(1), default=20000,
+    witness.add_argument("--samples", type=_integer_in(1), default=20000,
                          help="product states in the probe's pool: the first "
                               "N pairs of a ceil(sqrt(N))-square grid of Haar "
                               "factors (default 20000)")
-    witness.add_argument("--seed", type=_integer_at_least(0), default=0)
+    witness.add_argument("--seed", type=_integer_in(0), default=0)
     witness.add_argument("--format", choices=("text", "json"), default="text")
     witness.add_argument("--out", default=None)
     witness.set_defaults(func=_cmd_witness_check)
@@ -373,7 +387,7 @@ def _build_parser() -> _Parser:
              "with corrections)")
     _add_state_flags(nearest)
     nearest.add_argument("--tol", type=_tolerance, default=PSD_TOL)
-    nearest.add_argument("--steps", type=_integer_at_least(1), default=10000,
+    nearest.add_argument("--steps", type=_integer_in(1), default=10000,
                          help="iteration cap (default 10000)")
     nearest.add_argument("--format", choices=("text", "json"), default="text")
     nearest.add_argument("--out", default=None)

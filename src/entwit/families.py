@@ -83,6 +83,27 @@ def _bell_diagonal(weights) -> np.ndarray:
     return mats
 
 
+def _real_bell_diagonal(weights) -> np.ndarray:
+    """`_bell_diagonal` of weights that are equal on each conjugate pair
+    P_{1,m}, P_{2,m}, as family weights are, as a real float64 matrix or
+    stack; ValueError for weights that are not finite or whose matrix has
+    an imaginary part other than exactly 0.
+
+    For such weights the imaginary part is exactly 0: `_bell_stack` makes
+    P_{2,m} the exact conjugate of P_{1,m}, the two take the same weight,
+    and each entry is touched by the three projectors of one m alone, so
+    the two imaginary terms cancel exactly in the elementwise sum.  The
+    real matrix makes every eigensolve on it real LAPACK.
+    """
+    if not np.isfinite(weights).all():
+        raise ValueError("Bell weights must be finite")
+    mats = _bell_diagonal(weights)
+    if mats.imag.any():
+        raise ValueError("Bell weights give a matrix that is not real: "
+                         f"max |imag| = {np.abs(mats.imag).max():.3e}")
+    return np.ascontiguousarray(mats.real)
+
+
 @lru_cache(maxsize=None)
 def _pt_block_table() -> np.ndarray:
     """B[k] = block of P_k^Gamma on |00>, |12>, |21>, flattened to (9, 9).
@@ -174,16 +195,17 @@ def _family_pt_minimum(alpha, beta, gamma):
 def simplex_state(params) -> SimplexState:
     """Two-qutrit state (1-a-b-g)/9 * 1 + a P00 + b/2 (P10+P20) + g/3 (P01+P11+P21).
 
-    Always unit trace.  `valid` records whether the closed-form spectrum is
-    nonnegative within PSD_TOL; the minimum eigenvalue comes along either
-    way.
+    Always unit trace, and a real symmetric matrix (`_real_bell_diagonal`).
+    `valid` records whether the closed-form spectrum is nonnegative within
+    PSD_TOL; the minimum eigenvalue comes along either way.  ValueError for
+    parameters whose weights are not finite.
     """
     params = SimplexParams(*map(float, params))
     weights = _family_weights(*params)
     min_eig = weights.min()
     return SimplexState(
         params=params,
-        op=BipartiteOperator(3, 3, _bell_diagonal(weights)),
+        op=BipartiteOperator(3, 3, _real_bell_diagonal(weights)),
         min_eigenvalue=float(min_eig),
         valid=bool(min_eig >= -PSD_TOL),
     )

@@ -1,4 +1,4 @@
-"""Dense complex operators on a bipartite Hilbert space.
+"""Dense operators on a bipartite Hilbert space.
 
 Basis convention: the product basis |i>|j> of a d1 x d2 system is ordered
 row-major, |i>|j> -> row i*d2 + j.  This fixes the block layout of tensor
@@ -37,14 +37,16 @@ CERTIFICATE_SLACK = 1e-12  # certified: max |c| <= 1 + CERTIFICATE_SLACK
 
 @dataclass(frozen=True, eq=False)
 class BipartiteOperator:
-    """Complex matrix on a (d1*d2)-dimensional product space.
+    """Matrix on a (d1*d2)-dimensional product space.
 
     Parameters
     ----------
     dim_a, dim_b : int
         Subsystem dimensions d1 and d2.
     entries : array_like
-        Square complex matrix of side d1*d2.
+        Square matrix of side d1*d2.  Real input (bool, integer or float)
+        is held as float64, so a real symmetric operator is diagonalized by
+        real LAPACK; any other input is held as complex128.
     """
 
     dim_a: int
@@ -54,14 +56,15 @@ class BipartiteOperator:
     def __post_init__(self):
         if self.dim_a < 1 or self.dim_b < 1:
             raise ValueError("subsystem dimensions must be positive integers")
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = np.asarray(self.entries)
+        # a private copy, whatever the input's dtype
+        mat = np.array(mat, dtype=float if mat.dtype.kind in "biuf" else complex)
         side = self.dim_a * self.dim_b
         if mat.shape != (side, side):
             raise ValueError(
                 f"entries must be {side}x{side} for dims ({self.dim_a},{self.dim_b}), "
                 f"got {mat.shape}"
             )
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -96,12 +99,12 @@ class BipartiteOperator:
         return self._like(-self.entries)
 
     def __mul__(self, scalar):
-        return self._like(self.entries * complex(scalar))
+        return self._like(self.entries * _scalar(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self._like(self.entries / complex(scalar))
+        return self._like(self.entries / _scalar(scalar))
 
 
 class DensityMatrix:
@@ -127,6 +130,13 @@ class DensityMatrix:
     @property
     def entries(self) -> np.ndarray:
         return self.op.entries
+
+
+def _scalar(x) -> complex | float:
+    """complex(x), as a float where its imaginary part is 0, so that a real
+    operator scaled by a real number stays real."""
+    z = complex(x)
+    return z.real if z.imag == 0 else z
 
 
 def _hermiticity_defect(mats: np.ndarray) -> float:

@@ -16,6 +16,17 @@ weights next to its 9x9 stack.  Every state a check builds passes the
 density-matrix gates, and the report of a given seed and sample count is
 byte-stable.
 
+Family states, and the witnesses the sampler floor probes, are real
+symmetric 9x9 matrices (`_real_bell_diagonal`; for the states, the matrices
+of `simplex_state`), so the density gates, the partial-transpose
+eigensolves, both projections of the matrix-space Dykstra run and the
+probe's tables are real arithmetic, and each row is still bit for bit the
+public call on that state; the spectrum cross-check diagonalizes the real
+part of its matrices.  No bisection reads a sign where its function is 0
+to round-off: the PT sign changes are bisected from off-centre brackets
+(`check_pt_sign_changes`), so the printed roots do not depend on the
+eigensolver.
+
 The threshold scan bisects each of its 10 000 roots from a bracket a few
 ulps wide around the value that the 1/lambda scaling of the coefficient
 moduli predicts.  Where a bracket does not hold its root, the check fails
@@ -36,6 +47,7 @@ from .weyl import bell_projector, max_entangled
 from .families import (
     simplex_spectrum,
     _bell_diagonal,
+    _real_bell_diagonal,
     _family_pt_minimum,
     _family_weights,
     _horodecki_params,
@@ -281,15 +293,22 @@ def _min_pt_eig_b(b: np.ndarray) -> np.ndarray:
 
 
 def check_pt_sign_changes() -> CheckResult:
-    below, above, past, before = _min_pt_eig_b(np.array([0.99, 1.01, 4.01,
-                                                         3.99]))
+    """The sign changes of the Horodecki PT minimum at b = 1 and 4, bisected
+    from [0.99, 1.02] and [3.98, 4.01].
+
+    The PT minimum vanishes exactly at the roots, so a midpoint on a root
+    would read the sign of round-off, which depends on the eigensolver
+    (real or complex LAPACK).  The brackets are off-centre: no midpoint of
+    the 25 halvings comes within 2.9e-10 of a root, and the PT minimum the
+    bisection reads is at least 8.5e-12 in magnitude, far above round-off.
+    """
+    lo, hi = np.array([0.99, 3.98]), np.array([1.02, 4.01])
+    below, before, above, past = _min_pt_eig_b(np.concatenate([lo, hi]))
     if not (below < 0 < above and past < 0 < before):
         return _check_flag("pt_sign_changes", False, "(1, 4)",
                            "no sign change inside brackets")
-    # 25 halvings take the 0.02 brackets below a width of 1e-9
-    root_low, root_high = _bisect(lambda b: -_min_pt_eig_b(b),
-                                  np.array([0.99, 3.99]),
-                                  np.array([1.01, 4.01]), 25)
+    # 25 halvings take the 0.03 brackets below a width of 1e-9
+    root_low, root_high = _bisect(lambda b: -_min_pt_eig_b(b), lo, hi, 25)
     dev = max(abs(root_low - 1.0), abs(root_high - 4.0))
     return _check("pt_sign_changes", dev, 1e-8, "(1, 4)",
                   f"({root_low:.10f}, {root_high:.10f})")
@@ -344,9 +363,10 @@ def _random_region_points(rng, region: str, count: int):
 
 
 def _family_states(alpha, beta, gamma) -> np.ndarray:
-    """The family states at parameter arrays as an (N, 9, 9) stack, each
-    through the gates of `DensityMatrix`."""
-    mats = _bell_diagonal(_family_weights(alpha, beta, gamma))
+    """The family states at parameter arrays as a real (N, 9, 9) stack,
+    each through the gates of `DensityMatrix`: the matrices of
+    `simplex_state`."""
+    mats = _real_bell_diagonal(_family_weights(alpha, beta, gamma))
     _density_gate(mats)
     return mats
 
@@ -422,7 +442,9 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     """Lowest separable expectation of the battery's witnesses, >= -1e-9.
 
     The two region witnesses and the 20 line witnesses at lambda_min are
-    built as 9x9 operators from their Bell traces and probed by one call of
+    built as real 9x9 operators from their Bell traces, which are equal on
+    each conjugate Bell pair as those of family states are
+    (`_real_bell_diagonal`), and probed by one call of
     `min_separable_expectation` on `samples` product states, as
     `witness-check` probes one operator; that function describes the probe.
     The floor is an upper bound on each witness's separable minimum, so the
@@ -434,7 +456,7 @@ def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     ])
     config = SamplerConfig(seed=seed, count=samples)
     floor = float(min_separable_expectation(
-        [BipartiteOperator(3, 3, mat) for mat in _bell_diagonal(traces)],
+        [BipartiteOperator(3, 3, mat) for mat in _real_bell_diagonal(traces)],
         config).min())
     deviation = max(0.0, -floor)
     return _check("sampler_floor", deviation, 1e-9,
@@ -498,16 +520,25 @@ def check_nearest_ppt(seed: int) -> CheckResult:
 
 def check_spectrum_closed_form(seed: int) -> CheckResult:
     """`simplex_spectrum` against eigvalsh of the family formula, built
-    here from `bell_projector` terms rather than from the Bell weights."""
+    here from `bell_projector` terms rather than from the Bell weights.
+
+    The formula's four terms (the identity, P00, P10 + P20 and
+    P01 + P11 + P21) are real, as `simplex_state` builds the family
+    (`_real_bell_diagonal`), so the matrices are formed and diagonalized
+    from their real parts; the largest imaginary entry the terms drop
+    counts towards the deviation."""
     params = np.random.default_rng(seed).uniform(-1.0, 1.0, (1000, 3))
     alpha, beta, gamma = params.T[:, :, None, None]
     p = {(n, m): bell_projector(3, (n, m)).entries
          for n in range(3) for m in range(3)}
-    mats = ((1.0 - alpha - beta - gamma) / 9.0 * np.eye(9) + alpha * p[0, 0]
-            + beta / 2.0 * (p[1, 0] + p[2, 0])
-            + gamma / 3.0 * (p[0, 1] + p[1, 1] + p[2, 1]))
+    terms = np.stack([np.eye(9), p[0, 0], p[1, 0] + p[2, 0],
+                      p[0, 1] + p[1, 1] + p[2, 1]])
+    one, p00, pair, triple = terms.real
+    mats = ((1.0 - alpha - beta - gamma) / 9.0 * one + alpha * p00
+            + beta / 2.0 * pair + gamma / 3.0 * triple)
     numeric = np.linalg.eigvalsh(mats)
-    worst = float(np.abs(simplex_spectrum(params) - numeric).max())
+    worst = max(float(np.abs(simplex_spectrum(params) - numeric).max()),
+                float(np.abs(terms.imag).max()))
     return _check("spectrum_closed_form", worst, 1e-12, 0.0, worst)
 
 

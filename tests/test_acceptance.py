@@ -4,10 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` for one pass/fail line per
 criterion; `entwit reproduce` prints the same battery from the CLI.
 """
 
+import types
+
 import numpy as np
 import pytest
 
-from entwit import reproduce, witness
+from entwit import classify_ppt, horodecki_state, reproduce, witness
 from entwit.families import _family_weights
 from entwit.witness import DETECTION_GAMMA
 from entwit.reproduce import (
@@ -113,6 +115,17 @@ def _shift_measures(measures):
     return faulty
 
 
+def _imaginary_projector(projector):
+    # a Hermitian imaginary part, which the real eigensolve would drop
+    def faulty(d, idx):
+        entries = projector(d, idx).entries.copy()
+        if tuple(idx) == (1, 0):
+            entries[0, 1] += 1e-11j
+            entries[1, 0] -= 1e-11j
+        return types.SimpleNamespace(entries=entries)
+    return faulty
+
+
 @pytest.mark.parametrize("owner, name, fault, check", [
     (reproduce, "line_witness_coefficients", _shift_c2,
      check_closed_form_coefficients),
@@ -127,8 +140,11 @@ def _shift_measures(measures):
     (reproduce, "simplex_spectrum",
      lambda formula: lambda params: formula(params) + 1e-11,
      lambda: check_spectrum_closed_form(SEED)),
+    (reproduce, "bell_projector", _imaginary_projector,
+     lambda: check_spectrum_closed_form(SEED)),
 ], ids=["closed_form_coefficients", "gamma0_measures-nearest_point",
-        "gamma0_measures-measure", "nearest_ppt_gamma0", "spectrum_closed_form"])
+        "gamma0_measures-measure", "nearest_ppt_gamma0", "spectrum_closed_form",
+        "spectrum_closed_form-imaginary_part"])
 def test_stacked_check_fails_on_injected_fault(owner, name, fault, check,
                                                monkeypatch):
     assert check().passed
@@ -272,3 +288,39 @@ def test_total_minimum_scan_fails_where_a_bracket_misses_its_root(monkeypatch):
     missed = np.flatnonzero((roots < lo) | (roots > hi))
     assert missed.size
     assert float(result.computed[len(prefix):]) == grid[missed[0]]
+
+
+def test_pt_sign_changes_read_no_sign_at_round_off(monkeypatch):
+    # the PT minimum vanishes exactly at b = 1 and 4; every value the check
+    # reads, at its bracket ends and at each midpoint, stays far above
+    # round-off, so no sign it reads depends on the eigensolver
+    seen = []
+    minima = reproduce._min_pt_eig_b
+
+    def spy(b):
+        values = minima(b)
+        seen.append(values)
+        return values
+
+    monkeypatch.setattr(reproduce, "_min_pt_eig_b", spy)
+    result = check_pt_sign_changes()
+    assert result.passed
+    assert result.computed == "(0.9999999999, 4.0000000001)"
+    assert len(seen) > 20
+    assert min(np.abs(values).min() for values in seen) > 1e-12
+
+
+def test_pt_sign_changes_equal_on_real_and_complex_states(monkeypatch):
+    real = check_pt_sign_changes()
+    states = reproduce._family_states
+    monkeypatch.setattr(reproduce, "_family_states",
+                        lambda *params: states(*params).astype(complex))
+    assert check_pt_sign_changes() == real
+
+
+def test_min_pt_eig_b_rows_equal_classify_ppt():
+    b = np.concatenate([np.linspace(0.0, 5.0, 41), [0.99, 1.02, 3.98, 4.01]])
+    stacked = reproduce._min_pt_eig_b(b)
+    for k, value in enumerate(b):
+        verdict = classify_ppt(horodecki_state(value))
+        assert verdict.min_pt_eigenvalue == stacked[k], value

@@ -37,7 +37,8 @@ from entwit.atlas import (
     separability_note,
     slice_sweep,
 )
-from entwit.cli import _build_parser, _json_payload, main
+from entwit.cli import (_GRID_BOUND, _STEPS_BOUND, _build_parser,
+                        _json_payload, main)
 from entwit.families import horodecki_to_simplex, simplex_state
 from entwit.reproduce import run_battery
 
@@ -329,6 +330,23 @@ def test_cli_nearest_ppt_rejects_steps_below_one(capsys):
     assert main(["nearest-ppt", "--alpha", "0.5", "--beta", "0",
                  "--steps", "0"]) == 1
     assert "argument --steps: must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, bound", [
+    (["slice", "--gamma", "0.3"], "--grid", _GRID_BOUND),
+    (["lambda-scan"], "--steps", _STEPS_BOUND),
+])
+def test_cli_bounds_grid_and_steps_while_parsing(command, flag, bound, capsys):
+    # parsed only: a grid at the bound would really allocate
+    args = _build_parser().parse_args(command + [flag, str(bound)])
+    assert getattr(args, flag[2:]) == bound
+    assert main(command + [flag, str(bound + 1)]) == 1
+    captured = capsys.readouterr()
+    assert (f"argument {flag}: must be <= {bound}, got {bound + 1}"
+            in captured.err)
+    assert captured.out == ""
+    assert main(command + [flag, "1"]) == 1
+    assert f"argument {flag}: must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_cli_negative_scientific_notation_as_separate_argument(capsys):

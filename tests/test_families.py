@@ -16,7 +16,8 @@ from entwit import (
     simplex_state,
     weyl_expand,
 )
-from entwit.families import _bell_diagonal, _family_weights
+from entwit.families import (_bell_diagonal, _family_weights,
+                             _horodecki_params, _real_bell_diagonal)
 
 
 def reference_horodecki(b):
@@ -92,12 +93,45 @@ def test_simplex_state_is_bell_diagonal():
         assert np.abs(coeffs[~mask]).max() < 1e-12
 
 
+def _real_family_params():
+    """Seeded parameters in a box that holds every valid state, points of
+    the gamma = 0 slice, and the Horodecki line with b = 1 and 4."""
+    rng = np.random.default_rng(59)
+    b = np.concatenate([np.linspace(0.0, 5.0, 51), [1.0, 4.0, 0.99, 4.01]])
+    return np.concatenate([
+        rng.uniform(-0.5, 1.0, (2500, 3)),
+        np.column_stack([rng.uniform(-0.5, 1.0, (200, 2)), np.zeros(200)]),
+        np.column_stack(_horodecki_params(b)),
+    ])
+
+
 def test_simplex_state_is_real():
-    # the imaginary parts of the conjugate Bell pairs cancel up to round-off;
-    # the box holds every valid state
-    params = np.random.default_rng(59).uniform(-0.5, 1.0, (2500, 3))
-    worst = max(np.abs(simplex_state(p).op.entries.imag).max() for p in params)
-    assert worst <= 1e-17
+    # the imaginary parts of each conjugate Bell pair cancel exactly, so
+    # dropping them loses nothing
+    params = _real_family_params()
+    complex_mats = _bell_diagonal(_family_weights(*params.T))
+    assert not complex_mats.imag.any()
+    for p, mat in zip(params, complex_mats):
+        entries = simplex_state(p).op.entries
+        assert entries.dtype == np.float64
+        assert np.array_equal(entries, mat.real)
+    for b in (0.0, 1.0, 2.5, 4.0, 5.0):
+        entries = horodecki_state(b).entries
+        assert entries.dtype == np.float64
+        assert np.array_equal(entries, simplex_state(
+            horodecki_to_simplex(b)).op.entries)
+
+
+def test_real_bell_diagonal_rejects_what_it_cannot_keep_real():
+    # weights that differ on a conjugate pair P_{1,m}, P_{2,m}
+    weights = np.random.default_rng(5).dirichlet(np.ones(9))
+    with pytest.raises(ValueError, match="not real"):
+        _real_bell_diagonal(weights)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="Bell weights must be finite"):
+            _real_bell_diagonal(_family_weights(0.2, 0.1, bad))
+        with pytest.raises(ValueError, match="Bell weights must be finite"):
+            simplex_state(SimplexParams(bad, 0.0, 0.0))
 
 
 def test_bell_diagonal_equals_family_formula():
@@ -121,9 +155,11 @@ def test_bell_diagonal_equals_family_formula():
 
 def test_bell_diagonal_stack_rows_equal_single_builds():
     # a row of a stack is bit for bit the matrix of its weights alone, for
-    # family weights (through simplex_state) and for arbitrary weights
+    # family weights (real, as simplex_state builds them) and for arbitrary
+    # weights
     params = np.random.default_rng(61).uniform(-1.0, 1.0, (200, 3))
-    stack = _bell_diagonal(_family_weights(*params.T))
+    stack = _real_bell_diagonal(_family_weights(*params.T))
+    assert stack.dtype == np.float64 and stack.flags.c_contiguous
     for p, mat in zip(params, stack):
         assert np.array_equal(simplex_state(p).op.entries, mat)
     weights = np.random.default_rng(62).standard_normal((50, 9))

@@ -46,6 +46,34 @@ def test_operator_shape_validation():
     assert not op.entries.flags.writeable
 
 
+def test_operator_keeps_real_input_real():
+    # real input stays float64, so a real symmetric operator takes the real
+    # eigensolvers; anything else is held as complex128
+    for entries in (np.eye(9), np.eye(9, dtype=int), np.eye(9, dtype=bool),
+                    np.eye(9, dtype=np.float32), np.eye(9).tolist()):
+        op = BipartiteOperator(3, 3, entries)
+        assert op.entries.dtype == np.float64
+        assert np.array_equal(op.entries, np.eye(9))
+    for entries in (np.eye(9, dtype=complex), np.eye(9, dtype=np.complex64),
+                    [[complex(i == j) for j in range(9)] for i in range(9)]):
+        assert BipartiteOperator(3, 3, entries).entries.dtype == np.complex128
+    assert identity(3, 3).entries.dtype == np.complex128
+    real = BipartiteOperator(3, 3, np.eye(9))
+    back = operator_from_dict(operator_to_dict(real))
+    assert back.entries.dtype == np.complex128
+    assert np.array_equal(back.entries, real.entries)
+    # a real scale keeps it real, an imaginary one does not
+    for scaled in (2 * real, real * 2.0, real / 3, -real, real - real):
+        assert scaled.entries.dtype == np.float64
+    assert (real * 1j).entries.dtype == np.complex128
+    assert np.array_equal((real / 3).entries, real.entries / 3)
+    # the operator holds its own copy
+    source = np.eye(9)
+    op = BipartiteOperator(3, 3, source)
+    source[0, 0] = 2.0
+    assert op.entries[0, 0] == 1.0 and not op.entries.flags.writeable
+
+
 def test_hs_inner_identity_and_projector():
     assert hs_inner(identity(3, 3), identity(3, 3)) == pytest.approx(9)
     p00 = phi_plus_projector()

@@ -23,7 +23,7 @@ from entwit import (
     region_witnesses,
     simplex_state,
 )
-from entwit import ppt
+from entwit import ppt, reproduce
 from entwit.families import (_bell_diagonal, _family_weights,
                              _horodecki_params, _pt_blocks, _pt_weights)
 from entwit.ppt import (
@@ -142,6 +142,27 @@ def test_dykstra_stack_rows_equal_single_runs(max_iter):
         assert runs.converged.any() and not runs.converged.all()
         assert set(runs.iterations[~runs.converged]) == {12}
         assert runs.iterations[runs.converged].max() < 12
+
+
+def test_dykstra_rows_on_family_states_equal_nearest_ppt():
+    # the battery's real stack of gamma = 0 NPT points against the public
+    # call on each family state: one real path, bit for bit
+    rng = np.random.default_rng(5)
+    alpha, beta = np.concatenate([reproduce._random_region_points(rng, "I", 5),
+                                  reproduce._random_region_points(rng, "II", 5)],
+                                 axis=1)
+    stack = reproduce._family_states(alpha, beta, 0.0)
+    assert stack.dtype == np.float64
+    runs = ppt._dykstra(ppt._matrix_space(3, 3), stack, 1e-10, 10000)
+    assert runs.converged.all() and runs.states.dtype == np.float64
+    for i, params in enumerate(zip(alpha, beta, np.zeros(len(alpha)))):
+        rho = simplex_state(params).density()
+        assert np.array_equal(rho.entries, stack[i]), i
+        single = nearest_ppt(rho)
+        assert np.array_equal(single.state.entries, runs.states[i]), i
+        assert single.iterations == runs.iterations[i], i
+        assert single.residual == runs.residual[i], i
+        assert single.min_pt_eigenvalue == runs.min_pt_eigenvalue[i], i
 
 
 def test_dykstra_inputs_are_built_from_their_weights():
