@@ -46,6 +46,12 @@ _PARAM_BOUND = 1e100
 _GRID_BOUND = 1000
 _STEPS_BOUND = 10 ** 6
 
+#: Largest `--samples` of `reproduce` and `witness-check`: the probe draws
+#: its ceil(sqrt(N)) factor pairs at once (`ppt._pool_factors`), 10^4 of
+#: them at this bound; without one, 10^20 samples would ask for about
+#: 900 GiB and end in a MemoryError instead of a message.
+_SAMPLES_BOUND = 10 ** 8
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -271,7 +277,10 @@ def _cmd_nearest_ppt(args) -> int:
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"trace is {trace!r}, must equal 1 within {TRACE_TOL}")
     run = _dykstra(_BELL_SPACE, weights[None], args.tol, args.steps)
-    result = _single_result(run, _bell_diagonal(run.states[0]), 3, 3)
+    # the input and both convex sets are invariant under conjugation, so the
+    # nearest PPT state is real; the Bell PT projection leaves the weights of
+    # a conjugate pair unequal at round-off, and only that is dropped
+    result = _single_result(run, _bell_diagonal(run.states[0]).real, 3, 3)
     distance = None
     if result.converged:
         distance = float(_BELL_SPACE.norms(run.states - weights)[0])
@@ -355,12 +364,12 @@ def _build_parser() -> _Parser:
         "reproduce",
         help="run the full threshold-reproduction battery (exit 3 on any "
              "failure)")
-    reproduce.add_argument("--samples", type=_integer_in(1),
+    reproduce.add_argument("--samples", type=_integer_in(1, _SAMPLES_BOUND),
                            default=100000,
                            help="product states in the one pool that probes "
                                 "every witness: the first N pairs of a "
-                                "ceil(sqrt(N))-square grid of Haar factors "
-                                "(default 1e5)")
+                                "ceil(sqrt(N))-square grid of Haar factors, "
+                                "at most 1e8 (default 1e5)")
     reproduce.add_argument("--seed", type=_integer_in(0), default=20240901)
     reproduce.add_argument("--format", choices=("text", "csv", "json"),
                            default="text")
@@ -372,10 +381,11 @@ def _build_parser() -> _Parser:
         help="certify an operator file (shared JSON format); uncertified "
              "operators get a sampler probe")
     witness.add_argument("file")
-    witness.add_argument("--samples", type=_integer_in(1), default=20000,
+    witness.add_argument("--samples", type=_integer_in(1, _SAMPLES_BOUND),
+                         default=20000,
                          help="product states in the probe's pool: the first "
                               "N pairs of a ceil(sqrt(N))-square grid of Haar "
-                              "factors (default 20000)")
+                              "factors, at most 1e8 (default 20000)")
     witness.add_argument("--seed", type=_integer_in(0), default=0)
     witness.add_argument("--format", choices=("text", "json"), default="text")
     witness.add_argument("--out", default=None)

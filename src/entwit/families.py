@@ -69,39 +69,27 @@ class SimplexState:
 
 def _bell_diagonal(weights) -> np.ndarray:
     """sum_k w_k P_k: one 9x9 matrix for weights of shape (9,), a stack of
-    them for shape (N, 9).
+    them for shape (N, 9); contiguous float64 when the sum's imaginary part
+    is exactly 0, complex128 otherwise.  ValueError for weights that are
+    not finite.
 
     Summed elementwise in index order, so a row of a stack is bit for bit
     the matrix of its weights alone; a matrix product sums in an order that
-    depends on the shape.
+    depends on the shape.  Weights equal on each conjugate pair P_{1,m},
+    P_{2,m}, as those of family states and of their witnesses are, give a
+    real matrix: `_bell_stack` makes P_{2,m} the exact conjugate of P_{1,m},
+    and each entry is touched by the three projectors of one m alone, so
+    the two imaginary terms cancel exactly.  The real matrix makes every
+    eigensolve on it real LAPACK.
     """
+    if not np.isfinite(weights).all():
+        raise ValueError("Bell weights must be finite")
     weights = weights[..., None, None]
     projectors = _bell_stack(3)
     mats = weights[..., 0, :, :] * projectors[0]
     for k in range(1, 9):
         mats += weights[..., k, :, :] * projectors[k]
-    return mats
-
-
-def _real_bell_diagonal(weights) -> np.ndarray:
-    """`_bell_diagonal` of weights that are equal on each conjugate pair
-    P_{1,m}, P_{2,m}, as family weights are, as a real float64 matrix or
-    stack; ValueError for weights that are not finite or whose matrix has
-    an imaginary part other than exactly 0.
-
-    For such weights the imaginary part is exactly 0: `_bell_stack` makes
-    P_{2,m} the exact conjugate of P_{1,m}, the two take the same weight,
-    and each entry is touched by the three projectors of one m alone, so
-    the two imaginary terms cancel exactly in the elementwise sum.  The
-    real matrix makes every eigensolve on it real LAPACK.
-    """
-    if not np.isfinite(weights).all():
-        raise ValueError("Bell weights must be finite")
-    mats = _bell_diagonal(weights)
-    if mats.imag.any():
-        raise ValueError("Bell weights give a matrix that is not real: "
-                         f"max |imag| = {np.abs(mats.imag).max():.3e}")
-    return np.ascontiguousarray(mats.real)
+    return mats if mats.imag.any() else np.ascontiguousarray(mats.real)
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +183,7 @@ def _family_pt_minimum(alpha, beta, gamma):
 def simplex_state(params) -> SimplexState:
     """Two-qutrit state (1-a-b-g)/9 * 1 + a P00 + b/2 (P10+P20) + g/3 (P01+P11+P21).
 
-    Always unit trace, and a real symmetric matrix (`_real_bell_diagonal`).
+    Always unit trace, and a real symmetric matrix (`_bell_diagonal`).
     `valid` records whether the closed-form spectrum is nonnegative within
     PSD_TOL; the minimum eigenvalue comes along either way.  ValueError for
     parameters whose weights are not finite.
@@ -205,7 +193,7 @@ def simplex_state(params) -> SimplexState:
     min_eig = weights.min()
     return SimplexState(
         params=params,
-        op=BipartiteOperator(3, 3, _real_bell_diagonal(weights)),
+        op=BipartiteOperator(3, 3, _bell_diagonal(weights)),
         min_eigenvalue=float(min_eig),
         valid=bool(min_eig >= -PSD_TOL),
     )

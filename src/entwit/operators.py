@@ -230,8 +230,8 @@ def tensor(a, b) -> BipartiteOperator:
     `a` acts on subsystem 1 (d1 x d1), `b` on subsystem 2 (d2 x d2).
     Tr(a (x) b) = Tr(a) Tr(b).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("first factor must be a square matrix")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:

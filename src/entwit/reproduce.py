@@ -16,9 +16,9 @@ weights next to its 9x9 stack.  Every state a check builds passes the
 density-matrix gates, and the report of a given seed and sample count is
 byte-stable.
 
-Family states, and the witnesses the sampler floor probes, are real
-symmetric 9x9 matrices (`_real_bell_diagonal`; for the states, the matrices
-of `simplex_state`), so the density gates, the partial-transpose
+Family states and the witnesses of family states are real symmetric 9x9
+matrices (`_bell_diagonal`; for the states, the matrices of
+`simplex_state`), so the density gates, the partial-transpose
 eigensolves, both projections of the matrix-space Dykstra run and the
 probe's tables are real arithmetic, and each row is still bit for bit the
 public call on that state; the spectrum cross-check diagonalizes the real
@@ -47,7 +47,6 @@ from .weyl import bell_projector, max_entangled
 from .families import (
     simplex_spectrum,
     _bell_diagonal,
-    _real_bell_diagonal,
     _family_pt_minimum,
     _family_weights,
     _horodecki_params,
@@ -63,7 +62,6 @@ from .witness import (
     _gamma0_nearest,
     _line_pair,
     _measure_values,
-    _region_traces,
     _tangent_traces,
 )
 from .ppt import (
@@ -366,7 +364,7 @@ def _family_states(alpha, beta, gamma) -> np.ndarray:
     """The family states at parameter arrays as a real (N, 9, 9) stack,
     each through the gates of `DensityMatrix`: the matrices of
     `simplex_state`."""
-    mats = _real_bell_diagonal(_family_weights(alpha, beta, gamma))
+    mats = _bell_diagonal(_family_weights(alpha, beta, gamma))
     _density_gate(mats)
     return mats
 
@@ -408,8 +406,8 @@ def _threshold_lines() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _line_operators(gammas: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """The line witnesses at (gammas[k], lams[k]) as an (N, 9, 9) stack,
-    from their Bell traces."""
+    """The line witnesses at (gammas[k], lams[k]) as a real (N, 9, 9)
+    stack, from their Bell traces."""
     return _bell_diagonal(_tangent_traces(*_line_pair(gammas, lams))[0])
 
 
@@ -441,23 +439,18 @@ def check_certifications() -> list[CheckResult]:
 def check_sampler_floor(samples: int, seed: int) -> CheckResult:
     """Lowest separable expectation of the battery's witnesses, >= -1e-9.
 
-    The two region witnesses and the 20 line witnesses at lambda_min are
-    built as real 9x9 operators from their Bell traces, which are equal on
-    each conjugate Bell pair as those of family states are
-    (`_real_bell_diagonal`), and probed by one call of
-    `min_separable_expectation` on `samples` product states, as
+    The two region witnesses and the 20 line witnesses at lambda_min, the
+    operators `check_certifications` certifies first, are probed by one
+    call of `min_separable_expectation` on `samples` product states, as
     `witness-check` probes one operator; that function describes the probe.
     The floor is an upper bound on each witness's separable minimum, so the
     check can catch a non-witness but never prove witness-hood.
     """
-    traces = np.concatenate([
-        np.array(_region_traces()),
-        _tangent_traces(*_line_pair(*_threshold_lines()))[0],
-    ])
+    witnesses = [*region_witnesses(),
+                 *(BipartiteOperator(3, 3, mat)
+                   for mat in _line_operators(*_threshold_lines()))]
     config = SamplerConfig(seed=seed, count=samples)
-    floor = float(min_separable_expectation(
-        [BipartiteOperator(3, 3, mat) for mat in _real_bell_diagonal(traces)],
-        config).min())
+    floor = float(min_separable_expectation(witnesses, config).min())
     deviation = max(0.0, -floor)
     return _check("sampler_floor", deviation, 1e-9,
                   ">= -1e-9", floor)
@@ -524,7 +517,7 @@ def check_spectrum_closed_form(seed: int) -> CheckResult:
 
     The formula's four terms (the identity, P00, P10 + P20 and
     P01 + P11 + P21) are real, as `simplex_state` builds the family
-    (`_real_bell_diagonal`), so the matrices are formed and diagonalized
+    (`_bell_diagonal`), so the matrices are formed and diagonalized
     from their real parts; the largest imaginary entry the terms drop
     counts towards the deviation."""
     params = np.random.default_rng(seed).uniform(-1.0, 1.0, (1000, 3))

@@ -37,8 +37,8 @@ from entwit.atlas import (
     separability_note,
     slice_sweep,
 )
-from entwit.cli import (_GRID_BOUND, _STEPS_BOUND, _build_parser,
-                        _json_payload, main)
+from entwit.cli import (_GRID_BOUND, _SAMPLES_BOUND, _STEPS_BOUND,
+                        _build_parser, _json_payload, main)
 from entwit.families import horodecki_to_simplex, simplex_state
 from entwit.reproduce import run_battery
 
@@ -310,6 +310,9 @@ def test_cli_rejects_bad_tol(argv, capsys):
     ("--seed", "1.5", "argument --seed: invalid int value: '1.5'"),
     ("--samples", "0", "argument --samples: must be >= 1, got 0"),
     ("--samples", "-5", "argument --samples: must be >= 1, got -5"),
+    ("--samples", str(_SAMPLES_BOUND + 1),
+     f"argument --samples: must be <= {_SAMPLES_BOUND}, "
+     f"got {_SAMPLES_BOUND + 1}"),
 ])
 def test_cli_rejects_bad_seed_and_samples(command, flag, value, message,
                                           capsys):
@@ -347,6 +350,15 @@ def test_cli_bounds_grid_and_steps_while_parsing(command, flag, bound, capsys):
     assert captured.out == ""
     assert main(command + [flag, "1"]) == 1
     assert f"argument {flag}: must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["reproduce"],
+                                     ["witness-check", "operator.json"]])
+def test_cli_takes_samples_at_the_bound(command):
+    # parsed only: a pool at the bound would really be drawn and probed
+    args = _build_parser().parse_args(command + ["--samples",
+                                                 str(_SAMPLES_BOUND)])
+    assert args.samples == _SAMPLES_BOUND
 
 
 def test_cli_negative_scientific_notation_as_separate_argument(capsys):
@@ -722,6 +734,22 @@ def test_cli_nearest_ppt_matches_the_matrix_projection(argv, steps, capsys):
         assert abs(doc["distance"] - hs_norm(result.state.op - rho.op)) <= 1e-12
     else:
         assert doc["distance"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "0.5", "--beta", "0.1", "--gamma", "0.3"],
+    ["--b", "0.5"],
+    ["--b", "4.5"],
+    ["--alpha", "0.4", "--beta", "-0.2", "--gamma", "-0.3"],
+])
+def test_cli_nearest_ppt_state_is_real(argv, capsys):
+    # the nearest PPT state of a family state is real; the Bell-space run
+    # leaves its conjugate pairs unequal at round-off only
+    code, doc = _nearest_json(argv, capsys)
+    assert code == 0
+    entries = np.array(doc["state"]["entries"]).reshape(9, 9, 2)
+    assert not entries[..., 1].any()
+    assert np.array_equal(entries[..., 0], entries[..., 0].T)
 
 
 def test_cli_nearest_ppt_rejects_weights_off_unit_trace(capsys):

@@ -17,7 +17,10 @@ from entwit import (
     weyl_expand,
 )
 from entwit.families import (_bell_diagonal, _family_weights,
-                             _horodecki_params, _real_bell_diagonal)
+                             _horodecki_params)
+from entwit.reproduce import _threshold_lines
+from entwit.weyl import _bell_stack
+from entwit.witness import _line_pair, _region_traces, _tangent_traces
 
 
 def reference_horodecki(b):
@@ -105,11 +108,20 @@ def _real_family_params():
     ])
 
 
+def _complex_bell_sum(weights):
+    # sum_k w_k P_k in complex arithmetic, elementwise in index order
+    projectors = _bell_stack(3)
+    mats = np.zeros(weights.shape[:-1] + (9, 9), dtype=complex)
+    for k in range(9):
+        mats += weights[..., k, None, None] * projectors[k]
+    return mats
+
+
 def test_simplex_state_is_real():
     # the imaginary parts of each conjugate Bell pair cancel exactly, so
     # dropping them loses nothing
     params = _real_family_params()
-    complex_mats = _bell_diagonal(_family_weights(*params.T))
+    complex_mats = _complex_bell_sum(_family_weights(*params.T))
     assert not complex_mats.imag.any()
     for p, mat in zip(params, complex_mats):
         entries = simplex_state(p).op.entries
@@ -122,14 +134,28 @@ def test_simplex_state_is_real():
             horodecki_to_simplex(b)).op.entries)
 
 
-def test_real_bell_diagonal_rejects_what_it_cannot_keep_real():
-    # weights that differ on a conjugate pair P_{1,m}, P_{2,m}
-    weights = np.random.default_rng(5).dirichlet(np.ones(9))
-    with pytest.raises(ValueError, match="not real"):
-        _real_bell_diagonal(weights)
+def test_bell_diagonal_is_real_exactly_when_the_sum_is_real():
+    # weights that differ on a conjugate pair P_{1,m}, P_{2,m} stay complex
+    weights = np.random.default_rng(5).dirichlet(np.ones(9), 20)
+    for w in (weights[0], weights):
+        mats = _bell_diagonal(w)
+        assert mats.dtype == np.complex128
+        assert np.array_equal(mats, _complex_bell_sum(w))
+    # family weights and the battery's witness traces are equal on each
+    # pair: float64, bit for bit the real part of the complex sum
+    pair_equal = [_family_weights(*_real_family_params().T),
+                  np.concatenate([
+                      np.array(_region_traces()),
+                      _tangent_traces(*_line_pair(*_threshold_lines()))[0]])]
+    for w in pair_equal + [row for stack in pair_equal for row in stack[:5]]:
+        mats = _bell_diagonal(w)
+        expected = _complex_bell_sum(w)
+        assert not expected.imag.any()
+        assert mats.dtype == np.float64 and mats.flags.c_contiguous
+        assert np.array_equal(mats, expected.real)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="Bell weights must be finite"):
-            _real_bell_diagonal(_family_weights(0.2, 0.1, bad))
+            _bell_diagonal(_family_weights(0.2, 0.1, bad))
         with pytest.raises(ValueError, match="Bell weights must be finite"):
             simplex_state(SimplexParams(bad, 0.0, 0.0))
 
@@ -158,7 +184,7 @@ def test_bell_diagonal_stack_rows_equal_single_builds():
     # family weights (real, as simplex_state builds them) and for arbitrary
     # weights
     params = np.random.default_rng(61).uniform(-1.0, 1.0, (200, 3))
-    stack = _real_bell_diagonal(_family_weights(*params.T))
+    stack = _bell_diagonal(_family_weights(*params.T))
     assert stack.dtype == np.float64 and stack.flags.c_contiguous
     for p, mat in zip(params, stack):
         assert np.array_equal(simplex_state(p).op.entries, mat)

@@ -126,6 +126,23 @@ def test_tensor_examples():
     assert abs(traceless.trace()) < 1e-14
 
 
+def test_tensor_keeps_real_factors_real():
+    # real factors give the float64 Kronecker product; a complex factor
+    # makes it complex128
+    a, b = np.eye(3), np.diag([1.0, 2.0, 3.0])
+    real = tensor(a, b)
+    assert real.entries.dtype == np.float64
+    assert np.array_equal(real.entries, np.kron(a, b))
+    assert tensor(np.diag([1, 0, 0]), b).entries.dtype == np.float64
+    shift = weyl_operator(3, (1, 0))
+    for op in (tensor(a, shift), tensor(shift, b), tensor(shift, shift)):
+        assert op.entries.dtype == np.complex128
+    assert np.array_equal(tensor(a, shift).entries, np.kron(a, shift))
+    for factors in ((np.ones((2, 3)), b), (a, np.ones(3))):
+        with pytest.raises(ValueError, match="square matrix"):
+            tensor(*factors)
+
+
 def test_tensor_trace_multiplicative():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

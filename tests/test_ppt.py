@@ -26,6 +26,7 @@ from entwit import (
 from entwit import ppt, reproduce
 from entwit.families import (_bell_diagonal, _family_weights,
                              _horodecki_params, _pt_blocks, _pt_weights)
+from entwit.operators import _as_operator
 from entwit.ppt import (
     _matrix_map,
     _newton_trials,
@@ -39,7 +40,8 @@ from entwit.ppt import (
     _tangent_bases,
 )
 from entwit.reproduce import _threshold_lines, check_sampler_floor
-from entwit.witness import _line_pair, _region_traces, _tangent_traces
+from entwit.witness import (_certify_stack, _line_pair, _region_traces,
+                            _tangent_traces)
 
 
 def test_classify_ppt_examples():
@@ -690,6 +692,29 @@ def test_bell_floors_equal_min_separable_expectation(seed):
     result = check_sampler_floor(samples, seed)
     assert result.passed
     assert result.computed == str(float(probed.min()))
+
+
+def test_sampler_floor_probes_the_first_certified_operators(monkeypatch):
+    # the floor probes the 22 operators that check_certifications certifies
+    # first, bit for bit
+    seen = {}
+
+    def probe_spy(w, config):
+        seen["probed"] = np.array([_as_operator(op).entries for op in w])
+        return min_separable_expectation(w, config)
+
+    def certify_spy(mats, dim_a, dim_b):
+        seen["certified"] = mats
+        return _certify_stack(mats, dim_a, dim_b)
+
+    monkeypatch.setattr(reproduce, "min_separable_expectation", probe_spy)
+    monkeypatch.setattr(reproduce, "_certify_stack", certify_spy)
+    assert check_sampler_floor(7, 5).passed
+    assert all(result.passed for result in reproduce.check_certifications())
+    probed, certified = seen["probed"], seen["certified"]
+    assert probed.shape == (22, 9, 9) and len(certified) == 42
+    assert probed.dtype == certified.dtype == np.float64
+    assert np.array_equal(probed, certified[:22])
 
 
 def test_raw_minima_nonincreasing_in_count_to_round_off():

@@ -102,6 +102,22 @@ def test_region_witnesses_match_closed_forms():
     assert hs_norm(witness_two.op) == pytest.approx(math.sqrt(1.5))
 
 
+def test_family_witnesses_are_real_like_geometric_witness():
+    # a witness of two family states is real, whether it is built from
+    # their Bell weights or from their simplex_state matrices
+    built = [(witness, True) for witness in region_witnesses()]
+    for gamma in (-3 / 7, -0.3, 0.25, 3 / 7):
+        for lam in (0.4, 0.9 * detection_profile(gamma).lambda_min):
+            built.append((line_witness(gamma, lam)[0], False))
+    for witness, normalize in built:
+        from_matrices = geometric_witness(witness.reference, witness.target,
+                                          normalize=normalize)
+        assert witness.op.entries.dtype == np.float64
+        assert from_matrices.op.entries.dtype == np.float64
+        assert np.abs(witness.op.entries
+                      - from_matrices.op.entries).max() < 1e-14
+
+
 def test_region_witness_expectations():
     witness_one, _ = region_witnesses()
     rho = simplex_state(SimplexParams(0.5, 0, 0)).density()
