@@ -297,7 +297,12 @@ def operator_to_dict(x) -> dict:
 
 
 def operator_from_dict(obj: dict) -> BipartiteOperator:
-    """Parse the shared JSON operator object."""
+    """Parse the shared JSON operator object.
+
+    The operator is held as float64 when every imaginary part is exactly 0,
+    as `BipartiteOperator` holds real input, so an operator read back from
+    `operator_to_dict` is held as it was built; otherwise as complex128.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"malformed operator object: expected a JSON object "
                          f"with keys dim_a, dim_b and entries, got "
@@ -336,4 +341,6 @@ def operator_from_dict(obj: dict) -> BipartiteOperator:
         raise ValueError(
             f"entries[{bad[0]}] is not finite (NaN or Infinity): {pairs[bad[0]]}"
         )
+    if not flat.imag.any():
+        flat = flat.real
     return BipartiteOperator(dim_a, dim_b, flat.reshape(side, side))

@@ -361,6 +361,13 @@ def _matrix_map(mats: np.ndarray, d: int) -> np.ndarray:
         hermitian], axis=1)
 
 
+def _factor_pairs(vecs: np.ndarray) -> np.ndarray:
+    """conj(v) (x) v of each of the factors vecs (n, d), as columns
+    (n, d^2, 1)."""
+    d = vecs.shape[1]
+    return (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(-1, d * d, 1)
+
+
 def _reduced_forms(tables: np.ndarray, owner: np.ndarray,
                    vecs: np.ndarray) -> np.ndarray:
     """The forms (n, d, d) of tables[owner[n]] on the fixed factors vecs[n].
@@ -369,8 +376,33 @@ def _reduced_forms(tables: np.ndarray, owner: np.ndarray,
     whatever else is in the stack.
     """
     d = vecs.shape[1]
-    pairs = vecs.conj()[:, :, None] * vecs[:, None, :]
-    return (tables[owner] @ pairs.reshape(-1, d * d, 1)).reshape(-1, d, d)
+    return (tables[owner] @ _factor_pairs(vecs)).reshape(-1, d, d)
+
+
+def _broadcast_forms(tables: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The forms (K, n, d, d) of each of the K tables on each of the n fixed
+    factors vecs: form [k, j] is `_reduced_forms(tables, [k], vecs[j:j + 1])`
+    bit for bit, the same one product, with no gathered copy of the
+    tables."""
+    d = vecs.shape[1]
+    forms = tables[:, None] @ _factor_pairs(vecs)[None]
+    return forms.reshape(len(tables), len(vecs), d, d)
+
+
+def _real_coordinates(d: int):
+    """Where the d^2 real coordinates of a Hermitian d x d matrix M sit in
+    the float view of its flattened entries, and their weights in a^dag M a.
+
+    The coordinates are M_pp, then Re M_pr and Im M_pr for p < r, so
+    a^dag M a = sum_p |a_p|^2 M_pp + 2 Re sum_{p<r} conj(a_p) a_r M_pr is
+    the dot product of the coordinates of M with those of conj(a) (x) a
+    times the weights [1, 2, -2].
+    """
+    upper = np.ravel_multi_index(np.triu_indices(d, 1), (d, d))
+    index = np.concatenate([2 * (d + 1) * np.arange(d), 2 * upper,
+                            2 * upper + 1])
+    weights = np.repeat([1.0, 2.0, -2.0], [d, len(upper), len(upper)])
+    return index, weights
 
 
 def _pool_scores(tables: np.ndarray, config: SamplerConfig):
@@ -379,31 +411,32 @@ def _pool_scores(tables: np.ndarray, config: SamplerConfig):
     Returns the (K, m') table of scores min_i <a_i b_j|W|a_i b_j> over the
     left partners of each scored right factor b_j in the pool, and the
     (m', d) factors, in pool order, for the `_matrix_map` tables of K
-    operators on C^d (x) C^d.  With L(b) the left form of `tables`,
-    <a b|W|a b> = a^dag L(b) a = Re sum_pr conj(a_p) a_r L(b)_pr, so a block
-    of n columns is one real product of the (m, 2 d^2) rows [Re, -Im] of
-    conj(a) (x) a with the (2 d^2, K n) columns [Re; Im] of the forms.  Every pair with
-    i, j < m - 1 ranks below (m - 1)^2 < count, so only the last shell can
-    leave the pool: row m - 1, and column m - 1 in the block that holds it,
-    score +inf where their ranks reach `count`.  b_j first pairs (with a_j)
-    at rank j^2 + j, so at most the last right factor has no pair in the
-    pool, and it is not scored.
+    operators on C^d (x) C^d.  With L(b) the Hermitian left form of
+    `tables`, <a b|W|a b> = a^dag L(b) a is a dot product on the d^2 real
+    coordinates of `_real_coordinates`, so a block of n right factors is
+    one real product of the (m, d^2) rows of the left factors with the
+    (d^2, K n) columns of the K n forms, which `_broadcast_forms` builds.
+    Every pair with i, j < m - 1 ranks below (m - 1)^2 < count, so only
+    the last shell can leave the pool: row m - 1, and column m - 1 in the
+    block that holds it, score +inf where their ranks reach `count`.  b_j
+    first pairs (with a_j) at rank j^2 + j, so at most the last right
+    factor has no pair in the pool, and it is not scored.
     """
-    left, right = _pool_factors(math.isqrt(tables.shape[-1]), config)
+    d = math.isqrt(tables.shape[-1])
+    left, right = _pool_factors(d, config)
     m, k = len(left), len(tables)
     last = m - 1
     # b_{m-1} has a pair only if its first, (m - 1)^2 + m - 1, is in the pool
     right = right[:m - (m * last >= config.count)]
-    pairs = left.conj()[:, :, None] * left[:, None, :]
-    rows = np.concatenate([pairs.real, -pairs.imag], axis=1).reshape(m, -1)
+    index, weights = _real_coordinates(d)
+    rows = _factor_pairs(left).reshape(m, -1).view(float)[:, index] * weights
     scores = np.empty((k, len(right)))
     width = max(1, _POOL_BLOCK // m)
     for start in range(0, len(right), width):
         block = right[start:start + width]
         n = len(block)
-        forms = _reduced_forms(tables[:, 0], np.repeat(np.arange(k), n),
-                               np.tile(block, (k, 1)))
-        cols = np.concatenate([forms.real, forms.imag], axis=1).reshape(k * n, -1)
+        forms = _broadcast_forms(tables[:, 0], block)
+        cols = forms.reshape(k * n, -1).view(float)[:, index]
         values = (rows @ cols.T).reshape(m, k, n)
         columns = np.arange(start, start + n)
         values[last, :, _shell_ranks(last, columns) >= config.count] = np.inf
@@ -487,14 +520,19 @@ def _second_order_model(hermitian: np.ndarray, factors: np.ndarray):
 
 
 def _newton_trials(hermitian: np.ndarray, factors: np.ndarray):
-    """Each start's Newton step and its halvings: trial factors
-    (n, 4, 2, d) and their values v^dag H v (n, 4) at their products v, for
+    """Each start's trials along its Newton step: trial factors
+    (n, 5, 2, d) and their values v^dag H v (n, 5) at their products v, for
     the Hermitian parts H (n, d^2, d^2) of the starts' operators.
 
     The step minimizes `_second_order_model` with the Hessian's
     eigenvalues replaced by their magnitudes, floored at 1e-12 times the
     largest, so it descends at saddles too; it is cut to the trust radius
-    `_NEWTON_RADIUS`, then taken at full length and at 1/2, 1/4 and 1/8.
+    `_NEWTON_RADIUS`, then tried at 3, 1, 1/2, 1/4 and 1/8 times its
+    length, in that order.  At a degenerate minimum, where the value rises
+    like the fourth power of the distance (a quartic), the full step covers
+    only a third of the distance and three times the step lands on the
+    minimum; at a nondegenerate minimum three times the step overshoots to
+    about four times the gap, and the full step is taken.
     """
     n, _, d = factors.shape
     _, bases, grad, hessian = _second_order_model(hermitian, factors)
@@ -507,8 +545,8 @@ def _newton_trials(hermitian: np.ndarray, factors: np.ndarray):
     length = np.sqrt(np.vecdot(step, step))
     step *= (_NEWTON_RADIUS / np.maximum(length, _NEWTON_RADIUS))[:, None]
     moves = bases[..., 1:] @ step.view(complex).reshape(n, 2, d - 1, 1)
-    # the full step and its three halvings
-    lengths = np.array([1, 0.5, 0.25, 0.125])[:, None, None]
+    # three times the step, the full step and its three halvings
+    lengths = np.array([3, 1, 0.5, 0.25, 0.125])[:, None, None]
     trials = factors[:, None] + lengths * moves[:, None, ..., 0]
     trials /= np.sqrt(np.vecdot(trials, trials).real)[..., None]
     vectors = trials[..., 0, :, None] * trials[..., 1, None, :]
@@ -536,9 +574,9 @@ def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
     round rule, for each start still moving:
 
     * in the first `_SEESAW_SWEEPS` rounds it takes one sweep;
-    * in later rounds it takes the first of a Newton step and its halvings
-      that lowers its value, and where none does, one sweep from its own
-      right factor;
+    * in later rounds it takes the first trial along its Newton step
+      (three times the step, the step, then its halvings) that lowers its
+      value, and where none does, one sweep from its own right factor;
     * after the first round it takes a sweep only where the sweep does not
       raise its value, which round-off can do, and keeps its own factors
       and value otherwise;
@@ -561,7 +599,7 @@ def _seesaw(tables: np.ndarray, owner: np.ndarray, right: np.ndarray,
                                                   factors[active])
             lower = trial_values < before[:, None]
             moved = lower.any(axis=1)
-            # the first of the step and its halvings that lowers the value
+            # the first trial that lowers the value
             taken = lower[moved].argmax(axis=1)
             values[active[moved]] = trial_values[moved, taken]
             factors[active[moved]] = trials[moved, taken]
@@ -617,17 +655,19 @@ def min_separable_expectation(w, config: SamplerConfig) -> float | np.ndarray:
     order, of an m x m grid of seeded Haar factors, m = ceil(sqrt(count)):
     only 2m factors are drawn, and every pair of the first m - 1 of each is
     in the pool, so only the last shell is masked.  Each right factor is
-    scored by its best in-pool left partner, one real matrix product per
-    block of right factors (`_POOL_BLOCK`), into one table of K rows; a block
-    of a sequence of K operators holds K reduced forms per right factor, so
-    memory grows with K.  One stable sort of each operator's scores picks
-    its eight best right factors, ties to the earlier one, and a local
-    search (`_seesaw`) runs them in at most 54 rounds: four rounds of one
-    seesaw sweep, alternating lowest eigenvectors of W reduced to one factor
+    scored by its best in-pool left partner, one real matrix product on the
+    d^2 real coordinates of each Hermitian pair per block of right factors
+    (`_POOL_BLOCK`), into one table of K rows; a block of a sequence of K
+    operators holds K reduced forms per right factor, so memory grows with
+    K.  One stable sort of each operator's scores picks its eight best
+    right factors, ties to the earlier one, and a local search (`_seesaw`)
+    runs them in at most 54 rounds: four rounds of one seesaw sweep,
+    alternating lowest eigenvectors of W reduced to one factor
     (Lewenstein et al., PRA 62, 052310 (2000)), then rounds of a Riemannian
     Newton step on the product of the two unit spheres (its model is H in
     the frame [a, U_a] (x) [b, U_b]), where the seesaw alone crawls on flat
-    minima, or a sweep from the start's own factors where the step fails;
+    minima: the first of 3, 1, 1/2, 1/4 and 1/8 times the step that lowers
+    the value, or a sweep from the start's own factors where none does;
     after the first round a sweep that would raise a start at round-off is
     not taken.  A start stops once its round lowers it by no more than
     1e-15, an absolute rule: on an operator scaled far above unit norm,

@@ -1,3 +1,4 @@
+import json
 import math
 import types
 
@@ -7,6 +8,7 @@ import pytest
 from entwit import (
     BipartiteOperator,
     DensityMatrix,
+    SimplexParams,
     hermitian_spectrum,
     horodecki_state,
     hs_inner,
@@ -18,6 +20,8 @@ from entwit import (
     operator_from_dict,
     operator_to_dict,
     partial_transpose,
+    region_witnesses,
+    simplex_state,
     tensor,
     weyl_operator,
 )
@@ -60,7 +64,7 @@ def test_operator_keeps_real_input_real():
     assert identity(3, 3).entries.dtype == np.complex128
     real = BipartiteOperator(3, 3, np.eye(9))
     back = operator_from_dict(operator_to_dict(real))
-    assert back.entries.dtype == np.complex128
+    assert back.entries.dtype == np.float64
     assert np.array_equal(back.entries, real.entries)
     # a real scale keeps it real, an imaginary one does not
     for scaled in (2 * real, real * 2.0, real / 3, -real, real - real):
@@ -311,6 +315,25 @@ def test_operator_json_round_trip():
     assert doc["dim_a"] == 2 and doc["dim_b"] == 3
     assert len(doc["entries"]) == 36
     back = operator_from_dict(doc)
+    assert np.array_equal(back.entries, op.entries)
+
+
+def test_json_witness_gives_the_in_process_values():
+    # a witness read back from JSON is held real, as the one built in
+    # process, so its expectations round the same, bit for bit
+    state = simplex_state(SimplexParams(0.5, 0.0, 0.0)).density()
+    for witness in region_witnesses():
+        text = json.dumps(operator_to_dict(witness.op))
+        back = operator_from_dict(json.loads(text))
+        assert back.entries.dtype == witness.op.entries.dtype == np.float64
+        assert hs_inner(state.op, back) == hs_inner(state.op, witness.op)
+    # one nonzero imaginary part keeps the whole operator complex
+    doc = operator_to_dict(BipartiteOperator(3, 3, np.eye(9)))
+    doc["entries"][1] = [0.0, 1e-300]
+    assert operator_from_dict(doc).entries.dtype == np.complex128
+    op = random_operator(np.random.default_rng(32))
+    back = operator_from_dict(operator_to_dict(op))
+    assert back.entries.dtype == np.complex128
     assert np.array_equal(back.entries, op.entries)
 
 

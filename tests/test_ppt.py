@@ -28,6 +28,7 @@ from entwit.families import (_bell_diagonal, _family_weights,
                              _horodecki_params, _pt_blocks, _pt_weights)
 from entwit.operators import _as_operator
 from entwit.ppt import (
+    _broadcast_forms,
     _matrix_map,
     _newton_trials,
     _pool_factors,
@@ -575,17 +576,68 @@ def test_second_order_model_at_the_schmidt_minimizer(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_newton_trial_values_are_those_of_their_factors(d):
-    # each trial value is <v|H|v> of the product v of the trial factors
+    # five trials along one tangent move t, at 3, 1, 1/2, 1/4 and 1/8 times
+    # it: trial k is the unit vector along a + l_k t with t orthogonal to
+    # a, so trial_k / <a, trial_k> - a is l_k t.  Each trial value is
+    # <v|H|v> of the product v of the trial factors
     rng = np.random.default_rng(90 + d)
     hermitian = _random_hermitian(rng, 5, d * d)
     factors = _random_vectors(rng, 10, d).reshape(5, 2, d)
     trials, values = _newton_trials(hermitian, factors)
-    assert trials.shape == (5, 4, 2, d) and values.shape == (5, 4)
+    assert trials.shape == (5, 5, 2, d) and values.shape == (5, 5)
     assert np.allclose(np.linalg.norm(trials, axis=-1), 1, rtol=0, atol=1e-15)
+    overlaps = np.einsum("nfi,ntfi->ntf", factors.conj(), trials)
+    moves = trials / overlaps[..., None] - factors[:, None]
+    lengths = np.array([3, 1, 0.5, 0.25, 0.125])
+    full = moves[:, 1]
+    assert np.linalg.norm(full, axis=-1).min() > 1e-3
+    assert np.abs(moves - lengths[:, None, None] * full[:, None]).max() <= 1e-14
     for n, k in np.ndindex(values.shape):
         v = np.kron(*trials[n, k])
         brute = np.vdot(v, hermitian[n] @ v).real
         assert abs(values[n, k] - brute) <= 1e-14 * np.linalg.norm(hermitian[n])
+
+
+def _flat_minimum_witnesses():
+    """The region-II witness and the line witnesses at gamma = +-3/7 and
+    lambda_min, whose separable minima are degenerate: there the seesaw
+    alone crawls."""
+    lines = [line_witness(gamma, detection_profile(gamma).lambda_min)[0]
+             for gamma in (3 / 7, -3 / 7)]
+    return np.stack([w.op.entries for w in (region_witnesses()[1], *lines)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_three_times_the_step_lands_on_flat_minima(seed, monkeypatch):
+    # on a degenerate minimum a Newton step covers a third of the distance
+    # and three times it lands on the minimum, so the first trial lowers
+    # some start's value by far more than round-off, and is taken.  The
+    # floors stay those of the trial order without it (the step, then its
+    # halvings) within the absolute stop rule, which decides where a start
+    # on a flat minimum stops: the line witnesses have norm 0.0098, and
+    # their floors of the two orders differ by up to 1.3e-16.  The region-II
+    # witness touches the separable set
+    mats = _flat_minimum_witnesses()
+    tables = _matrix_map(mats, 3)
+    config = SamplerConfig(seed=seed, count=20000)
+    newton = ppt._newton_trials
+    taken = []
+
+    def spy(hermitian, factors):
+        trials, values = newton(hermitian, factors)
+        v = (factors[:, 0, :, None] * factors[:, 1, None, :]).reshape(len(factors), -1)
+        current = np.einsum("na,nab,nb->n", v.conj(), hermitian, v).real
+        taken.append(values[:, 0] < current - 1e-12)
+        return trials, values
+
+    monkeypatch.setattr(ppt, "_newton_trials", spy)
+    floors = _separable_floors(tables, config)
+    assert np.concatenate(taken).any()
+    monkeypatch.setattr(ppt, "_newton_trials",
+                        lambda h, f: tuple(x[:, 1:] for x in newton(h, f)))
+    without = _separable_floors(tables, config)
+    assert np.abs(floors - without).max() <= ppt._SEESAW_TOL
+    assert abs(floors[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 48, 63, 64, 65, 500,
@@ -615,6 +667,85 @@ def test_bell_pool_scores_match_brute_force():
     brute, _ = _pool_brute_force(mats, config)
     scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
     assert (np.abs(scores - brute) <= 1e-14 * scale).all()
+
+
+def _complex_feature_scores(tables, config):
+    """`_pool_scores` on 2 d^2 real features: each pair's value as
+    Re sum_pr conj(a_p) a_r L(b)_pr, the rows [Re, -Im] of conj(a) (x) a
+    against the columns [Re; Im] of every form of L, and each block's forms
+    from the tables gathered K n times."""
+    d = math.isqrt(tables.shape[-1])
+    left, right = _pool_factors(d, config)
+    m, k = len(left), len(tables)
+    last = m - 1
+    right = right[:m - (m * last >= config.count)]
+    pairs = left.conj()[:, :, None] * left[:, None, :]
+    rows = np.concatenate([pairs.real, -pairs.imag], axis=1).reshape(m, -1)
+    scores = np.empty((k, len(right)))
+    width = max(1, ppt._POOL_BLOCK // m)
+    for start in range(0, len(right), width):
+        block = right[start:start + width]
+        n = len(block)
+        forms = _reduced_forms(tables[:, 0], np.repeat(np.arange(k), n),
+                               np.tile(block, (k, 1)))
+        cols = np.concatenate([forms.real, forms.imag], axis=1).reshape(k * n, -1)
+        values = (rows @ cols.T).reshape(m, k, n)
+        columns = np.arange(start, start + n)
+        values[last, :, _shell_ranks(last, columns) >= config.count] = np.inf
+        if columns[-1] == last:
+            outside = _shell_ranks(np.arange(last), last) >= config.count
+            values[:last][outside, :, -1] = np.inf
+        scores[:, start:start + n] = values.min(axis=0)
+    return scores, right
+
+
+def _assert_same_starts(mats, d, config):
+    tables = _matrix_map(mats, d)
+    scores, right = _pool_scores(tables, config)
+    reference, reference_right = _complex_feature_scores(tables, config)
+    assert np.array_equal(right, reference_right)
+    scale = np.linalg.norm(mats, axis=(1, 2))[:, None]
+    assert (np.abs(scores - reference) <= 1e-15 * scale).all()
+    starts = np.argsort(scores, axis=1, kind="stable")[:, :8]
+    assert np.array_equal(
+        starts, np.argsort(reference, axis=1, kind="stable")[:, :8])
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_battery_starts_are_those_of_complex_features(seed):
+    # the pool scores each pair on the d^2 real coordinates of the
+    # Hermitian forms; the battery's 22 witnesses at its sample count take
+    # the eight starts that 2 d^2 features give
+    _assert_same_starts(_bell_diagonal(_battery_traces()), 3,
+                        SamplerConfig(seed=seed, count=100000))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_starts_are_those_of_complex_features(d):
+    # complex Hermitian operators, not Bell-diagonal, across column blocks
+    rng = np.random.default_rng(40 + d)
+    for seed, count in ((0, 7), (1, 2000), (2, 2 * ppt._POOL_BLOCK + 1)):
+        _assert_same_starts(_random_hermitian(rng, 6, d * d), d,
+                            SamplerConfig(seed=seed, count=count))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("real", [True, False])
+def test_broadcast_forms_are_the_gathered_forms(d, real):
+    # form [k, j] is tables[k] times conj(b_j) (x) b_j, one product per
+    # form, bit for bit, for real and complex tables
+    rng = np.random.default_rng(60 + d)
+    mats = (_random_hermitian(rng, 4, d * d).real if real
+            else _random_hermitian(rng, 4, d * d))
+    tables = _matrix_map(mats, d)
+    assert tables.dtype == (np.float64 if real else np.complex128)
+    vecs = _random_vectors(rng, 11, d)
+    for side in (0, 1):
+        forms = _broadcast_forms(tables[:, side], vecs)
+        gathered = _reduced_forms(tables[:, side], np.repeat(np.arange(4), 11),
+                                  np.tile(vecs, (4, 1)))
+        assert forms.shape == (4, 11, d, d)
+        assert np.array_equal(forms.reshape(-1, d, d), gathered)
 
 
 def _probe_starts(tables, config, monkeypatch):
