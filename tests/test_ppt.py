@@ -611,12 +611,12 @@ def _flat_minimum_witnesses():
 def test_three_times_the_step_lands_on_flat_minima(seed, monkeypatch):
     # on a degenerate minimum a Newton step covers a third of the distance
     # and three times it lands on the minimum, so the first trial lowers
-    # some start's value by far more than round-off, and is taken.  The
-    # floors stay those of the trial order without it (the step, then its
-    # halvings) within the absolute stop rule, which decides where a start
-    # on a flat minimum stops: the line witnesses have norm 0.0098, and
-    # their floors of the two orders differ by up to 1.3e-16.  The region-II
-    # witness touches the separable set
+    # some start's value by far more than round-off, and below the full
+    # step's value, and is taken.  The floors stay those of the trial order
+    # without it (the step, then its halvings) within the absolute stop
+    # rule, which decides where a start on a flat minimum stops: the line
+    # witnesses have norm 0.0098, and their floors of the two orders differ
+    # by up to 1.3e-16.  The region-II witness touches the separable set
     mats = _flat_minimum_witnesses()
     tables = _matrix_map(mats, 3)
     config = SamplerConfig(seed=seed, count=20000)
@@ -625,9 +625,11 @@ def test_three_times_the_step_lands_on_flat_minima(seed, monkeypatch):
 
     def spy(hermitian, factors):
         trials, values = newton(hermitian, factors)
-        v = (factors[:, 0, :, None] * factors[:, 1, None, :]).reshape(len(factors), -1)
+        v = np.einsum("ni,nj->nij", factors[:, 0], factors[:, 1])
+        v = v.reshape(len(factors), -1)
         current = np.einsum("na,nab,nb->n", v.conj(), hermitian, v).real
-        taken.append(values[:, 0] < current - 1e-12)
+        taken.append((values[:, 0] < current - 1e-12)
+                     & (values[:, 0] < values[:, 1]))
         return trials, values
 
     monkeypatch.setattr(ppt, "_newton_trials", spy)
