@@ -22,12 +22,15 @@ from .families import (SimplexParams, _family_pt_minimum, _family_weights,
 from .witness import (
     DETECTION_GAMMA,
     _ANCHOR_GAMMA_MAX,
+    DetectionProfile,
     _certifies,
+    _detection_profiles,
+    _line_moduli,
     _line_pair,
     _measure_values,
+    _reject_nonfinite,
     _region_traces,
     _tangent_traces,
-    detection_profile,
     line_witness_coefficients,
 )
 
@@ -84,18 +87,18 @@ def _line_witness_for_slice(gamma: float, lam: float | None = None):
     certified whenever detection is possible at all; slices where it
     detects nothing give None.  An explicit `lam` outside (0, 1], or a gamma
     outside the anchor windows, raises ValueError (`witness._line_pair`).
-    The certificate is that of `certify_witness`, from the closed form.
+    The certificate is that of `certify_witness`, from the closed-form
+    scale a and coefficient moduli (`witness._line_moduli`).
     """
     if lam is None:
         if not DETECTION_GAMMA < abs(gamma) <= _ANCHOR_GAMMA_MAX:
             return None
-        profile = detection_profile(gamma)
-        if not profile.detects:
+        lam = _detection_profiles(gamma)[2]  # lambda_min
+        if lam >= 1.0:  # detects nothing
             return None
-        lam = profile.lambda_min
     traces, _ = _tangent_traces(*_line_pair(gamma, lam))
-    coeffs = line_witness_coefficients(gamma, lam)
-    return traces, _certifies(coeffs.a, max(abs(coeffs.c1), abs(coeffs.c2)))
+    return traces, _certifies(line_witness_coefficients(gamma, lam).a,
+                              max(_line_moduli(gamma, lam)))
 
 
 def _witness_values(weights: np.ndarray, traces: np.ndarray) -> np.ndarray:
@@ -309,9 +312,13 @@ def classify_point(params, tol: float = PSD_TOL,
     `line_lambda` overrides the segment parameter of the line witness
     (default: lambda_min of the slice); an uncertified override is still
     reported but never counts toward detection, and one that
-    `line_witness` cannot build raises ValueError.
+    `line_witness` cannot build raises ValueError, as does a parameter that
+    is not finite.
     """
     point = np.array(params, dtype=float)
+    if not np.isfinite(point).all():
+        for name, value in zip(("alpha", "beta", "gamma"), point):
+            _reject_nonfinite(name, value)
     columns = _classify_slice(point[:1], point[1:2], float(point[2]), tol,
                               line_lambda)
     (alpha,), (beta,), gamma, (valid,), (pt_min,), (label,), values, \
@@ -422,18 +429,11 @@ class LambdaScanReport:
 
     def to_csv(self) -> str:
         lines = ["gamma,lambda_1,lambda_2,lambda_min,detects"]
-        for profile in self.rows:
-            lines.append(",".join([
-                format_float(profile.gamma),
-                format_float(profile.lambda_1),
-                format_float(profile.lambda_2),
-                format_float(profile.lambda_min),
-                "true" if profile.detects else "false",
-            ]))
-        lines.append(
-            f"# summary: min_lambda_min={format_float(self.min_lambda)}"
-            f" at gamma={format_float(self.argmin_gamma)}"
-        )
+        lines.extend("%.15g,%.15g,%.15g,%.15g,%s" % (
+            p.gamma, p.lambda_1, p.lambda_2, p.lambda_min,
+            "true" if p.detects else "false") for p in self.rows)
+        lines.append("# summary: min_lambda_min=%.15g at gamma=%.15g"
+                     % (self.min_lambda, self.argmin_gamma))
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
@@ -441,29 +441,27 @@ class LambdaScanReport:
             "grid": self.grid,
             "provenance": self.provenance,
             "rows": [profile.to_dict() for profile in self.rows],
-            "summary": {
-                "min_lambda_min": self.min_lambda,
-                "argmin_gamma": self.argmin_gamma,
-            },
+            "summary": {"min_lambda_min": self.min_lambda,
+                        "argmin_gamma": self.argmin_gamma},
         }
 
 
 def lambda_scan(gamma_lo: float, gamma_hi: float, steps: int) -> LambdaScanReport:
-    """Detection profiles on an even gamma grid; gamma = 0 is skipped, and a
-    grid with no other gamma is rejected."""
+    """Detection profiles on an even gamma grid, all from one call of
+    `witness._detection_profiles` (the rows are bit for bit those of
+    `detection_profile`); gamma = 0 is skipped, and a grid with no other
+    gamma is rejected, as is the first gamma `detection_profile` rejects."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
     gammas = np.linspace(float(gamma_lo), float(gamma_hi), steps)
-    rows = [detection_profile(float(gamma)) for gamma in gammas if gamma != 0.0]
-    if not rows:
+    gammas = gammas[gammas != 0.0]
+    if not gammas.size:
         raise ValueError("the gamma range holds no nonzero gamma to scan")
+    columns = (gammas, *_detection_profiles(gammas))
+    rows = [DetectionProfile(*row)
+            for row in zip(*(column.tolist() for column in columns))]
     # the first of equal minima, in grid order
-    best = min(rows, key=lambda profile: profile.lambda_min)
-    grid = {
-        "gamma_range": [float(gamma_lo), float(gamma_hi)],
-        "steps": steps,
-    }
-    provenance = {"tool": "entwit", "version": __version__}
-    return LambdaScanReport(grid=grid, provenance=provenance, rows=rows,
-                            min_lambda=best.lambda_min,
-                            argmin_gamma=best.gamma)
+    best = rows[int(np.argmin(columns[3]))]
+    grid = {"gamma_range": [float(gamma_lo), float(gamma_hi)], "steps": steps}
+    return LambdaScanReport(grid, {"tool": "entwit", "version": __version__},
+                            rows, best.lambda_min, best.gamma)

@@ -29,8 +29,10 @@ eigensolver.
 
 The threshold scan bisects each of its 10 000 roots from a bracket a few
 ulps wide around the value that the 1/lambda scaling of the coefficient
-moduli predicts.  Where a bracket does not hold its root, the check fails
-and names the gamma; it never widens the bracket.
+moduli predicts, bit for bit the lambda_min that `lambda-scan` prints: the
+scan, the threshold lines and `detection_profile` read one closed form,
+`witness._line_moduli`.  Where a bracket does not hold its root, the check
+fails and names the gamma; it never widens the bracket.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ from .witness import (
     line_witness_coefficients,
     region_witnesses,
     _certify_stack,
+    _detection_profiles,
     _gamma0_nearest,
+    _line_moduli,
     _line_pair,
     _measure_values,
     _tangent_traces,
@@ -109,19 +113,6 @@ def _check_flag(name, ok, target, computed) -> CheckResult:
     return _check(name, 0.0 if ok else 1.0, 0.0, target, computed)
 
 
-def _coeff_moduli(gammas):
-    """The coefficient moduli (f1, f2) of the line witness at `gammas`, as
-    a function of lambda; the factors that do not depend on lambda are
-    computed once."""
-    g3 = 1.0 + 3.0 * gammas ** 2
-    s = 2.0 * np.sqrt(1.0 + 147.0 * gammas ** 2)
-
-    def moduli(lams):
-        denom = 7.0 * lams * g3
-        return 8.0 / denom, s / denom
-    return moduli
-
-
 def _bisect(f, lo, hi, iters: int):
     """Sign change of f in [lo, hi] after `iters` halvings; elementwise.
 
@@ -149,24 +140,23 @@ def _bisect(f, lo, hi, iters: int):
 
 
 def _bisect_lambda_roots(gammas):
-    """Per-gamma root of max |coefficient| = 1 in lambda, by bisection, and
-    whether each bracket held it.
+    """Per-gamma root of max |coefficient| = 1 in lambda, by bisection of the
+    moduli of `witness._line_moduli`, and whether each bracket held it.
 
     Both moduli scale as 1/lambda, so the root is their larger value at
-    lambda = 1.  Each bracket is that value times 1 -+ 2^-50, about 8 ulps
-    either side, and holds its root when the excess max |coefficient| - 1
-    is positive at its low end and not at its high one.  The excess is a
-    monotone float expression in lambda (products and quotients of positive
-    numbers), so where a bracket holds, its root is bit for bit that of a
-    bracket from 0.05 to 2 (`_bisect`), in 5 halvings instead of about
-    54.  Where a bracket does not hold, its root means nothing.
+    lambda = 1, bit for bit the lambda_min of `detection_profile`.  Each
+    bracket is that value times 1 -+ 2^-50, about 8 ulps either side, and
+    holds its root when the excess max |coefficient| - 1 is positive at its
+    low end and not at its high one.  The excess is a monotone float
+    expression in lambda (products and quotients of positive numbers), so
+    where a bracket holds, its root is bit for bit that of a bracket from
+    0.05 to 2 (`_bisect`), in 5 halvings instead of about 54.  Where a
+    bracket does not hold, its root means nothing.
     """
-    moduli = _coeff_moduli(gammas)
-
     def excess(lams):
-        return np.maximum(*moduli(lams)) - 1.0
+        return np.maximum(*_line_moduli(gammas, lams)) - 1.0
 
-    guess = np.maximum(*moduli(1.0))
+    guess = np.maximum(*_line_moduli(gammas, 1.0))
     lo, hi = guess * (1.0 - 2.0 ** -50), guess * (1.0 + 2.0 ** -50)
     held = (excess(lo) > 0) & (excess(hi) <= 0)
     return _bisect(excess, lo, hi, 80), held
@@ -186,7 +176,8 @@ def _unbracketed(gamma) -> CheckResult:
 
 
 def check_total_minimum_scan() -> CheckResult:
-    """Grid scan plus bisection, using only the coefficient moduli.
+    """Grid scan plus bisection, using only the coefficient moduli
+    (`witness._line_moduli`, which `detection_profile` also reads).
 
     The minimum of max(root_1, root_2) over gamma sits at the kink where the
     two root curves cross, so the grid minimum is refined by bisecting the
@@ -204,7 +195,7 @@ def check_total_minimum_scan() -> CheckResult:
     scan_min = float(roots[best])
 
     def root_gap(gamma):
-        return np.subtract(*_coeff_moduli(gamma)(1.0))
+        return np.subtract(*_line_moduli(gamma, 1.0))
 
     lo = gammas[max(best - 1, 0)]
     hi = gammas[min(best + 1, len(gammas) - 1)]
@@ -225,29 +216,25 @@ def check_crossing_equality() -> CheckResult:
 
 
 def check_crossing_sign_flip() -> CheckResult:
-    below = detection_profile(CROSSING_GAMMA - 1e-6)
-    above = detection_profile(CROSSING_GAMMA + 1e-6)
-    ok = (below.lambda_1 - below.lambda_2 > 0) and (
-        above.lambda_1 - above.lambda_2 < 0)
-    return _check_flag("crossing_sign_flip", ok,
+    lambda_1, lambda_2, _, _ = _detection_profiles(
+        CROSSING_GAMMA + np.array([-1e-6, 1e-6]))
+    below, above = (lambda_1 - lambda_2).tolist()
+    return _check_flag("crossing_sign_flip", below > 0 > above,
                        "lambda_1-lambda_2 flips sign",
-                       f"below={below.lambda_1 - below.lambda_2:.3e}, "
-                       f"above={above.lambda_1 - above.lambda_2:.3e}")
+                       f"below={below:.3e}, above={above:.3e}")
 
 
 def check_detection_boundary() -> CheckResult:
-    inside = detection_profile(DETECTION_GAMMA + 1e-6).detects
-    outside = detection_profile(DETECTION_GAMMA - 1e-6).detects
-    ok = inside and not outside
-    return _check_flag("detection_boundary", ok,
+    inside, outside = _detection_profiles(
+        DETECTION_GAMMA + np.array([1e-6, -1e-6]))[3].tolist()
+    return _check_flag("detection_boundary", inside and not outside,
                        "detects iff |gamma| > 1/sqrt(21)",
                        f"at +eps: {inside}, at -eps: {outside}")
 
 
 def _b_excess(b):
     # max coefficient modulus of the line witness at lambda = 1, minus 1
-    coeff = line_witness_coefficients((5.0 - 2.0 * b) / 7.0, 1.0)
-    return np.maximum(np.abs(coeff.c1), np.abs(coeff.c2)) - 1.0
+    return np.maximum(*_line_moduli(_horodecki_params(b).gamma, 1.0)) - 1.0
 
 
 def check_detection_endpoints() -> CheckResult:
@@ -399,7 +386,7 @@ def _threshold_lines() -> tuple[np.ndarray, np.ndarray]:
     10 of each sign, as read-only arrays."""
     magnitudes = np.linspace(DETECTION_GAMMA + 1e-3, 3 / 7, 10)
     gammas = np.concatenate([-magnitudes[::-1], magnitudes])
-    lams = np.array([detection_profile(gamma).lambda_min for gamma in gammas])
+    lams = _detection_profiles(gammas)[2]
     for array in (gammas, lams):
         array.setflags(write=False)
     return gammas, lams

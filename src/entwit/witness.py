@@ -138,13 +138,7 @@ class DetectionProfile:
     detects: bool
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": float(self.gamma),
-            "lambda_1": float(self.lambda_1),
-            "lambda_2": float(self.lambda_2),
-            "lambda_min": float(self.lambda_min),
-            "detects": self.detects,
-        }
+        return dict(vars(self))
 
 
 class LineWitnessCoefficients(NamedTuple):
@@ -390,21 +384,37 @@ def hs_measure_gamma0(alpha: float, beta: float) -> tuple[float, str]:
     return float(measure), "I" if region_one else "II"
 
 
+def _reject_nonfinite(name: str, values) -> None:
+    """ValueError naming the first value of `values` that is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{name}={np.extract(~finite, values)[0]} is not finite")
+
+
+def _line_moduli(gamma, lam):
+    """The moduli (|c1|, |c2|) of the line-witness coefficients, elementwise
+    over arrays that broadcast: the one statement of both closed forms.  At
+    lambda = 1 the denominator is bit for bit 7 (1 + 3 gamma^2)."""
+    denom = 7.0 * lam * (1.0 + 3.0 * gamma * gamma)
+    return 8.0 / denom, 2.0 * np.sqrt(1.0 + 147.0 * gamma * gamma) / denom
+
+
 def line_witness_coefficients(gamma: float, lam: float) -> LineWitnessCoefficients:
-    """Closed-form (a, c1, c2) of the line witness, any gamma, lambda > 0;
-    elementwise over arrays that broadcast.
+    """Closed-form (a, c1, c2) of the line witness, any finite gamma, lambda
+    > 0; elementwise over arrays that broadcast.
 
     a = (1 + 3 gamma^2)/36 * lambda (1 - lambda),
-    c1 = -8 / (7 lambda (1 + 3 gamma^2)),
+    c1 = -8 / (7 lambda (1 + 3 gamma^2)), minus |c1| of `_line_moduli`,
     c2 = 2 (1 - 7 sqrt(3) gamma i) / (7 lambda (1 + 3 gamma^2)).
     """
+    _reject_nonfinite("gamma", gamma)
+    _reject_nonfinite("lambda", lam)
     if (np.asarray(lam) <= 0).any():
         raise ValueError("lambda must be positive; coefficients diverge at 0")
     denom = 1.0 + 3.0 * gamma * gamma
     a = -denom / 36.0 * lam * (lam - 1.0)
-    c1 = -8.0 / (7.0 * lam * denom)
     c2 = 2.0 * (1.0 - 7.0 * math.sqrt(3.0) * gamma * 1j) / (7.0 * lam * denom)
-    return LineWitnessCoefficients(a=a, c1=c1, c2=c2)
+    return LineWitnessCoefficients(a=a, c1=-_line_moduli(gamma, lam)[0], c2=c2)
 
 
 def _line_pair(gamma, lam) -> tuple[SimplexParams, SimplexParams]:
@@ -447,29 +457,32 @@ def line_witness(gamma: float, lam: float):
             line_witness_coefficients(gamma, lam))
 
 
-def detection_profile(gamma: float) -> DetectionProfile:
-    """Solve |c1| = 1 and |c2| = 1 for lambda at fixed gamma.
+def _detection_profiles(gammas):
+    """(lambda_1, lambda_2, lambda_min, detects) at an array of gammas:
+    |c1| = 1 and |c2| = 1 solved for lambda, the moduli at lambda = 1, as
+    both fall off as 1/lambda.  ValueError names the first gamma that is not
+    finite, or is 0, or lies outside the PPT anchor window."""
+    gammas = np.asarray(gammas, dtype=float)[()]  # a scalar as in _line_pair
+    magnitude = np.abs(gammas)
+    if not ((0.0 < magnitude) & (magnitude <= _ANCHOR_GAMMA_MAX)).all():
+        _reject_nonfinite("gamma", gammas)
+        if not gammas.all():
+            raise ValueError("gamma must be nonzero (anchor would be the gamma=0 slice)")
+        raise ValueError(f"|gamma|={np.extract(magnitude > _ANCHOR_GAMMA_MAX, magnitude)[0]}"
+                         " outside the PPT anchor window (<= 3/7)")
+    lambda_1, lambda_2 = _line_moduli(gammas, 1.0)
+    lambda_min = np.maximum(lambda_1, lambda_2)
+    return lambda_1, lambda_2, lambda_min, lambda_min < 1.0
 
-    Both moduli fall off as 1/lambda, so the roots are unique:
-    lambda_1 = 8/(7 (1+3 gamma^2)) and
-    lambda_2 = 2 sqrt(1 + 147 gamma^2)/(7 (1+3 gamma^2)).
+
+def detection_profile(gamma: float) -> DetectionProfile:
+    """Solve |c1| = 1 and |c2| = 1 for lambda at fixed gamma: the N=1 case
+    of `_detection_profiles`.
+
     Detection (lambda_min < 1) happens exactly for |gamma| > 1/sqrt(21).
     """
-    if gamma == 0:
-        raise ValueError("gamma must be nonzero (anchor would be the gamma=0 slice)")
-    if abs(gamma) > _ANCHOR_GAMMA_MAX:
-        raise ValueError(f"|gamma|={abs(gamma)} outside the PPT anchor window (<= 3/7)")
-    denom = 7.0 * (1.0 + 3.0 * gamma * gamma)
-    lambda_1 = 8.0 / denom
-    lambda_2 = 2.0 * math.sqrt(1.0 + 147.0 * gamma * gamma) / denom
-    lambda_min = max(lambda_1, lambda_2)
-    return DetectionProfile(
-        gamma=float(gamma),
-        lambda_1=lambda_1,
-        lambda_2=lambda_2,
-        lambda_min=lambda_min,
-        detects=bool(lambda_min < 1.0),
-    )
+    profile = (column.item() for column in _detection_profiles(gamma))
+    return DetectionProfile(float(gamma), *profile)
 
 
 def horodecki_detection_range() -> tuple[tuple[float, float], tuple[float, float]]:

@@ -9,7 +9,9 @@ import types
 import numpy as np
 import pytest
 
-from entwit import classify_ppt, horodecki_state, reproduce, witness
+from entwit import (classify_ppt, detection_profile, horodecki_state,
+                    reproduce, witness)
+from entwit.atlas import lambda_scan
 from entwit.families import _family_weights
 from entwit.witness import DETECTION_GAMMA
 from entwit.reproduce import (
@@ -229,8 +231,8 @@ def test_bisect_root_does_not_depend_on_the_bracket():
 
 def _wide_lambda_roots(gammas):
     # the scan's roots bisected from the bracket [0.05, 2] at every gamma
-    moduli = reproduce._coeff_moduli(gammas)
-    return reproduce._bisect(lambda lams: np.maximum(*moduli(lams)) - 1.0,
+    moduli = reproduce._line_moduli
+    return reproduce._bisect(lambda lams: np.maximum(*moduli(gammas, lams)) - 1.0,
                              np.full_like(gammas, 0.05),
                              np.full_like(gammas, 2.0), 80)
 
@@ -247,7 +249,7 @@ def test_scan_roots_equal_those_of_wide_brackets(monkeypatch):
     monkeypatch.setattr(reproduce, "_bisect_lambda_roots", spy)
     result = check_total_minimum_scan()
     assert result.passed
-    assert result.computed == "0.8750000000000002"
+    assert result.computed == "0.8749999999999998"
     grid, crossing = seen
     assert np.array_equal(grid, np.linspace(DETECTION_GAMMA, 3 / 7, 10000))
     assert abs(crossing - witness.CROSSING_GAMMA) <= 1e-15
@@ -255,6 +257,39 @@ def test_scan_roots_equal_those_of_wide_brackets(monkeypatch):
         roots, held = bisect_roots(gammas)
         assert held.all()
         assert np.array_equal(roots, _wide_lambda_roots(gammas))
+
+
+def test_threshold_routes_agree_bit_for_bit(monkeypatch):
+    # the scan's guess at lambda = 1, the threshold lines, the lambda-scan
+    # rows and detection_profile read one closed form: on the 100 000
+    # gammas of two scans over a seeded sub-window of the detecting window,
+    # one of each sign, and on the 20 threshold-line gammas they agree bit
+    # for bit
+    lo, hi = np.sort(np.random.default_rng(0).uniform(DETECTION_GAMMA, 3 / 7,
+                                                      2))
+    rows = (lambda_scan(-hi, -lo, 50_000).rows
+            + lambda_scan(lo, hi, 50_000).rows)
+    line_gammas, line_lams = reproduce._threshold_lines()
+    gammas = np.concatenate([[row.gamma for row in rows], line_gammas])
+    singles = [detection_profile(gamma) for gamma in gammas.tolist()]
+    assert rows == singles[:len(rows)]
+    lams = np.array([profile.lambda_min for profile in singles])
+    assert np.array_equal(line_lams, lams[len(rows):])
+
+    guesses = []
+    moduli = reproduce._line_moduli
+
+    def spy(gammas, lams):
+        pair = moduli(gammas, lams)
+        if np.ndim(lams) == 0 and lams == 1.0:
+            guesses.append(np.maximum(*pair))
+        return pair
+
+    monkeypatch.setattr(reproduce, "_line_moduli", spy)
+    _, held = reproduce._bisect_lambda_roots(gammas)
+    assert held.all()
+    (guess,) = guesses
+    assert np.array_equal(guess, lams)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -270,19 +305,18 @@ def test_total_minimum_scan_fails_where_a_bracket_misses_its_root(monkeypatch):
     # moduli that scale as 1/lambda^2 put each root at the square root of
     # the bracket's centre: the check names the first grid gamma whose
     # bracket misses it, where the wide bracket's root lies outside
-    moduli = reproduce._coeff_moduli
+    moduli = reproduce._line_moduli
 
-    def squared(gammas):
-        inner = moduli(gammas)
-        return lambda lams: tuple(m / lams for m in inner(lams))
+    def squared(gammas, lams):
+        return tuple(m / lams for m in moduli(gammas, lams))
 
-    monkeypatch.setattr(reproduce, "_coeff_moduli", squared)
+    monkeypatch.setattr(reproduce, "_line_moduli", squared)
     result = check_total_minimum_scan()
     assert not result.passed
     prefix = "no root in the bracket at gamma="
     assert result.computed.startswith(prefix), result.computed
     grid = np.linspace(DETECTION_GAMMA, 3 / 7, 10000)
-    centre = np.maximum(*squared(grid)(1.0))
+    centre = np.maximum(*squared(grid, 1.0))
     lo, hi = centre * (1 - 2.0 ** -50), centre * (1 + 2.0 ** -50)
     roots = _wide_lambda_roots(grid)
     missed = np.flatnonzero((roots < lo) | (roots > hi))

@@ -17,11 +17,12 @@ from entwit import (
     detection_profile,
     hermitian_spectrum,
     line_witness,
+    line_witness_coefficients,
     simplex_state,
     tensor,
     weyl_operator,
 )
-from entwit.atlas import classify_point, slice_sweep
+from entwit.atlas import classify_point, lambda_scan, slice_sweep
 
 # the last gamma inside the anchor window |gamma| <= 3/7 + 1e-12, and the
 # first outside it
@@ -98,6 +99,33 @@ def test_detection_profile_window_edge(sign):
     assert detection_profile(sign * WINDOW_EDGE).detects
     with pytest.raises(ValueError, match="anchor window"):
         detection_profile(sign * PAST_WINDOW)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: detection_profile(math.nan), "gamma=nan"),
+    (lambda: detection_profile(-math.inf), "gamma=-inf"),
+    (lambda: lambda_scan(math.nan, 0.3, 3), "gamma=nan"),
+    (lambda: line_witness_coefficients(0.3, math.nan), "lambda=nan"),
+    (lambda: line_witness_coefficients(0.3, math.inf), "lambda=inf"),
+    (lambda: line_witness_coefficients(math.nan, 0.5), "gamma=nan"),
+], ids=["profile-nan", "profile-inf", "scan-nan", "coefficients-lambda-nan",
+        "coefficients-lambda-inf", "coefficients-gamma-nan"])
+def test_non_finite_gamma_and_lambda_rejected(call, named):
+    with pytest.raises(ValueError, match=f"^{named} is not finite$"):
+        call()
+
+
+@pytest.mark.parametrize("params, named", [
+    ((0.1, 0.1, math.nan), "gamma=nan"),
+    ((math.inf, 0.0, 0.0), "alpha=inf"),
+    ((0.1, -math.inf, 0.3), "beta=-inf"),
+])
+def test_classify_point_rejects_non_finite_parameters(params, named):
+    # as simplex_state does, instead of labelling the point invalid
+    with pytest.raises(ValueError, match=f"^{named} is not finite$"):
+        classify_point(params)
+    with pytest.raises(ValueError, match="Bell weights must be finite"):
+        simplex_state(params)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -32,8 +32,8 @@ from entwit import (
 from entwit import reproduce
 from entwit.operators import BipartiteOperator
 from entwit.weyl import _weyl_coefficients
-from entwit.witness import (_certify_stack, _gamma0_nearest, _line_pair,
-                            _tangent_traces)
+from entwit.witness import (_certify_stack, _gamma0_nearest, _line_moduli,
+                            _line_pair, _tangent_traces)
 
 
 def u_combos():
@@ -393,6 +393,19 @@ def test_line_witness_coefficient_values():
     assert max(abs(coeff.c1), abs(coeff.c2)) < 1.0
     with pytest.raises(ValueError):
         line_witness_coefficients(0.3, 0.0)
+
+
+def test_line_witness_coefficients_tie_to_the_moduli():
+    # c1 is minus |c1| bit for bit; |c2| is the modulus of the complex c2 up
+    # to the rounding of np.abs
+    gammas, lams = np.meshgrid(np.linspace(-3 / 7, 3 / 7, 61),
+                               np.linspace(0.05, 1.0, 40))
+    coeff = line_witness_coefficients(gammas, lams)
+    modulus_1, modulus_2 = _line_moduli(gammas, lams)
+    assert np.array_equal(coeff.c1, -modulus_1)
+    assert (np.abs(np.abs(coeff.c2) - modulus_2)
+            <= 4 * np.spacing(modulus_2)).all()
+    assert line_witness_coefficients(0.3, 0.95).c1 == -_line_moduli(0.3, 0.95)[0]
 
 
 def test_line_witness_matches_raw_construction():
