@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,20 +18,8 @@ from . import __version__
 from .operators import PSD_TOL
 from .families import (SimplexParams, _family_pt_minimum, _family_weights,
                        _pt_minimum)
-from .witness import (
-    DETECTION_GAMMA,
-    _ANCHOR_GAMMA_MAX,
-    DetectionProfile,
-    _certifies,
-    _detection_profiles,
-    _line_moduli,
-    _line_pair,
-    _measure_values,
-    _reject_nonfinite,
-    _region_traces,
-    _tangent_traces,
-    line_witness_coefficients,
-)
+from .witness import (DetectionProfile, _detection_profiles, _label_witnesses,
+                      _measure_values, _reject_nonfinite)
 
 __all__ = [
     "LABEL_INVALID",
@@ -79,28 +66,6 @@ def format_float(x: float) -> str:
     return _FLOAT % float(x)
 
 
-@lru_cache(maxsize=64)
-def _line_witness_for_slice(gamma: float, lam: float | None = None):
-    """(Bell traces of the line witness, certified) for a slice.
-
-    With `lam=None` the witness sits at lambda_min(gamma), where it is
-    certified whenever detection is possible at all; slices where it
-    detects nothing give None.  An explicit `lam` outside (0, 1], or a gamma
-    outside the anchor windows, raises ValueError (`witness._line_pair`).
-    The certificate is that of `certify_witness`, from the closed-form
-    scale a and coefficient moduli (`witness._line_moduli`).
-    """
-    if lam is None:
-        if not DETECTION_GAMMA < abs(gamma) <= _ANCHOR_GAMMA_MAX:
-            return None
-        lam = _detection_profiles(gamma)[2]  # lambda_min
-        if lam >= 1.0:  # detects nothing
-            return None
-    traces, _ = _tangent_traces(*_line_pair(gamma, lam))
-    return traces, _certifies(line_witness_coefficients(gamma, lam).a,
-                              max(_line_moduli(gamma, lam)))
-
-
 def _witness_values(weights: np.ndarray, traces: np.ndarray) -> np.ndarray:
     """w . t, (M, N), for traces (M, 9) and weights (N, 9), summed elementwise
     in index order; a BLAS dot sums in an order that depends on the block."""
@@ -111,41 +76,39 @@ def _witness_values(weights: np.ndarray, traces: np.ndarray) -> np.ndarray:
 
 
 def _label_points(weights: np.ndarray, min_pt_eig: np.ndarray, tol: float,
-                  line) -> tuple:
+                  traces: np.ndarray, certified: np.ndarray) -> tuple:
     """The labelling rule, shared by `classify_weights` and `_classify_slice`:
     (valid, min_pt_eig, label, witness_values) of the states with Bell
-    weights (N, 9) and PT minima (N,), as `classify_weights` returns them."""
+    weights (N, 9) and PT minima (N,), as `classify_weights` returns them,
+    from the witness table (traces (M, 9), certified (M,)) of
+    `witness._label_witnesses`.  Every witness is reported; only the
+    certified ones count toward detection."""
     valid = weights.min(axis=1) >= -tol
-    traces = list(_region_traces())
-    if line is not None:
-        traces.append(line[0])
-    table = _witness_values(weights, np.array(traces))
+    table = _witness_values(weights, traces)
     values = dict(zip(("region_I", "region_II", "line"), table))
     # some certified witness below -tol (NaN hides one only on invalid rows)
-    detected = (table if line is not None and line[1]
-                else table[:2]).min(axis=0) < -tol
+    detected = table[certified].min(axis=0) < -tol
     npt_tag = np.where(values["region_I"] <= values["region_II"], 1, 2)
     code = np.where(valid, np.where(min_pt_eig < -tol, npt_tag,
                                     np.where(detected, 3, 4)), 0)
     return valid, min_pt_eig, _LABELS[code], values
 
 
-def classify_weights(weights, tol: float = PSD_TOL, line=None):
+def classify_weights(weights, tol: float = PSD_TOL):
     """Classify Bell-diagonal two-qutrit states rho = sum_k w_k P_k.
 
     `weights` is an (N, 9) array with the weight of P_{n,m} at column
-    3n + m.  `line` optionally adds a third witness as (t, certified), with
-    t_k = Tr(P_k W); an uncertified witness is reported but never counts
-    toward detection.
+    3n + m; ValueError for another shape or a weight that is not finite.
 
     Returns (valid, min_pt_eig, label, witness_values): arrays of length N
-    and a dict of them keyed "region_I", "region_II" and, with `line`,
-    "line".  Valid means every weight is >= -tol.  NPT states are tagged
-    NPT-I or NPT-II by the more violated region witness; valid PPT states
-    become "PPT-detected-bound-entangled" only when a certified witness is
-    below -tol on them, otherwise "PPT-unresolved".  No 9x9 matrix is
-    formed.  General weights have no closed-form PT spectrum, so the PT
-    minimum is the numeric one of a stacked 3x3 `eigvalsh`
+    and a dict of them keyed "region_I" and "region_II", the witness table
+    of `witness._label_witnesses` with no line witness, which is defined
+    per gamma.  Valid means every weight is >= -tol.  NPT states are
+    tagged NPT-I or NPT-II by the more violated region witness; valid PPT
+    states become "PPT-detected-bound-entangled" only when a region
+    witness is below -tol on them, otherwise "PPT-unresolved".  No 9x9
+    matrix is formed.  General weights have no closed-form PT spectrum, so
+    the PT minimum is the numeric one of a stacked 3x3 `eigvalsh`
     (`families._pt_minimum`); family points, which `_classify_slice`
     labels by the same rule, take the closed form
     (`families._family_pt_minimum`) instead.  Each witness value is w . t.
@@ -153,7 +116,9 @@ def classify_weights(weights, tol: float = PSD_TOL, line=None):
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != 9:
         raise ValueError(f"weights must have shape (N, 9), got {weights.shape}")
-    return _label_points(weights, _pt_minimum(weights), tol, line)
+    _reject_nonfinite("weights", weights)
+    return _label_points(weights, _pt_minimum(weights), tol,
+                         *_label_witnesses(0.0))
 
 
 def _csv_rows(columns: SliceColumns, width: int):
@@ -279,12 +244,14 @@ def _classify_slice(alphas: np.ndarray, betas: np.ndarray, gamma: float,
     (`families._family_pt_minimum`), with no eigensolve.  It agrees with
     the numeric route of `classify_weights` to round-off; where the exact
     minimum is 0, as at the corner (-1/6, -1/3, 0), it is exactly 0, so
-    only a `tol` of 0 can tell the two routes apart.
+    only a `tol` of 0 can tell the two routes apart.  The witnesses are
+    the one table of `witness._label_witnesses(gamma, line_lambda)`, built
+    per call.
     """
     valid, min_pt_eig, label, values = _label_points(
         _family_weights(alphas, betas, gamma),
         _family_pt_minimum(alphas, betas, gamma), tol,
-        _line_witness_for_slice(gamma, line_lambda))
+        *_label_witnesses(gamma, line_lambda))
     measure = np.full(len(label), math.nan)
     if gamma == 0.0:
         # the PT test of the label is the one hs_measure_gamma0 would repeat;

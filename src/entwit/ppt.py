@@ -231,10 +231,13 @@ def _dykstra(space: _Space, points: np.ndarray, tol: float,
     cycles, and its row is bit for bit the result of a stack of that point
     alone.  Run on the weights of Bell-diagonal states in `_BELL_SPACE`, it
     gives the weights of what it gives on their matrices in
-    `_matrix_space`, to round-off.  ValueError when `max_iter` is below 1.
+    `_matrix_space`, to round-off.  ValueError when `max_iter` is below 1
+    or `tol` is not positive and finite: a residual is never below 0.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(points)
     states = np.empty_like(points)
     iterations = np.empty(n, dtype=int)
@@ -300,7 +303,7 @@ def nearest_ppt(rho: DensityMatrix, tol: float = PSD_TOL,
 
     On iteration exhaustion the result carries `converged=False`, the last
     density-side iterate and the final residual.  ValueError when `max_iter`
-    is below 1.
+    is below 1 or `tol` is not positive and finite.
     """
     dim_a, dim_b = rho.dim_a, rho.dim_b
     run = _dykstra(_matrix_space(dim_a, dim_b), rho.entries[None], tol,

@@ -441,6 +441,30 @@ def _line_pair(gamma, lam) -> tuple[SimplexParams, SimplexParams]:
     return SimplexParams(*(lam * x for x in anchor)), anchor
 
 
+def _label_witnesses(gamma: float, lam: float | None = None):
+    """(traces (M, 9), certified (M,)) of the witnesses that label the
+    points of a gamma slice: the two region witnesses, always certified,
+    then the line witness where the slice has one.
+
+    With `lam=None` the line witness sits at lambda_min(gamma), where it is
+    certified whenever detection is possible at all; slices where it
+    detects nothing have none.  An explicit `lam` outside (0, 1], or a
+    gamma outside the anchor windows, raises ValueError (`_line_pair`).
+    The certificate is that of `certify_witness`, from the closed-form
+    scale a and coefficient moduli (`_line_moduli`).
+    """
+    traces, certified = list(_region_traces()), [True, True]
+    if lam is None and DETECTION_GAMMA < abs(gamma) <= _ANCHOR_GAMMA_MAX:
+        lam = _detection_profiles(gamma)[2]  # lambda_min
+        if lam >= 1.0:  # detects nothing
+            lam = None
+    if lam is not None:
+        traces.append(_tangent_traces(*_line_pair(gamma, lam))[0])
+        certified.append(_certifies(line_witness_coefficients(gamma, lam).a,
+                                    max(_line_moduli(gamma, lam))))
+    return np.array(traces), np.array(certified)
+
+
 def line_witness(gamma: float, lam: float):
     """Witness along the segment from a PPT Horodecki anchor to 1/9.
 

@@ -329,6 +329,18 @@ def test_cli_rejects_non_finite_gamma_range(capsys):
             capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, beta", [("0.2", "0.2"), ("0.5", "0")])
+def test_cli_nearest_ppt_rejects_tol_zero(alpha, beta, capsys):
+    # a PPT and an NPT state: the iteration stops only on a residual below
+    # tol, so at tol 0 it ran to its cap and exited 2
+    assert main(["nearest-ppt", "--alpha", alpha, "--beta", beta,
+                 "--tol", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("entwit nearest-ppt: tol must be positive and "
+                            "finite, got 0.0\n")
+
+
 def test_cli_nearest_ppt_rejects_steps_below_one(capsys):
     assert main(["nearest-ppt", "--alpha", "0.5", "--beta", "0",
                  "--steps", "0"]) == 1

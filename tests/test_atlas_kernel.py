@@ -33,7 +33,7 @@ from entwit.atlas import (
     SliceColumns,
     SweepReport,
     _classify_slice,
-    _line_witness_for_slice,
+    _label_points,
     classify_point,
     classify_weights,
     positivity_vertices,
@@ -42,8 +42,8 @@ from entwit.atlas import (
 from entwit.cli import main
 from entwit.families import (_family_pt_minimum, _family_weights,
                              _pt_block_table, _pt_minimum)
-from entwit.operators import _pt_array
-from entwit.witness import _region_traces
+from entwit.operators import PSD_TOL, _pt_array
+from entwit.witness import DETECTION_GAMMA, _label_witnesses, _region_traces
 
 BELL = np.array([bell_projector(3, (n, m)).entries
                  for n in range(3) for m in range(3)])
@@ -173,20 +173,29 @@ def test_family_pt_minimum_broadcasts_as_the_weights():
 @pytest.mark.parametrize("gamma", [0.0, 0.25, -0.3, 0.18, 0.05, -0.4, 0.41,
                                    0.6, -0.49])
 def test_closed_form_and_numeric_routes_label_alike(gamma):
-    """`slice_sweep` (closed form) against `classify_weights` (3x3
-    eigvalsh) on the same grid, with the same line witness, at the default
-    tol: the same labels, validity and witness values, and PT minima within
-    1e-15."""
+    """`slice_sweep` (closed form) against the labelling rule on the PT
+    minima of the 3x3 eigvalsh (`_pt_minimum`) on the same grid, with the
+    same witness table, at the default tol: the same labels, validity and
+    witness values, and PT minima within 1e-15.  `classify_weights` is
+    that numeric route with the two region witnesses alone."""
     columns = slice_sweep(gamma, 41).columns
-    valid, min_pt_eig, label, values = classify_weights(
-        _family_weights(columns.alpha, columns.beta, gamma),
-        line=_line_witness_for_slice(gamma))
+    weights = _family_weights(columns.alpha, columns.beta, gamma)
+    valid, min_pt_eig, label, values = _label_points(
+        weights, _pt_minimum(weights), PSD_TOL, *_label_witnesses(gamma))
     assert np.array_equal(label, columns.label)
     assert np.array_equal(valid, columns.valid)
     assert np.abs(min_pt_eig - columns.min_pt_eig).max() <= 1e-15
     assert values.keys() == columns.witness_values.keys()
     for name, column in values.items():
         assert np.array_equal(column, columns.witness_values[name])
+    general = classify_weights(weights)
+    assert np.array_equal(general[0], valid)
+    assert np.array_equal(general[1], min_pt_eig)
+    assert list(general[3]) == ["region_I", "region_II"]
+    for name, column in general[3].items():
+        assert np.array_equal(column, values[name])
+    if "line" not in values:
+        assert np.array_equal(general[2], label)
 
 
 def _weight_witnesses():
@@ -197,7 +206,7 @@ def _weight_witnesses():
     for gamma in (0.3, -0.3, 0.18, -3 / 7):
         lam_min = detection_profile(gamma).lambda_min
         for lam in (0.5, min(lam_min, 1.0)):
-            pairs.append((_line_witness_for_slice(gamma, lam)[0],
+            pairs.append((_label_witnesses(gamma, lam)[0][2],
                           line_witness(gamma, lam)[0].op.entries))
     return pairs
 
@@ -227,7 +236,7 @@ def test_weight_traces_equal_nine_by_nine_tangent_witness():
     for gamma in np.concatenate([-magnitudes, magnitudes]):
         for lam in (0.05, 0.5, 0.9, 0.999):
             witness, _ = line_witness(gamma, lam)
-            cases.append((_line_witness_for_slice(gamma, lam)[0],
+            cases.append((_label_witnesses(gamma, lam)[0][2],
                           witness.reference, witness.target, False))
     for traces, sigma, rho, normalize in cases:
         direct = geometric_witness(sigma, rho, normalize=normalize)
@@ -241,11 +250,38 @@ def test_label_path_certificate_equals_nine_by_nine_certificate():
     for gamma in np.concatenate([-magnitudes[::-1], magnitudes]):
         lam_min = detection_profile(gamma).lambda_min
         for lam in [*np.linspace(0.05, 1.0, 30), min(lam_min, 1.0)]:
-            flag = _line_witness_for_slice(gamma, lam)[1]
+            flag = _label_witnesses(gamma, lam)[1][2]
             witness, _ = line_witness(gamma, lam)
             assert flag == certify_witness(witness).certified, (gamma, lam)
             certified += flag
     assert 0 < certified < 80 * 31
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_label_witness_table_shape(sign):
+    """Two certified region rows where no line witness detects, three rows
+    inside the detecting window and for an explicit lambda, whose line row
+    carries its own certificate."""
+    regions = np.array(_region_traces())
+    for gamma in (0.0, 0.1, 0.2, DETECTION_GAMMA):
+        traces, certified = _label_witnesses(sign * gamma)
+        assert np.array_equal(traces, regions)
+        assert certified.tolist() == [True, True]
+    for gamma in (DETECTION_GAMMA + 1e-9, 0.3, 3 / 7):
+        traces, certified = _label_witnesses(sign * gamma)
+        assert traces.shape == (3, 9)
+        assert np.array_equal(traces[:2], regions)
+        assert certified.tolist() == [True, True, True]
+    for gamma, lam, flag in ((0.3, 0.95, True), (0.3, 0.5, False),
+                             (0.18, 0.9, False)):
+        traces, certified = _label_witnesses(sign * gamma, lam)
+        assert traces.shape == (3, 9)
+        assert np.array_equal(traces[:2], regions)
+        assert certified.tolist() == [True, True, flag]
+    for gamma, lam, message in ((0.3, 1.5, "lambda=1.5 outside"),
+                                (0.1, 0.5, "anchor windows")):
+        with pytest.raises(ValueError, match=message):
+            _label_witnesses(sign * gamma, lam)
 
 
 def test_classify_weights_matches_matrices_on_general_weights():
@@ -292,10 +328,9 @@ def test_label_path_builds_no_nine_by_nine_matrix(monkeypatch):
     classify_weights(np.full((5, 9), 1 / 9))
     assert shapes == [(3, 3)]
 
-    # a fresh detecting gamma with the witness caches cleared: no 9x9
-    # operator is created and no Weyl expansion is made
+    # a detecting gamma with the region traces uncached: no 9x9 operator is
+    # created and no Weyl expansion is made
     _region_traces.cache_clear()
-    _line_witness_for_slice.cache_clear()
     created = []
 
     def counting(owner, name):

@@ -22,7 +22,8 @@ from entwit import (
     tensor,
     weyl_operator,
 )
-from entwit.atlas import classify_point, lambda_scan, slice_sweep
+from entwit.atlas import (classify_point, classify_weights, lambda_scan,
+                          slice_sweep)
 
 # the last gamma inside the anchor window |gamma| <= 3/7 + 1e-12, and the
 # first outside it
@@ -126,6 +127,16 @@ def test_classify_point_rejects_non_finite_parameters(params, named):
         classify_point(params)
     with pytest.raises(ValueError, match="Bell weights must be finite"):
         simplex_state(params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classify_weights_rejects_non_finite_weights(bad):
+    # one bad row used to sink the whole batch in the 3x3 eigensolve, with
+    # a LinAlgError instead of a ValueError
+    weights = np.full((3, 9), 1 / 9)
+    weights[1, 4] = bad
+    with pytest.raises(ValueError, match=f"^weights={bad} is not finite$"):
+        classify_weights(weights)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

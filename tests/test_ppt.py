@@ -104,6 +104,18 @@ def test_nearest_ppt_rejects_max_iter_below_one(max_iter):
                      1e-10, max_iter)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_nearest_ppt_rejects_tol_not_positive_and_finite(tol):
+    # a residual is never below 0: at tol = 0 even a PPT input ran every
+    # iteration and came back unconverged
+    rho = simplex_state(SimplexParams(0.2, 0.2, 0)).density()
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        nearest_ppt(rho, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ppt._dykstra(ppt._BELL_SPACE, _family_weights(0.2, 0.2, 0)[None],
+                     tol, 10000)
+
+
 _DYKSTRA_PARAMS = [(0.5, 0.0, 0.0), (0.0, 0.8, 0.0), (0.7, 0.1, 0.0),
                    (0.3, 0.1, 0.2), (0.6, -0.2, -0.3), (0.1, 0.5, 0.3),
                    (0.1, 0.05, 0.0), (0.0, 0.0, 0.0)]
