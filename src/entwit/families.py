@@ -11,8 +11,9 @@ Three families appear throughout:
 
 The family is defined once, by its Bell weights (rho = sum_k w_k P_k), and
 every family state is built from them; the weights-to-matrix map, the
-map of general weights to one 3x3 PT block and back, the PT minimum from
-that block and its closed form on the family live here with them.
+density gates read from the weights, the map of general weights to one
+3x3 PT block and back, the PT minimum from that block and its closed form
+on the family live here with them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import PSD_TOL, BipartiteOperator, DensityMatrix, _pt_array
+from .operators import (PSD_TOL, BipartiteOperator, DensityMatrix, _psd_gate,
+                        _pt_array, _trace_gate)
 from .weyl import _bell_stack
 
 __all__ = [
@@ -67,29 +69,87 @@ class SimplexState:
         return DensityMatrix(self.op)
 
 
+@lru_cache(maxsize=None)
+def _bell_entries() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, terms, real, imag): the 27 flat indices of the 9x9 entries
+    that some P_k touches, and for each, in rows n = 0, 1, 2, the index
+    3n + m of the three projectors P_{n,m} that touch it and their entries'
+    real and imaginary parts, each of shape (3, 27).
+
+    P_{n,m} is the outer product of (U_{n,m} (x) 1)|phi+>, supported on
+    |k + m, k>, so the entries of one m form a 3x3 pattern touched by the
+    P_{n,m} of that m alone; the three patterns are disjoint.
+    """
+    stack = _bell_stack(3).reshape(9, 81)
+    flat = np.flatnonzero(stack.any(axis=0))
+    # row-major nonzeros: each entry's projectors in ascending k, i.e. n
+    terms = np.nonzero(stack[:, flat].T)[1].reshape(len(flat), 3).T
+    values = stack[terms, flat]
+    table = (flat, terms, values.real.copy(), values.imag.copy())
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
 def _bell_diagonal(weights) -> np.ndarray:
     """sum_k w_k P_k: one 9x9 matrix for weights of shape (9,), a stack of
     them for shape (N, 9); contiguous float64 when the sum's imaginary part
     is exactly 0, complex128 otherwise.  ValueError for weights that are
     not finite.
 
-    Summed elementwise in index order, so a row of a stack is bit for bit
-    the matrix of its weights alone; a matrix product sums in an order that
-    depends on the shape.  Weights equal on each conjugate pair P_{1,m},
-    P_{2,m}, as those of family states and of their witnesses are, give a
-    real matrix: `_bell_stack` makes P_{2,m} the exact conjugate of P_{1,m},
-    and each entry is touched by the three projectors of one m alone, so
-    the two imaginary terms cancel exactly.  The real matrix makes every
-    eigensolve on it real LAPACK.
+    Only the 27 entries that some P_k touches are computed
+    (`_bell_entries`); the other 54 are +0.0.  Each is the sum of its three
+    terms w_{3n+m} P_{n,m}, in ascending n, with the real and imaginary
+    parts summed apart.  The sum over all 9 P_k in index order adds the
+    same nonzero terms in the same order, and zeros, so the values are
+    those of that dense sum; on family weights its signed zeros too.  A row
+    of a stack is bit for bit the matrix of its weights alone.  Weights
+    equal on each conjugate pair P_{1,m}, P_{2,m}, as those of family
+    states and of their witnesses are, give a real matrix: `_bell_stack`
+    makes P_{2,m} the exact conjugate of P_{1,m}, so the two imaginary
+    terms cancel exactly.  The real matrix makes every eigensolve on it
+    real LAPACK, and is exactly symmetric.  Off the diagonal every matrix
+    is exactly Hermitian: the entries (r, c) and (c, r) sum the same
+    weights times exactly conjugate values.  On the diagonal a complex one
+    keeps the imaginary round-off of the projectors' diagonals, at most an
+    ulp of 1/3 per unit weight.
     """
     if not np.isfinite(weights).all():
         raise ValueError("Bell weights must be finite")
-    weights = weights[..., None, None]
-    projectors = _bell_stack(3)
-    mats = weights[..., 0, :, :] * projectors[0]
-    for k in range(1, 9):
-        mats += weights[..., k, :, :] * projectors[k]
-    return mats if mats.imag.any() else np.ascontiguousarray(mats.real)
+    flat, terms, real, imag = _bell_entries()
+    touched = weights[..., terms]
+    parts = touched * real
+    re = parts[..., 0, :] + parts[..., 1, :] + parts[..., 2, :]
+    parts = touched * imag
+    im = parts[..., 0, :] + parts[..., 1, :] + parts[..., 2, :]
+    shape = weights.shape[:-1]
+    if im.any():
+        mats = np.zeros(shape + (81,), dtype=complex)
+        mats.imag[..., flat] = im
+        mats.real[..., flat] = re
+    else:
+        mats = np.zeros(shape + (81,))
+        mats[..., flat] = re
+    return mats.reshape(shape + (9, 9))
+
+
+def _bell_gate(weights: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+    """Minimum weight of each Bell-diagonal state sum_k w_k P_k of a stack
+    of weights (N, 9) that passes the gates of a density matrix; the
+    Bell-diagonal case of `operators._density_gate`, with its messages.
+
+    The weights are the state's spectrum and sum to its trace, and the
+    matrix of real weights that `_bell_diagonal` builds is Hermitian to the
+    projectors' round-off, under 1e-16 for the weights of a state and far
+    within HERMITICITY_TOL, so no matrix is built or diagonalized.  Every
+    weight >= -psd_tol is checked before the unit trace (within
+    TRACE_TOL): far outside the states a huge negative weight is the fault,
+    and round-off in the sum of huge weights moves the trace.
+    """
+    min_weight = weights.min(axis=-1)
+    _psd_gate(min_weight, psd_tol)
+    _trace_gate(weights.sum(axis=-1))
+    return min_weight
 
 
 @lru_cache(maxsize=None)

@@ -145,28 +145,40 @@ def _hermiticity_defect(mats: np.ndarray) -> float:
     return float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
 
 
+def _trace_gate(tr: np.ndarray):
+    """ValueError with the worst trace of a stack unless every trace equals
+    1 within TRACE_TOL."""
+    trace_error = abs(tr - 1.0)
+    if trace_error.max() > TRACE_TOL:
+        raise ValueError(f"trace is {tr[trace_error.argmax()]!r}, must equal "
+                         f"1 within {TRACE_TOL}")
+
+
+def _psd_gate(min_eig: np.ndarray, psd_tol: float = PSD_TOL):
+    """ValueError with the lowest of a stack of minimum eigenvalues unless
+    each is >= -psd_tol."""
+    lowest = min_eig.min()
+    if lowest < -psd_tol:
+        raise ValueError(
+            f"not positive semidefinite: min eigenvalue {lowest:.3e} "
+            f"< -{psd_tol}"
+        )
+
+
 def _density_gate(mats: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of each matrix of a stack (N, D, D) that passes
     the gates of a density matrix, in their order: Hermitian within
     HERMITICITY_TOL, unit trace within TRACE_TOL, every eigenvalue
     >= -PSD_TOL.  ValueError with the worst value of the first gate that
-    fails; `DensityMatrix` is the N=1 case.
+    fails; `DensityMatrix` is the N=1 case, and `families._bell_gate` the
+    case of Bell-diagonal states, read from their weights.
     """
     herm_defect = _hermiticity_defect(mats)
     if herm_defect > HERMITICITY_TOL:
         raise ValueError(f"not Hermitian: max |A - A^dag| = {herm_defect:.3e}")
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    trace_error = abs(tr - 1.0)
-    if trace_error.max() > TRACE_TOL:
-        raise ValueError(f"trace is {tr[trace_error.argmax()]!r}, must equal 1 "
-                         f"within {TRACE_TOL}")
+    _trace_gate(np.trace(mats, axis1=-2, axis2=-1).real)
     min_eig = np.linalg.eigvalsh(mats)[:, 0]
-    lowest = min_eig.min()
-    if lowest < -PSD_TOL:
-        raise ValueError(
-            f"not positive semidefinite: min eigenvalue {lowest:.3e} "
-            f"< -{PSD_TOL}"
-        )
+    _psd_gate(min_eig)
     return min_eig
 
 

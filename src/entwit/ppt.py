@@ -256,20 +256,26 @@ def _dykstra(space: _Space, points: np.ndarray, tol: float,
         x = x_next
         if step_residual.min() >= tol and step < max_iter:
             continue
-        step_min = space.pt_minimum(y)
-        stop = ((step_residual < tol) & (step_min >= -tol)) | (step == max_iter)
-        if not stop.any():
+        # only a run whose residual is below tol, or every run at the cap,
+        # can stop: the PT minimum is read for those alone
+        near = (np.flatnonzero(step_residual < tol) if step < max_iter
+                else np.arange(len(y)))
+        step_min = space.pt_minimum(y[near])
+        settled = (step_min >= -tol) | (step == max_iter)
+        stop = near[settled]
+        if not stop.size:
             continue
         finished = active[stop]
         states[finished] = y[stop]
         iterations[finished] = step
         residual[finished] = step_residual[stop]
-        pt_min[finished] = step_min[stop]
-        if stop.all():
+        pt_min[finished] = step_min[settled]
+        if len(stop) == len(y):
             break
         # reached only while some runs go on, so a stack of one never indexes
         # its working arrays
-        left = ~stop
+        left = np.ones(len(y), dtype=bool)
+        left[stop] = False
         active, x, p, q = active[left], x[left], p[left], q[left]
     converged = (residual < tol) & (pt_min >= -tol)
     return _DykstraRuns(states, converged, iterations, residual, pt_min)

@@ -14,18 +14,21 @@ witnesses' 9x9 operators with `min_separable_expectation`, as
 `witness-check` does, and the nearest-PPT check runs Dykstra on Bell
 weights next to its 9x9 stack.  Every state a check builds passes the
 density-matrix gates, and the report of a given seed and sample count is
-byte-stable.
+byte-stable.  A Bell-diagonal state is gated on its Bell weights, which
+are its spectrum (`_bell_gate`): the family states and the Bell-space
+Dykstra output take no eigensolve to be gated.  The matrix-space Dykstra
+output is gated through its eigensolve (`_density_gate`).
 
 Family states and the witnesses of family states are real symmetric 9x9
-matrices (`_bell_diagonal`; for the states, the matrices of
-`simplex_state`), so the density gates, the partial-transpose
-eigensolves, both projections of the matrix-space Dykstra run and the
-probe's tables are real arithmetic, and each row is still bit for bit the
-public call on that state; the spectrum cross-check diagonalizes the real
-part of its matrices.  No bisection reads a sign where its function is 0
-to round-off: the PT sign changes are bisected from off-centre brackets
-(`check_pt_sign_changes`), so the printed roots do not depend on the
-eigensolver.
+matrices, built from the 27 entries that their Bell weights touch
+(`_bell_diagonal`; for the states, the matrices of `simplex_state`), so
+the partial-transpose eigensolves, both projections of the matrix-space
+Dykstra run and the probe's tables are real arithmetic, and each row is
+still bit for bit the public call on that state; the spectrum cross-check
+diagonalizes the real part of its matrices.  No bisection reads a sign
+where its function is 0 to round-off: the PT sign changes are bisected
+from off-centre brackets (`check_pt_sign_changes`), so the printed roots
+do not depend on the eigensolver.
 
 The threshold scan bisects each of its 10 000 roots from a bracket a few
 ulps wide around the value that the 1/lambda scaling of the coefficient
@@ -49,6 +52,7 @@ from .weyl import bell_projector, max_entangled
 from .families import (
     simplex_spectrum,
     _bell_diagonal,
+    _bell_gate,
     _family_pt_minimum,
     _family_weights,
     _horodecki_params,
@@ -349,11 +353,11 @@ def _random_region_points(rng, region: str, count: int):
 
 def _family_states(alpha, beta, gamma) -> np.ndarray:
     """The family states at parameter arrays as a real (N, 9, 9) stack,
-    each through the gates of `DensityMatrix`: the matrices of
-    `simplex_state`."""
-    mats = _bell_diagonal(_family_weights(alpha, beta, gamma))
-    _density_gate(mats)
-    return mats
+    the matrices of `simplex_state`, each through the gates of a density
+    matrix read from its Bell weights (`_bell_gate`): no eigensolve."""
+    weights = _family_weights(alpha, beta, gamma)
+    _bell_gate(weights)
+    return _bell_diagonal(weights)
 
 
 def check_gamma0_measures(seed: int) -> CheckResult:
@@ -476,24 +480,26 @@ def check_nearest_ppt(seed: int) -> CheckResult:
     """Dykstra's nearest PPT states of 10 seeded NPT points of each
     gamma = 0 region against the closed-form nearest points
     (`_gamma0_nearest`), run as one stack of 9x9 matrices and as one stack
-    of Bell weights; the deviation is the worse of the two."""
+    of Bell weights; the deviation is the worse of the two.  The output
+    states pass the density gates: the matrices through their eigensolve
+    (`_density_gate`), the weights as their spectrum (`_bell_gate`)."""
     rng = np.random.default_rng(seed)
     alpha, beta = np.concatenate([_random_region_points(rng, "I", 10),
                                   _random_region_points(rng, "II", 10)], axis=1)
     _, _, near_alpha, near_beta = _gamma0_nearest(alpha, beta)
     worst = 0.0
-    for space, points, target, as_states in (
+    for space, points, target, gate in (
             (_matrix_space(3, 3), _family_states(alpha, beta, 0.0),
-             _family_states(near_alpha, near_beta, 0.0), lambda m: m),
+             _family_states(near_alpha, near_beta, 0.0), _density_gate),
             (_BELL_SPACE, _family_weights(alpha, beta, 0.0),
-             _family_weights(near_alpha, near_beta, 0.0), _bell_diagonal)):
+             _family_weights(near_alpha, near_beta, 0.0), _bell_gate)):
         runs = _dykstra(space, points, PSD_TOL, 10000)
         stalled = np.flatnonzero(~runs.converged)
         if stalled.size:
             k = stalled[0]
             return _check_flag("nearest_ppt_gamma0", False, "converged",
                                f"stalled at ({alpha[k]}, {beta[k]})")
-        _density_gate(as_states(runs.states))
+        gate(runs.states)
         worst = max(worst, float(space.norms(runs.states - target).max()))
     return _check("nearest_ppt_gamma0", worst, 1e-6, 0.0, worst)
 

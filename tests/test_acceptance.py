@@ -358,3 +358,64 @@ def test_min_pt_eig_b_rows_equal_classify_ppt():
     for k, value in enumerate(b):
         verdict = classify_ppt(horodecki_state(value))
         assert verdict.min_pt_eigenvalue == stacked[k], value
+
+
+def _recording_eigvalsh(monkeypatch, calls, context=lambda: None):
+    """Replace np.linalg.eigvalsh by a spy that appends (matrix shape,
+    context()) for each call."""
+    solver = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a)[-2:], context()))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+
+
+def test_family_states_are_gated_without_an_eigensolve(monkeypatch):
+    calls = []
+    _recording_eigvalsh(monkeypatch, calls)
+    alpha, beta = np.linspace(0.0, 0.6, 20), np.linspace(0.3, -0.1, 20)
+    states = reproduce._family_states(alpha, beta, 0.0)
+    b = np.linspace(0.0, 5.0, 11)
+    reproduce._family_states(*reproduce._horodecki_params(b))
+    assert calls == []
+    assert np.array_equal(states, reproduce._bell_diagonal(
+        _family_weights(alpha, beta, 0.0)))
+    # the density gates still hold: an invalid state is rejected
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        reproduce._family_states(np.array([0.2, 2.0]), np.zeros(2), 0.0)
+
+
+def test_nearest_ppt_check_eigensolves_9x9_only_in_matrix_space(monkeypatch):
+    # the Bell-space half gates its states on their weights: its only
+    # eigensolves are of 3x3 PT blocks; every 9x9 one belongs to the
+    # matrix-space run or to the density gate of its output
+    calls, inside = [], []
+    _recording_eigvalsh(monkeypatch, calls, lambda: bool(inside))
+
+    def marked(function):
+        def run(*args, **kwargs):
+            inside.append(function)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    matrix_space = reproduce._matrix_space
+    monkeypatch.setattr(
+        reproduce, "_matrix_space",
+        lambda *dims: type(matrix_space(*dims))(
+            *map(marked, matrix_space(*dims))))
+    gated = []
+    density_gate = reproduce._density_gate
+    monkeypatch.setattr(reproduce, "_density_gate",
+                        lambda mats: gated.append(len(mats))
+                        or marked(density_gate)(mats))
+    assert check_nearest_ppt(SEED).passed
+    assert gated == [20]
+    outside = [shape for shape, in_matrix_space in calls
+               if not in_matrix_space]
+    assert outside and set(outside) == {(3, 3)}
+    assert any(shape == (9, 9) for shape, _ in calls)

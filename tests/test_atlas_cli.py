@@ -329,16 +329,42 @@ def test_cli_rejects_non_finite_gamma_range(capsys):
             capsys.readouterr().err
 
 
+def _tol_floor_error(value: str) -> str:
+    return (f"entwit nearest-ppt: error: argument --tol: must be >= 1e-15, "
+            f"the round-off floor of the nearest-PPT iteration, got {value}\n")
+
+
 @pytest.mark.parametrize("alpha, beta", [("0.2", "0.2"), ("0.5", "0")])
 def test_cli_nearest_ppt_rejects_tol_zero(alpha, beta, capsys):
     # a PPT and an NPT state: the iteration stops only on a residual below
-    # tol, so at tol 0 it ran to its cap and exited 2
+    # tol, so at tol 0 it ran to its cap and exited 2; 0 is below the
+    # floor, so it is rejected while parsing
     assert main(["nearest-ppt", "--alpha", alpha, "--beta", beta,
                  "--tol", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("entwit nearest-ppt: tol must be positive and "
-                            "finite, got 0.0\n")
+    assert captured.err.endswith(_tol_floor_error("0.0"))
+
+
+@pytest.mark.parametrize("tol", ["1e-300", "1e-17", "1e-16"])
+def test_cli_nearest_ppt_rejects_tol_below_round_off(tol, capsys):
+    # below the floor the iteration ran all 10 000 steps and exited 2
+    assert main(["nearest-ppt", "--alpha", "0.5", "--beta", "0",
+                 "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(_tol_floor_error(str(float(tol))))
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "0.5", "--beta", "0"],
+                                  ["--alpha", "0.5", "--beta", "0.1",
+                                   "--gamma", "0.3"]])
+def test_cli_nearest_ppt_converges_at_the_tol_floor(argv, capsys):
+    assert main(["nearest-ppt", *argv, "--tol", "1e-15",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] and doc["residual"] < 1e-15
+    assert doc["min_pt_eigenvalue"] >= -1e-15
 
 
 def test_cli_nearest_ppt_rejects_steps_below_one(capsys):

@@ -16,8 +16,9 @@ from entwit import (
     simplex_state,
     weyl_expand,
 )
-from entwit.families import (_bell_diagonal, _family_weights,
+from entwit.families import (_bell_diagonal, _bell_gate, _family_weights,
                              _horodecki_params)
+from entwit.operators import PSD_TOL, TRACE_TOL, _density_gate
 from entwit.reproduce import _threshold_lines
 from entwit.weyl import _bell_stack
 from entwit.witness import _line_pair, _region_traces, _tangent_traces
@@ -109,11 +110,12 @@ def _real_family_params():
 
 
 def _complex_bell_sum(weights):
-    # sum_k w_k P_k in complex arithmetic, elementwise in index order
+    # sum_k w_k P_k in complex arithmetic over all 81 entries of each P_k,
+    # w_0 P_0 first and then one term at a time in index order
     projectors = _bell_stack(3)
-    mats = np.zeros(weights.shape[:-1] + (9, 9), dtype=complex)
-    for k in range(9):
-        mats += weights[..., k, None, None] * projectors[k]
+    mats = weights[..., 0, None, None] * projectors[0]
+    for k in range(1, 9):
+        mats = mats + weights[..., k, None, None] * projectors[k]
     return mats
 
 
@@ -134,25 +136,42 @@ def test_simplex_state_is_real():
             horodecki_to_simplex(b)).op.entries)
 
 
+def _untouched():
+    # the 54 entries that no P_k touches
+    return ~_bell_stack(3).any(axis=0)
+
+
+def _assert_untouched_positive_zero(mats):
+    for part in (mats.real, mats.imag):
+        untouched = part[..., _untouched()]
+        assert not untouched.any() and not np.signbit(untouched).any()
+
+
 def test_bell_diagonal_is_real_exactly_when_the_sum_is_real():
-    # weights that differ on a conjugate pair P_{1,m}, P_{2,m} stay complex
+    # weights that differ on a conjugate pair P_{1,m}, P_{2,m} stay complex;
+    # the entries that no P_k touches are +0.0 (the sum's may be -0.0)
     weights = np.random.default_rng(5).dirichlet(np.ones(9), 20)
-    for w in (weights[0], weights):
+    normal = np.random.default_rng(71).standard_normal((300, 9))
+    for w in (weights[0], weights, normal):
         mats = _bell_diagonal(w)
         assert mats.dtype == np.complex128
         assert np.array_equal(mats, _complex_bell_sum(w))
-    # family weights and the battery's witness traces are equal on each
-    # pair: float64, bit for bit the real part of the complex sum
+        _assert_untouched_positive_zero(mats)
+    # family weights, the battery's witness traces and negative weights set
+    # equal on each pair: float64, the real part of the complex sum
+    normal[:, 6:] = normal[:, 3:6]
     pair_equal = [_family_weights(*_real_family_params().T),
                   np.concatenate([
                       np.array(_region_traces()),
-                      _tangent_traces(*_line_pair(*_threshold_lines()))[0]])]
+                      _tangent_traces(*_line_pair(*_threshold_lines()))[0]]),
+                  normal]
     for w in pair_equal + [row for stack in pair_equal for row in stack[:5]]:
         mats = _bell_diagonal(w)
         expected = _complex_bell_sum(w)
         assert not expected.imag.any()
         assert mats.dtype == np.float64 and mats.flags.c_contiguous
         assert np.array_equal(mats, expected.real)
+        _assert_untouched_positive_zero(mats)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="Bell weights must be finite"):
             _bell_diagonal(_family_weights(0.2, 0.1, bad))
@@ -193,6 +212,92 @@ def test_bell_diagonal_stack_rows_equal_single_builds():
     assert stack.shape == (50, 9, 9)
     for w, mat in zip(weights, stack):
         assert np.array_equal(_bell_diagonal(w), mat)
+
+
+def _bits(mats):
+    # the float64 words of an array, so that -0.0 and +0.0 differ
+    return np.ascontiguousarray(mats).view(np.uint64)
+
+
+def _family_weights_with_zeros():
+    # corners and edges of the family where some weights are exactly 0,
+    # and the Horodecki state at b = 0, whose weights on P02, P12, P22 are
+    edges = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3],
+                      [-0.5, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    params = np.concatenate([_real_family_params(), edges])
+    return _family_weights(*params.T)
+
+
+def test_bell_diagonal_is_the_dense_sum_bit_for_bit_on_family_weights():
+    weights = _family_weights_with_zeros()
+    assert (weights == 0).any()
+    mats = _bell_diagonal(weights)
+    dense = _complex_bell_sum(weights)
+    assert not dense.imag.any()
+    assert mats.dtype == np.float64 and mats.flags.c_contiguous
+    assert np.array_equal(_bits(mats), _bits(dense.real))
+    for w, mat in zip(weights[::97], mats[::97]):
+        assert np.array_equal(_bits(_bell_diagonal(w)), _bits(mat))
+
+
+def test_bell_diagonal_is_exactly_hermitian():
+    rng = np.random.default_rng(79)
+    pair_equal = rng.standard_normal((100, 9))
+    pair_equal[:, 6:] = pair_equal[:, 3:6]
+    for weights in (_family_weights_with_zeros(), pair_equal):
+        mats = _bell_diagonal(weights)
+        assert (mats == mats.swapaxes(-1, -2)).all()
+    # on weights unequal on a conjugate pair, off the diagonal; on it, the
+    # sum keeps the imaginary round-off of the projectors' diagonals, at
+    # most one ulp of 1/3 (0 where complex products are not fused)
+    off_diagonal = ~np.eye(9, dtype=bool)
+    diagonal_round_off = np.abs(np.diagonal(_bell_stack(3), axis1=1,
+                                            axis2=2).imag).max()
+    assert diagonal_round_off <= np.spacing(1 / 3)
+    for weights in (rng.standard_normal((100, 9)),
+                    rng.dirichlet(np.ones(9), 40)):
+        mats = _bell_diagonal(weights)
+        adjoint = mats.conj().swapaxes(-1, -2)
+        assert (mats == adjoint)[:, off_diagonal].all()
+        diagonal = np.diagonal(mats, axis1=1, axis2=2)
+        # three terms, and room for their rounding
+        assert (np.abs(diagonal.imag) <= 4 * diagonal_round_off
+                * np.abs(weights).max(axis=1, keepdims=True)).all()
+
+
+def _gate_messages(weights):
+    # the message of each gate on one state, or None where it passes
+    messages = []
+    for gate in (lambda: _bell_gate(weights[None]),
+                 lambda: _density_gate(_bell_diagonal(weights[None]))):
+        try:
+            gate()
+            messages.append(None)
+        except ValueError as exc:
+            messages.append(str(exc))
+    return messages
+
+
+def test_bell_gate_raises_the_messages_of_the_density_gate():
+    # one weight, e = (1 - alpha - beta - gamma)/9 on P02, P12 and P22,
+    # just below -PSD_TOL
+    below = _family_weights(1.0 + 1.8e-9, 0.0, 0.0)
+    assert below.min() < -PSD_TOL
+    bell, dense = _gate_messages(below)
+    assert bell == dense == ("not positive semidefinite: min eigenvalue "
+                             "-2.000e-10 < -1e-10")
+    # the trace off 1 by far more than TRACE_TOL; where the weights' sum
+    # and the matrix trace round alike, the messages agree to the digit
+    for weights in (_family_weights(0.5, 0.25, 0.0) * 1.5,
+                    np.full(9, 1 / 9) * (1 + 1e-9)):
+        assert abs(weights.sum() - 1.0) > TRACE_TOL
+        bell, dense = _gate_messages(weights)
+        assert bell == dense and bell.startswith("trace is")
+    # a valid state passes, and the gate returns its minimum weight
+    weights = _family_weights(*_real_family_params().T)
+    weights = weights[weights.min(axis=1) >= 0][:50]
+    assert np.array_equal(_bell_gate(weights), weights.min(axis=1))
 
 
 def test_horodecki_state_structure():

@@ -180,6 +180,40 @@ def test_dykstra_rows_on_family_states_equal_nearest_ppt():
         assert single.min_pt_eigenvalue == runs.min_pt_eigenvalue[i], i
 
 
+@pytest.mark.parametrize("max_iter", [10000, 12])
+def test_dykstra_reads_the_pt_minimum_only_of_runs_that_can_stop(max_iter):
+    # each step reads the PT minimum of the runs whose residual is below
+    # tol, and of every run at the cap; the runs are those of the space
+    # itself, bit for bit
+    below, read = [], []
+    space = ppt._BELL_SPACE
+
+    def norms(diffs):
+        residual = space.norms(diffs)
+        below.append((len(residual), int((residual < 1e-10).sum())))
+        return residual
+
+    def pt_minimum(weights):
+        read.append((len(below), len(weights)))
+        return space.pt_minimum(weights)
+
+    weights = _dykstra_weights()
+    runs = ppt._dykstra(space._replace(norms=norms, pt_minimum=pt_minimum),
+                        weights, 1e-10, max_iter)
+    assert read
+    for step, rows in read:
+        active, near = below[step - 1]
+        assert rows == (active if step == max_iter else near)
+        assert 0 < rows
+    if max_iter == 10000:
+        # fewer than every run still going at each step where one can stop
+        assert sum(rows for _, rows in read) < sum(
+            active for active, near in below if near)
+    plain = ppt._dykstra(space, weights, 1e-10, max_iter)
+    for field, value in zip(runs, plain):
+        assert np.array_equal(field, value)
+
+
 def test_dykstra_inputs_are_built_from_their_weights():
     mats = np.stack([rho.entries for rho in _dykstra_inputs()])
     assert np.array_equal(_bell_diagonal(_dykstra_weights()[:len(mats)]), mats)
